@@ -95,9 +95,8 @@ class EcuContext:
     """One ECU's hardware plus the callbacks the state machines need.
 
     ``now`` reads the simulated clock; ``request_reset`` asks the runtime
-    for a software reset after the current step; ``spend_flash`` charges a
-    flash-operation duration to the node; ``fault_hook`` (tests only) gets
-    each updater step name and may raise :class:`InjectedFault`.
+    for a software reset after the current step; ``fault_hook`` (tests only)
+    gets each updater step name and may raise :class:`InjectedFault`.
     """
 
     device: FlashDevice
@@ -109,7 +108,6 @@ class EcuContext:
     now: Callable[[], int] = lambda: 0
     log: Callable = _noop
     request_reset: Callable[[], None] = _noop
-    spend_flash: Callable[[int], None] = _noop
     fault_hook: Callable[[str], None] | None = None
     sectors_erased: int = 0
 
@@ -131,25 +129,25 @@ class EcuContext:
 # -- boot manager ------------------------------------------------------------
 
 
-def app_integrity(device: FlashDevice, now_us: int = 0) -> CompareResult:
+def app_integrity(device: FlashDevice) -> CompareResult:
     """CRC the stored application against its metadata record."""
     try:
-        meta, _ = read_app_metadata(device, now_us)
+        meta, _ = read_app_metadata(device)
     except MalformedMetadata:
         return CompareResult.FAILED
     start = device.layout.region(REGION_APPLICATION).start
-    data, _ = device.read(start, meta.byte_count, now_us)
+    data, _ = device.read(start, meta.byte_count)
     return crc_compare(crc32(data), meta.image_crc)
 
 
-def boot_decide(device: FlashDevice, regs: BackupRegisters, now_us: int = 0) -> BootDecision:
+def boot_decide(device: FlashDevice, regs: BackupRegisters) -> BootDecision:
     """Pick the next stage.
 
     A verified application with its enter flag armed wins; otherwise an
     armed updater flag wins; otherwise both flags are cleared and the
     bootloader takes over, so a stale flag can never loop the chain.
     """
-    intact = app_integrity(device, now_us) is CompareResult.SUCCEEDED
+    intact = app_integrity(device) is CompareResult.SUCCEEDED
     if intact and regs.read_flag(APP_ENTER_REG) is BootFlag.ENTER:
         return BootDecision.JUMP_APPLICATION
     if regs.read_flag(UPDATER_ENTER_REG) is BootFlag.ENTER:
@@ -178,6 +176,27 @@ def _sectors_in_region(ctx: EcuContext, region: Region, start: int, count: int) 
         s.start >= region.start and s.end <= region.end
         for s in sectors[start : start + count]
     )
+
+
+def _mem_write(ctx: EcuContext, payload: bytes, region: Region,
+               malformed: bytes | None) -> bytes | None:
+    """Program a MEM_WRITE payload (code, address u32 LE, length u16 LE,
+    data; the caller has checked its 7-byte header is there) into
+    ``region``.  A length that disagrees with the data draws ``malformed``."""
+    code = payload[0]
+    address = int.from_bytes(payload[1:5], "little")
+    length = int.from_bytes(payload[5:7], "little")
+    data = payload[7:]
+    if len(data) != length:
+        return malformed
+    if not region.contains(address, length):
+        return _nack(code, NACK_REGION)
+    try:
+        ctx.ensure_flash_unlocked()
+        ctx.device.program(address, data, ctx.now())
+    except FlashError:
+        return _nack(code, NACK_FLASH)
+    return _ack(code)
 
 
 def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
@@ -211,12 +230,11 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_REGION)
         try:
             ctx.ensure_flash_unlocked()
-            duration = ctx.device.erase_sectors(start, count, ctx.now())
+            ctx.device.erase_sectors(start, count, ctx.now())
         except FlashError:
             return _nack(code, NACK_FLASH)
         erased = len(ctx.device.layout.sectors_within(app)) if start == MASS_ERASE_APPLICATION else count
         ctx.sectors_erased += erased
-        ctx.spend_flash(duration)
         ctx.log("CommandServed", command="flash_erase", sectors=erased)
         return _ack(code)
 
@@ -225,20 +243,7 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_MALFORMED)
         if not ctx.session.unlocked:
             return _nack(code, NACK_SECURITY)
-        address = int.from_bytes(payload[1:5], "little")
-        length = int.from_bytes(payload[5:7], "little")
-        data = payload[7:]
-        if len(data) != length:
-            return _nack(code, NACK_MALFORMED)
-        if not ctx.app_region().contains(address, length):
-            return _nack(code, NACK_REGION)
-        try:
-            ctx.ensure_flash_unlocked()
-            duration = ctx.device.program(address, data, ctx.now())
-        except FlashError:
-            return _nack(code, NACK_FLASH)
-        ctx.spend_flash(duration)
-        return _ack(code)
+        return _mem_write(ctx, payload, ctx.app_region(), _nack(code, NACK_MALFORMED))
 
     if code == BootloaderCommand.DELTA_APPLY:
         if not ctx.session.unlocked:
@@ -248,8 +253,8 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             pkg = decode_package(payload[1:])
             base = b""
             try:
-                meta, _ = read_app_metadata(ctx.device, ctx.now())
-                base, _ = ctx.device.read(app.start, meta.byte_count, ctx.now())
+                meta, _ = read_app_metadata(ctx.device)
+                base, _ = ctx.device.read(app.start, meta.byte_count)
             except MalformedMetadata:
                 pass  # no valid base; verification decides
             staged = apply_delta(base, pkg)
@@ -261,7 +266,6 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         except (FlashError, ValueError):
             return _nack(code, NACK_FLASH)
         ctx.sectors_erased += stats.sectors_erased
-        ctx.spend_flash(stats.duration_us)
         ctx.log("CommandServed", command="delta_apply",
                 blocks=len(pkg.entries), sectors=stats.sectors_erased)
         return _ack(code)
@@ -323,30 +327,16 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_REGION)
         try:
             ctx.ensure_flash_unlocked()
-            duration = ctx.device.erase_sectors(payload[1], payload[2], ctx.now())
+            ctx.device.erase_sectors(payload[1], payload[2], ctx.now())
         except FlashError:
             return _nack(code, NACK_FLASH)
         ctx.sectors_erased += payload[2]
-        ctx.spend_flash(duration)
         return _ack(code)
 
     if code == UpdaterCommand.MEM_WRITE_BOOTLOADER:
         if len(payload) < 7:
             return None
-        address = int.from_bytes(payload[1:5], "little")
-        length = int.from_bytes(payload[5:7], "little")
-        data = payload[7:]
-        if len(data) != length:
-            return None
-        if not region.contains(address, length):
-            return _nack(code, NACK_REGION)
-        try:
-            ctx.ensure_flash_unlocked()
-            duration = ctx.device.program(address, data, ctx.now())
-        except FlashError:
-            return _nack(code, NACK_FLASH)
-        ctx.spend_flash(duration)
-        return _ack(code)
+        return _mem_write(ctx, payload, region, None)
 
     if code == UpdaterCommand.LEAVE_TO_BOOT_MANAGER:
         ctx.regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
@@ -361,11 +351,10 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
 def _restore_backup(ctx: EcuContext, region: Region, backup: bytes) -> None:
     sectors = ctx.device.layout.sectors_within(region)
     ctx.ensure_flash_unlocked()
-    duration = ctx.device.erase_sectors(sectors[0].index, len(sectors), ctx.now())
+    ctx.device.erase_sectors(sectors[0].index, len(sectors), ctx.now())
     payload = backup.rstrip(b"\xff")  # trailing erased bytes need no programming
     if payload:
-        duration += ctx.device.program(region.start, payload, ctx.now())
-    ctx.spend_flash(duration)
+        ctx.device.program(region.start, payload, ctx.now())
 
 
 def updater_silent(ctx: EcuContext) -> UpdaterResult:
@@ -392,20 +381,20 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
         # Rejected before anything is touched; the old bootloader survives.
         return leave(UpdaterResult(UpdaterStatus.REJECTED, "image exceeds region"))
 
-    backup, _ = ctx.device.read(region.start, region.size, ctx.now())
+    backup, _ = ctx.device.read(region.start, region.size)
     erased = False
     try:
         ctx._hook("backup")
         ctx._hook("erase")
         sectors = ctx.device.layout.sectors_within(region)
         ctx.ensure_flash_unlocked()
-        ctx.spend_flash(ctx.device.erase_sectors(sectors[0].index, len(sectors), ctx.now()))
+        ctx.device.erase_sectors(sectors[0].index, len(sectors), ctx.now())
         ctx.sectors_erased += len(sectors)
         erased = True
         ctx._hook("program")
-        ctx.spend_flash(ctx.device.program(region.start, image, ctx.now()))
+        ctx.device.program(region.start, image, ctx.now())
         ctx._hook("verify")
-        readback, _ = ctx.device.read(region.start, len(image), ctx.now())
+        readback, _ = ctx.device.read(region.start, len(image))
         if crc_compare(crc32(readback), crc32(image)) is not CompareResult.SUCCEEDED:
             raise _VerifyFailed("read-back CRC mismatch")
     except (FlashError, InjectedFault, _VerifyFailed) as exc:

@@ -289,3 +289,24 @@ def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
                 raise ChecksumMismatch(f"payload on id 0x{frame.can_id:X} failed its checksum")
             return SegmentedMessage(frame.can_id, payload)
     return None
+
+
+def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
+    """Wait for a reply as a coroutine, yielding once per tick.
+
+    Returns the first reassembled payload for which ``accept(payload)``
+    holds, or None once ``now()`` reaches ``deadline_us``.  Payloads that
+    ``accept`` refuses are drained as stray traffic; a mangled message is
+    dropped and the deadline decides.
+    """
+    while now() < deadline_us:
+        try:
+            msg = recv_segmented(endpoint)
+        except CanError:
+            msg = None
+        if msg is not None:
+            if accept(msg.payload):
+                return msg.payload
+            continue
+        yield
+    return None

@@ -3,9 +3,10 @@
 The device is a byte array with NOR-flash semantics: erase sets whole
 sectors to 0xFF, programming may only clear bits (enforced strictly here as
 "target bytes must read 0xFF"), and every mutation is gated behind a
-two-key unlock.  Erase and program report simulated durations; the device
-also tracks a busy horizon so reads issued while an operation is in flight
-can account for the stall.
+two-key unlock.  Erase and program report simulated durations.  The device
+keeps the only flash-time account: a busy horizon, which reads report as
+their stall and which a node running on the device stalls on, and the
+running total of busy time.
 
 Nothing here touches real hardware.  Durations are bookkeeping, not sleeps.
 """
@@ -188,7 +189,9 @@ class FlashDevice:
     A failed unlock latches the lock until :meth:`reset`; this mirrors
     controllers that refuse further key writes after a bad sequence.
     ``busy_until_us`` is the simulated-time instant at which the last
-    erase/program completes; reads report the remaining stall.
+    erase/program completes: reads report the remaining stall, and a node
+    running on the device stalls until then.  ``busy_total_us`` adds up the
+    duration of every erase and program, the device's flash-time account.
     """
 
     def __init__(self, layout: FlashLayout | None = None,
@@ -201,6 +204,7 @@ class FlashDevice:
         self.locked = True
         self.latched = False
         self.busy_until_us = 0
+        self.busy_total_us = 0
 
     # -- lock handling -----------------------------------------------------
 
@@ -288,6 +292,7 @@ class FlashDevice:
 
     def _occupy(self, now_us: int, duration: int) -> None:
         self.busy_until_us = max(self.busy_until_us, now_us) + duration
+        self.busy_total_us += duration
 
 
 def new_device(layout: FlashLayout | None = None,

@@ -125,6 +125,14 @@ def pid_step(state: SteeringState, gains: PidGains, error: float, dt: float) -> 
     return command, SteeringState(state.position, integral, error)
 
 
+def plant_step(state: SteeringState, gains: PidGains, target_deg: float, dt: float) -> SteeringState:
+    """One controller step driving the first-order plant (1 deg/s per
+    command unit) towards ``target_deg``; returns the new state."""
+    command, state = pid_step(state, gains, target_deg - state.position, dt)
+    position = state.position + dt * PLANT_GAIN_DEG_PER_S * command
+    return SteeringState(position, state.integral, state.previous_error)
+
+
 def simulate(gains: PidGains, target_deg: float, initial_deg: float,
              duration_s: float, dt: float = 0.01) -> list[tuple[float, float]]:
     """Run the loop against the first-order plant (1 deg/s per command unit);
@@ -134,11 +142,9 @@ def simulate(gains: PidGains, target_deg: float, initial_deg: float,
     steps = round(duration_s / dt)
     t = 0.0
     for _ in range(steps):
-        command, state = pid_step(state, gains, target_deg - state.position, dt)
-        position = state.position + dt * PLANT_GAIN_DEG_PER_S * command
-        state = SteeringState(position, state.integral, state.previous_error)
+        state = plant_step(state, gains, target_deg, dt)
         t += dt
-        trace.append((t, abs(target_deg - position)))
+        trace.append((t, abs(target_deg - state.position)))
     return trace
 
 

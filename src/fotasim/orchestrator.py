@@ -24,11 +24,11 @@ from .bootflow import (
     NACK_DELTA,
     BootloaderCommand,
 )
-from .canbus import MAX_SEGMENTED_PAYLOAD, CanError, recv_segmented, send_segmented
+from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented
 from .delta import build_delta, encode_package
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .nvstore import AppMetadata, BootFlag, app_capacity, max_table_blocks, metadata_offset
-from .simruntime import Node, Task, TaskPriority, World
+from .simruntime import Node, Task, TaskPriority, TaskState, World
 from .uds import client_unlock
 
 DEFAULT_REQUEST_ID = 0x101
@@ -97,7 +97,7 @@ class CampaignHandle:
 
     @property
     def done(self) -> bool:
-        return self.task.state.value == "done"
+        return self.task.state is TaskState.DONE
 
     def cancel(self) -> None:
         """Abandon the campaign mid-flight (the target is not told)."""
@@ -112,6 +112,15 @@ def _nack_reason(reply: bytes | None) -> int | None:
     if reply is not None and len(reply) >= 3 and reply[0] == NACK:
         return reply[2]
     return None
+
+
+def _is_ack_or_nack(payload: bytes) -> bool:
+    return bool(payload) and payload[0] in (ACK, NACK)
+
+
+def _mem_write_payload(address: int, data: bytes) -> bytes:
+    return (bytes([BootloaderCommand.MEM_WRITE]) + address.to_bytes(4, "little")
+            + len(data).to_bytes(2, "little") + data)
 
 
 class _Campaign:
@@ -136,34 +145,21 @@ class _Campaign:
     def _now(self) -> int:
         return self.world.clock_us
 
-    def _await_reply(self, deadline_us: int):
-        """Wait for the next ACK/NACK payload on the master endpoint."""
-        while self._now() < deadline_us:
-            try:
-                msg = recv_segmented(self.master.endpoint)
-            except CanError:
-                msg = None
-            if msg is not None:
-                if msg.payload and msg.payload[0] in (ACK, NACK):
-                    return msg.payload
-                continue  # stray traffic (e.g. late security reply)
-            yield
-        return None
-
     def _command(self, payload: bytes):
-        send_segmented(self.world.bus, self.master.endpoint, self.plan.request_id, payload)
-        reply = yield from self._await_reply(self._now() + self.plan.command_deadline_us)
-        return reply
-
-    def _command_retry(self, payload: bytes):
-        """Retry on silence only; a NACK is an answer, not a loss."""
-        reply = yield from self._command(payload)
-        for _ in range(self.plan.retry_budget):
-            if reply is not None:
+        """Send ``payload`` and wait for its ACK/NACK, resending on silence
+        until the retry budget is spent; a NACK is an answer, not a loss.
+        Anything else on the master endpoint (e.g. a late security reply)
+        is stray traffic."""
+        retries_left = self.plan.retry_budget
+        while True:
+            send_segmented(self.world.bus, self.master.endpoint, self.plan.request_id, payload)
+            reply = yield from await_reply(self.master.endpoint, self._now,
+                                           self._now() + self.plan.command_deadline_us,
+                                           _is_ack_or_nack)
+            if reply is not None or retries_left <= 0:
                 return reply
+            retries_left -= 1
             self.command_retries += 1
-            reply = yield from self._command(payload)
-        return reply
 
     def _wait_decision(self, decision: str, from_index: int, deadline_us: int):
         index = from_index
@@ -195,7 +191,7 @@ class _Campaign:
         start_clock = self._now()
         stats0 = (bus.stats.frames_sent, bus.stats.payload_bytes,
                   bus.stats.retransmissions, bus.stats.busy_time_us)
-        flash0 = self.target.flash_time_us
+        flash0 = self.target.device.busy_total_us
         erased0 = self.target.ctx.sectors_erased
         event_mark = len(self.world.events)
 
@@ -206,7 +202,7 @@ class _Campaign:
             report.bytes_on_bus = bus.stats.payload_bytes - stats0[1]
             report.retransmissions = (bus.stats.retransmissions - stats0[2]) + self.command_retries
             report.transfer_duration_us = bus.stats.busy_time_us - stats0[3]
-            report.flash_duration_us = self.target.flash_time_us - flash0
+            report.flash_duration_us = self.target.device.busy_total_us - flash0
             report.total_duration_us = self._now() - start_clock
             report.sectors_erased = self.target.ctx.sectors_erased - erased0
             self.world.log(self.master.name, "CampaignDone",
@@ -225,7 +221,7 @@ class _Campaign:
             return finish("failed", f"security_{unlock.outcome.value}")
 
         # 2. Ask the application to drop to the bootloader.
-        reply = yield from self._command_retry(bytes([APP_ENTER_BOOTLOADER]))
+        reply = yield from self._command(bytes([APP_ENTER_BOOTLOADER]))
         if not _is_ack(reply, APP_ENTER_BOOTLOADER):
             return finish("failed", "enter_bootloader_refused")
         ok = yield from self._wait_decision(
@@ -242,28 +238,21 @@ class _Campaign:
 
         # 4. Move the image.
         if plan.mode is CampaignMode.FULL:
-            reply = yield from self._command_retry(
+            reply = yield from self._command(
                 bytes([BootloaderCommand.FLASH_ERASE, 0xFF, 0]))
             if not _is_ack(reply, BootloaderCommand.FLASH_ERASE):
                 return finish("failed", "erase_refused")
             for index in range(total_blocks):
                 lo = index * plan.block_size
                 chunk = plan.new_image[lo : lo + plan.block_size]
-                address = app.start + lo
-                payload = (bytes([BootloaderCommand.MEM_WRITE])
-                           + address.to_bytes(4, "little")
-                           + len(chunk).to_bytes(2, "little") + chunk)
-                reply = yield from self._command_retry(payload)
+                reply = yield from self._command(_mem_write_payload(app.start + lo, chunk))
                 if not _is_ack(reply, BootloaderCommand.MEM_WRITE):
                     return finish("failed", "block_write_refused")
                 report.blocks_transferred += 1
             # Metadata last: this write is the commit point.
             meta = AppMetadata.for_image(plan.new_image, plan.block_size)
-            blob = meta.encode()
-            payload = (bytes([BootloaderCommand.MEM_WRITE])
-                       + metadata_offset(self.target.device.layout).to_bytes(4, "little")
-                       + len(blob).to_bytes(2, "little") + blob)
-            reply = yield from self._command_retry(payload)
+            reply = yield from self._command(_mem_write_payload(
+                metadata_offset(self.target.device.layout), meta.encode()))
             if not _is_ack(reply, BootloaderCommand.MEM_WRITE):
                 return finish("failed", "metadata_write_refused")
         else:
@@ -274,7 +263,7 @@ class _Campaign:
             blob = bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg)
             if len(blob) > MAX_SEGMENTED_PAYLOAD:
                 return finish("failed", "package_too_large")
-            reply = yield from self._command_retry(blob)
+            reply = yield from self._command(blob)
             if not _is_ack(reply, BootloaderCommand.DELTA_APPLY):
                 if _nack_reason(reply) == NACK_DELTA:
                     return finish("failed", "block_crc_mismatch")
@@ -282,7 +271,7 @@ class _Campaign:
 
         # 5. Arm the application flag and reset.
         event_mark = len(self.world.events)
-        reply = yield from self._command_retry(
+        reply = yield from self._command(
             bytes([BootloaderCommand.GO_TO_ADDR, BootFlag.ENTER, BootFlag.NOT_ENTER]))
         if not _is_ack(reply, BootloaderCommand.GO_TO_ADDR):
             return finish("failed", "go_to_addr_refused")
@@ -299,11 +288,7 @@ def start_campaign(world: World, plan: CampaignPlan, master: str = "master") -> 
     node = world.node(master)
     campaign = _Campaign(world, node, plan)
 
-    def gen():
-        result = yield from campaign.run()
-        return result
-
-    task = Task.from_generator("campaign", TaskPriority.COMM, gen())
+    task = Task.from_generator("campaign", TaskPriority.COMM, campaign.run())
     node.add_task(task)
     return CampaignHandle(task, campaign.report)
 
@@ -320,8 +305,6 @@ def run_campaign(world: World, plan: CampaignPlan, master: str = "master",
         handle.cancel()
         handle.report.outcome = "failed"
         handle.report.reason = "campaign_stalled"
-    if handle.task.result is not None:
-        return handle.task.result
     return handle.report
 
 

@@ -38,7 +38,7 @@ from .lka import (
     deviation_to_target,
     motor_order,
     parse_deviation_line,
-    pid_step,
+    plant_step,
     read_gains,
 )
 from .nvstore import BackupRegisters
@@ -128,8 +128,6 @@ class Node:
 
         self.mode = NodeMode.HOST if role == "host" else NodeMode.BOOT
         self.pending_reset = False
-        self.busy_until_us = 0
-        self.flash_time_us = 0
         self.boot_count = 0
         self.tasks: list[Task] = []
 
@@ -143,7 +141,6 @@ class Node:
             now=lambda: self.world.clock_us,
             log=lambda event, **detail: self.world.log(self.name, event, **detail),
             request_reset=self._request_reset,
-            spend_flash=self._spend_flash,
             fault_hook=fault_hook,
         )
 
@@ -163,12 +160,13 @@ class Node:
         self.tasks.append(task)
         self.tasks.sort(key=lambda t: t.priority)
 
+    @property
+    def busy_until_us(self) -> int:
+        """When the node's flash device leaves its busy window."""
+        return self.device.busy_until_us
+
     def _request_reset(self) -> None:
         self.pending_reset = True
-
-    def _spend_flash(self, duration_us: int) -> None:
-        self.flash_time_us += duration_us
-        self.busy_until_us = max(self.busy_until_us, self.world.clock_us) + duration_us
 
     def _reset(self, kind: str) -> None:
         # Backup registers survive on purpose; everything volatile goes.
@@ -188,7 +186,7 @@ class Node:
                 return  # flush queued replies, then go down
             self._reset("software")
             return
-        if self.world.clock_us < self.busy_until_us:
+        if self.world.clock_us < self.device.busy_until_us:
             return  # stalled on a flash operation
         if self.mode is NodeMode.BOOT:
             self._boot()
@@ -200,7 +198,7 @@ class Node:
 
     def _boot(self) -> None:
         self.world.log(self.name, "Boot")
-        decision = boot_decide(self.device, self.regs, self.world.clock_us)
+        decision = boot_decide(self.device, self.regs)
         self.boot_count += 1
         self.world.log(self.name, "Decision", decision=decision.value)
         if decision is BootDecision.JUMP_APPLICATION:
@@ -216,7 +214,7 @@ class Node:
     def _enter_application(self) -> None:
         app = self.device.layout.region("application")
         try:
-            image, _ = self.device.read(app.start, app.size, self.world.clock_us)
+            image, _ = self.device.read(app.start, app.size)
             gains = read_gains(image)
         except ValueError:
             gains = PidGains()
@@ -262,10 +260,7 @@ class Node:
                     self.steering_target = deviation_to_target(deviation)
                     self.motor = motor_order(deviation)
         dt = self.world.tick_us / 1_000_000
-        error = self.steering_target - self.steering.position
-        command, state = pid_step(self.steering, self.gains, error, dt)
-        position = state.position + dt * command
-        self.steering = SteeringState(position, state.integral, state.previous_error)
+        self.steering = plant_step(self.steering, self.gains, self.steering_target, dt)
 
 
 @dataclass(frozen=True)
@@ -334,7 +329,6 @@ class World:
     def power_cycle(self, name: str) -> None:
         node = self.nodes[name]
         node.regs.clear()
-        node.busy_until_us = 0
         node.device.busy_until_us = 0
         node._reset("power")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .canbus import Bus, CanError, Endpoint, recv_segmented, send_segmented
+from .canbus import Bus, Endpoint, await_reply, send_segmented
 
 SECURITY_SID = 0x27
 RESPONSE_SID = 0x67  # request SID + 0x40
@@ -25,13 +25,6 @@ NRC_CONDITIONS_NOT_CORRECT = 0x22
 NRC_SEQUENCE_ERROR = 0x24
 NRC_INVALID_KEY = 0x35
 NRC_EXCEEDED_ATTEMPTS = 0x36
-
-NRC_NAMES = {
-    NRC_CONDITIONS_NOT_CORRECT: "conditions not correct",
-    NRC_SEQUENCE_ERROR: "request sequence error",
-    NRC_INVALID_KEY: "invalid key",
-    NRC_EXCEEDED_ATTEMPTS: "exceeded number of attempts",
-}
 
 SEED_LENGTH = 4
 KEY_LENGTH = 32
@@ -164,19 +157,9 @@ class UnlockResult:
         return self.outcome is UnlockOutcome.GRANTED
 
 
-def _await_security_reply(endpoint, now, deadline_us):
-    while now() < deadline_us:
-        try:
-            msg = recv_segmented(endpoint)
-        except CanError:
-            msg = None  # mangled reply; the deadline decides
-        if msg is not None:
-            p = msg.payload
-            if p and (p[0] == RESPONSE_SID or (len(p) >= 2 and p[0] == NEGATIVE_RESPONSE and p[1] == SECURITY_SID)):
-                return p
-            continue  # not for us; keep draining
-        yield
-    return None
+def _is_security_reply(p: bytes) -> bool:
+    return bool(p) and (p[0] == RESPONSE_SID
+                        or (len(p) >= 2 and p[0] == NEGATIVE_RESPONSE and p[1] == SECURITY_SID))
 
 
 def client_unlock(bus: Bus, endpoint: Endpoint, request_id: int, shared_secret: int,
@@ -191,7 +174,7 @@ def client_unlock(bus: Bus, endpoint: Endpoint, request_id: int, shared_secret: 
     deadline = started + deadline_us
 
     send_segmented(bus, endpoint, request_id, bytes([SECURITY_SID, SUB_REQUEST_SEED]))
-    reply = yield from _await_security_reply(endpoint, now, deadline)
+    reply = yield from await_reply(endpoint, now, deadline, _is_security_reply)
     if reply is None:
         return UnlockResult(UnlockOutcome.TIMEOUT, None, now() - started)
     if reply[0] == NEGATIVE_RESPONSE:
@@ -204,7 +187,7 @@ def client_unlock(bus: Bus, endpoint: Endpoint, request_id: int, shared_secret: 
 
     key = derive_key(seed, shared_secret)
     send_segmented(bus, endpoint, request_id, bytes([SECURITY_SID, SUB_SEND_KEY]) + key)
-    reply = yield from _await_security_reply(endpoint, now, deadline)
+    reply = yield from await_reply(endpoint, now, deadline, _is_security_reply)
     if reply is None:
         return UnlockResult(UnlockOutcome.TIMEOUT, None, now() - started)
     if reply[0] == RESPONSE_SID and len(reply) >= 2 and reply[1] == SUB_SEND_KEY:

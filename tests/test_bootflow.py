@@ -137,6 +137,9 @@ def test_commands_refused_while_locked():
          BootloaderCommand.FLASH_ERASE),
         (bytes([BootloaderCommand.MEM_WRITE]) + (128 * KIB).to_bytes(4, "little")
          + (1).to_bytes(2, "little") + b"\x00", BootloaderCommand.MEM_WRITE),
+        # The security check comes before the length check.
+        (bytes([BootloaderCommand.MEM_WRITE]) + (128 * KIB).to_bytes(4, "little")
+         + (10).to_bytes(2, "little") + b"\x00", BootloaderCommand.MEM_WRITE),
         (bytes([BootloaderCommand.DELTA_APPLY]) + b"junk", BootloaderCommand.DELTA_APPLY),
     ]:
         assert bootloader_serve(ctx, payload) == bytes([NACK, code, NACK_SECURITY])
@@ -212,6 +215,10 @@ def test_mem_write_rejects_length_mismatch():
     payload = (bytes([BootloaderCommand.MEM_WRITE]) + (128 * KIB).to_bytes(4, "little")
                + (10).to_bytes(2, "little") + b"\x00\x01")
     assert bootloader_serve(ctx, payload) == bytes(
+        [NACK, BootloaderCommand.MEM_WRITE, NACK_MALFORMED])
+    # Too short to carry an address and a length at all.
+    short = bytes([BootloaderCommand.MEM_WRITE]) + (128 * KIB).to_bytes(4, "little")
+    assert bootloader_serve(ctx, short) == bytes(
         [NACK, BootloaderCommand.MEM_WRITE, NACK_MALFORMED])
 
 
@@ -328,6 +335,12 @@ def test_updater_write_confined_to_bootloader_region():
     ok = (bytes([UpdaterCommand.MEM_WRITE_BOOTLOADER])
           + (64 * KIB).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"\x00")
     assert updater_serve(ctx, ok) == bytes([ACK, UpdaterCommand.MEM_WRITE_BOOTLOADER])
+    # Malformed writes draw no reply: too short, or a length mismatch.
+    short = bytes([UpdaterCommand.MEM_WRITE_BOOTLOADER]) + (64 * KIB).to_bytes(4, "little")
+    assert updater_serve(ctx, short) is None
+    mismatch = (bytes([UpdaterCommand.MEM_WRITE_BOOTLOADER])
+                + (64 * KIB + 4).to_bytes(4, "little") + (10).to_bytes(2, "little") + b"\x00")
+    assert updater_serve(ctx, mismatch) is None
 
 
 def test_updater_answers_no_security_service():

@@ -221,11 +221,9 @@ def test_power_cycle_clears_backup_registers_and_busy_time():
     node = world.add_node("ecu", 2, role="ecu")
     world.tick()
     node.regs.write(5, 0xABCD)
-    node.busy_until_us = 10_000_000
     node.device.busy_until_us = 10_000_000
     world.power_cycle("ecu")
     assert node.regs.read(5) == 0
-    assert node.busy_until_us == 0
     assert node.device.busy_until_us == 0
     assert node.mode is NodeMode.BOOT
 
@@ -237,23 +235,28 @@ def test_flash_busy_window_gates_every_task():
     world, node = host_world()
     hits = []
     node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(1)))
-    node.busy_until_us = 2500
+    node.device.busy_until_us = 2500
     world.run_ticks(3)  # clock samples 0, 1000, 2000: all inside the window
     assert hits == []
     world.tick()  # clock 3000
     assert hits == [1]
 
 
-def test_spend_flash_accumulates_and_extends_the_stall():
+def test_flash_time_accumulates_and_extends_the_stall():
     world, node = host_world()
-    node._spend_flash(4000)
-    assert node.flash_time_us == 4000
-    assert node.busy_until_us == 4000
-    node._spend_flash(1000)
-    assert node.flash_time_us == 5000
-    assert node.busy_until_us == 5000
-    world.run_ticks(5)  # clock reaches 5000
-    node._spend_flash(2000)  # idle gap: stall starts from now, not from 5000
+    device = node.device
+    device.unlock(*node.ctx.flash_keys)
+    hits = []
+    node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
+    device.program(0, bytes(1000), world.clock_us)  # 250 words: 4000 us
+    device.program(1000, bytes(500), world.clock_us)  # 2000 us, queued behind it
+    assert device.busy_total_us == 6000
+    assert node.busy_until_us == device.busy_until_us == 6000
+    world.run_ticks(7)  # clock samples 0..6000: the node stalls until 6000
+    assert hits == [6000]
+    world.run_ticks(2)  # idle gap
+    device.program(1500, bytes(500), world.clock_us)  # stall starts from now
+    assert device.busy_total_us == 8000
     assert node.busy_until_us == world.clock_us + 2000
 
 

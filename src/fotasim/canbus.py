@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
@@ -34,6 +34,7 @@ BODY_CHUNK = 7
 ACCEPT_ALL = ((0x000, 0x000),)
 
 _HEADER = struct.Struct("<BHIB")
+_SEQ_BYTES = tuple(bytes((n,)) for n in range(256))
 
 
 class CanError(Exception):
@@ -65,7 +66,7 @@ class FrameKind(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanFrame:
     can_id: int
     data: bytes
@@ -76,7 +77,8 @@ class CanFrame:
             raise MalformedFrame(f"id 0x{self.can_id:X} exceeds the 11-bit range")
         if len(self.data) > MAX_FRAME_DATA:
             raise MalformedFrame(f"dlc {len(self.data)} exceeds 8")
-        object.__setattr__(self, "data", bytes(self.data))
+        if type(self.data) is not bytes:
+            object.__setattr__(self, "data", bytes(self.data))
 
     @property
     def dlc(self) -> int:
@@ -99,7 +101,7 @@ class BusConfig:
     max_auto_retransmit: int | None = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxEntry:
     order: int
     frame: CanFrame
@@ -121,15 +123,23 @@ class Endpoint:
 
     def __init__(self, node_id: int, filters: tuple[tuple[int, int], ...]):
         self.node_id = node_id
-        self.filters = tuple(filters)
+        self.filters = filters
         self.rx: deque[CanFrame] = deque()
         self.tx: deque[_TxEntry] = deque()
         self.retransmissions = 0
         self.bus_off_count = 0
         self._assembly: dict[int, _Assembly] = {}
 
+    def _set_filters(self, filters) -> None:
+        self._filters = tuple(filters)
+        self._accepted: dict[int, bool] = {}  # accepts() memo, reset with the filters
+
+    filters = property(lambda self: self._filters, _set_filters)
+
     def accepts(self, can_id: int) -> bool:
-        return any((can_id & mask) == match for mask, match in self.filters)
+        if can_id not in self._accepted:
+            self._accepted[can_id] = any((can_id & mask) == match for mask, match in self._filters)
+        return self._accepted[can_id]
 
     def clear(self) -> None:
         """Controller reset: drops FIFOs and any half-assembled payloads."""
@@ -155,6 +165,7 @@ class Bus:
         self.config = config or BusConfig()
         self.rng = Random(self.config.rng_seed)
         self.endpoints: dict[int, Endpoint] = {}
+        self._endpoints: tuple[Endpoint, ...] = ()  # attach order, for the per-frame loops
         self.stats = BusStats()
         self.trace: list[dict] = []
         self.trace_enabled = False
@@ -165,6 +176,7 @@ class Bus:
             raise DuplicateNode(f"node id {node_id} already attached")
         endpoint = Endpoint(node_id, filters)
         self.endpoints[node_id] = endpoint
+        self._endpoints += (endpoint,)
         return endpoint
 
     def transmit(self, endpoint: Endpoint, frame: CanFrame) -> None:
@@ -174,7 +186,7 @@ class Bus:
         endpoint.tx.append(_TxEntry(self._order, frame))
 
     def pending(self) -> bool:
-        return any(ep.tx for ep in self.endpoints.values())
+        return any(ep.tx for ep in self._endpoints)
 
     def step(self, now_us: int = 0) -> tuple[list[tuple[int, CanFrame]], int]:
         """Transmit at most one frame; returns ``(delivered, elapsed_us)``.
@@ -182,39 +194,45 @@ class Bus:
         ``delivered`` lists ``(receiver node_id, frame)`` pairs.  ``elapsed``
         is the frame time when a frame occupied the bus, zero when idle.
         """
-        contenders = [(ep.tx[0].frame.can_id, ep.tx[0].order, ep) for ep in self.endpoints.values() if ep.tx]
-        if not contenders:
+        sender = None
+        for ep in self._endpoints:
+            if ep.tx:
+                head = ep.tx[0]
+                if sender is None or (head.frame.can_id, head.order) < (best.frame.can_id, best.order):
+                    sender, best = ep, head
+        if sender is None:
             return [], 0
-        _, _, sender = min(contenders, key=lambda c: (c[0], c[1]))
         entry = sender.tx.popleft()
         frame = entry.frame
+        dlc = len(frame.data)
 
-        self.stats.frames_sent += 1
-        self.stats.payload_bytes += frame.dlc
-        self.stats.busy_time_us += self.config.frame_time_us
-        elapsed = self.config.frame_time_us
+        stats, elapsed = self.stats, self.config.frame_time_us
+        stats.frames_sent += 1
+        stats.payload_bytes += dlc
+        stats.busy_time_us += elapsed
 
         roll = self.rng.random()
-        if roll < self.config.corruption_probability and frame.dlc > 0:
+        if roll < self.config.corruption_probability and dlc > 0:
             mangled = bytearray(frame.data)
-            mangled[self.rng.randrange(frame.dlc)] ^= 1 << self.rng.randrange(8)
-            self.stats.corrupted += 1
-            self._trace(now_us, CanFrame(frame.can_id, bytes(mangled), FrameKind.ERROR))
+            mangled[self.rng.randrange(dlc)] ^= 1 << self.rng.randrange(8)
+            stats.corrupted += 1
+            if self.trace_enabled:
+                self._trace(now_us, CanFrame(frame.can_id, bytes(mangled), FrameKind.ERROR))
             self._retransmit(sender, entry)
             return [], elapsed
         if roll < self.config.corruption_probability + self.config.drop_probability:
-            self.stats.dropped += 1
+            stats.dropped += 1
             self._retransmit(sender, entry)
             return [], elapsed
 
-        self._trace(now_us, frame)
+        if self.trace_enabled:
+            self._trace(now_us, frame)
         delivered = []
-        for node_id, ep in self.endpoints.items():
-            if ep is sender or not ep.accepts(frame.can_id):
-                continue
-            ep.rx.append(frame)
-            delivered.append((node_id, frame))
-        self.stats.deliveries += len(delivered)
+        for ep in self._endpoints:
+            if ep is not sender and ep.accepts(frame.can_id):
+                ep.rx.append(frame)
+                delivered.append((ep.node_id, frame))
+        stats.deliveries += len(delivered)
         return delivered, elapsed
 
     def _retransmit(self, sender: Endpoint, entry: _TxEntry) -> None:
@@ -229,16 +247,8 @@ class Bus:
             self.stats.bus_off_events += 1
 
     def _trace(self, now_us: int, frame: CanFrame) -> None:
-        if self.trace_enabled:
-            self.trace.append(
-                {
-                    "time_us": now_us,
-                    "id": frame.can_id,
-                    "dlc": frame.dlc,
-                    "data": frame.data.hex(),
-                    "kind": frame.kind.value,
-                }
-            )
+        self.trace.append({"time_us": now_us, "id": frame.can_id, "dlc": frame.dlc,
+                           "data": frame.data.hex(), "kind": frame.kind.value})
 
 
 def send_segmented(bus: Bus, endpoint: Endpoint, can_id: int, payload: bytes) -> int:
@@ -249,14 +259,9 @@ def send_segmented(bus: Bus, endpoint: Endpoint, can_id: int, payload: bytes) ->
     if len(payload) > MAX_SEGMENTED_PAYLOAD:
         raise PayloadTooLarge(f"{len(payload)} bytes exceeds the 16-bit length field")
     bus.transmit(endpoint, CanFrame(can_id, _HEADER.pack(HEADER_MARKER, len(payload), crc32(payload), 0)))
-    frames = 1
-    seq = 0
-    for start in range(0, len(payload), BODY_CHUNK):
-        chunk = payload[start : start + BODY_CHUNK]
-        bus.transmit(endpoint, CanFrame(can_id, bytes([seq & 0xFF]) + chunk))
-        seq += 1
-        frames += 1
-    return frames
+    for seq, start in enumerate(range(0, len(payload), BODY_CHUNK)):
+        bus.transmit(endpoint, CanFrame(can_id, _SEQ_BYTES[seq & 0xFF] + payload[start : start + BODY_CHUNK]))
+    return 2 + seq  # the header plus seq + 1 body frames
 
 
 def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
@@ -301,7 +306,7 @@ def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
     """
     while now() < deadline_us:
         try:
-            msg = recv_segmented(endpoint)
+            msg = recv_segmented(endpoint) if endpoint.rx else None
         except CanError:
             msg = None
         if msg is not None:

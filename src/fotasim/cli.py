@@ -117,7 +117,6 @@ def _cmd_uds_demo(args) -> int:
     # Local imports: the demo wires a one-off world, the other commands don't
     # need any of this machinery.
     from .canbus import BusConfig
-    from .nvstore import APP_ENTER_REG
     from .orchestrator import DEFAULT_REQUEST_ID
     from .scenario import build_world
     from .simruntime import Task, TaskPriority

@@ -96,6 +96,11 @@ class NodeMode(Enum):
     UPDATER = "updater"
 
 
+# Tick-loop aliases: EnumType.__getattr__ makes each TaskState.X read ~10x slower than a global.
+_READY, _DONE, _BOOT, _HOST, _APPLICATION = (
+    TaskState.READY, TaskState.DONE, NodeMode.BOOT, NodeMode.HOST, NodeMode.APPLICATION)
+
+
 class Node:
     """One bus participant.  ``role == "ecu"`` gives it flash, registers, a
     security session and the boot-chain behaviour; ``role == "host"`` gives
@@ -188,13 +193,17 @@ class Node:
             return
         if self.world.clock_us < self.device.busy_until_us:
             return  # stalled on a flash operation
-        if self.mode is NodeMode.BOOT:
+        if self.mode is _BOOT:
             self._boot()
             return
-        for task in self.tasks:
-            if task.state is TaskState.READY:
+        tasks = self.tasks
+        for task in tasks:
+            if task.state is _READY:
                 task.step()
-        self.tasks = [t for t in self.tasks if t.state is not TaskState.DONE]
+        for task in tasks:
+            if task.state is _DONE:
+                self.tasks = [t for t in tasks if t.state is not _DONE]
+                break
 
     def _boot(self) -> None:
         self.world.log(self.name, "Boot")
@@ -227,9 +236,9 @@ class Node:
         self.motor = 0
 
     def _serve_step(self) -> None:
-        if self.mode in (NodeMode.BOOT, NodeMode.HOST):
+        if self.mode in (_BOOT, _HOST):
             return
-        while not self.pending_reset:
+        while self.endpoint.rx and not self.pending_reset:
             try:
                 msg = recv_segmented(self.endpoint)
             except CanError as exc:
@@ -247,7 +256,7 @@ class Node:
                 send_segmented(self.world.bus, self.endpoint, self.reply_id, reply)
 
     def _app_step(self) -> None:
-        if self.mode is not NodeMode.APPLICATION:
+        if self.mode is not _APPLICATION:
             return
         if self.deviation_feed is not None:
             line = next(self.deviation_feed, None)
@@ -276,6 +285,7 @@ class World:
         self.clock_us = 0
         self.tick_us = tick_us
         self.nodes: dict[str, Node] = {}
+        self._nodes: tuple[Node, ...] = ()  # insertion order, for the tick loop
         self.events: list[dict] = []
         self.last_tick_time = 0
 
@@ -286,6 +296,7 @@ class World:
             raise ValueError(f"node name {name!r} already used")
         node = Node(self, name, node_id, **kwargs)
         self.nodes[name] = node
+        self._nodes += (node,)
         return node
 
     def node(self, name: str) -> Node:
@@ -301,7 +312,7 @@ class World:
     def tick(self) -> None:
         self.last_tick_time = self.clock_us
         _, elapsed = self.bus.step(self.clock_us)
-        for node in list(self.nodes.values()):
+        for node in self._nodes:
             node.run_tick()
         self.clock_us += max(elapsed, self.tick_us)
 

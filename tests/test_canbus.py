@@ -79,6 +79,60 @@ def test_equal_ids_resolve_in_enqueue_order():
     assert bus.step()[0][0][1].data == b"second"
 
 
+_SEND = st.tuples(st.just("send"), st.integers(0, 3), st.integers(0, 0x7FF))
+_STEP = st.tuples(st.just("step"), st.booleans())  # True: the frame is dropped
+
+
+@given(st.integers(3, 4), st.lists(st.one_of(_SEND, _STEP), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_arbitration_picks_the_lowest_id_then_the_oldest_entry(n_endpoints, program):
+    """Each step the bus must send the queue head with the lowest
+    ``(can_id, enqueue order)``; a dropped frame keeps its slot."""
+    bus = Bus(BusConfig(max_auto_retransmit=None))
+    endpoints = [bus.attach(i + 1) for i in range(n_endpoints)]
+    queues = [[] for _ in endpoints]  # reference FIFOs of (can_id, order)
+    order = 0
+    for op in program:
+        if op[0] == "send":
+            _, index, can_id = op
+            index %= n_endpoints
+            order += 1
+            queues[index].append((can_id, order))
+            bus.transmit(endpoints[index], CanFrame(can_id, order.to_bytes(2, "little")))
+            continue
+        heads = sorted((q[0], i) for i, q in enumerate(queues) if q)
+        bus.config = BusConfig(drop_probability=1.0 if op[1] else 0.0, max_auto_retransmit=None)
+        retransmissions = [ep.retransmissions for ep in endpoints]
+        delivered, _ = bus.step()
+        if not heads:
+            assert delivered == []
+            continue
+        (can_id, expected), winner = heads[0]
+        if op[1]:
+            assert delivered == []
+            assert [ep.retransmissions - r for ep, r in zip(endpoints, retransmissions)] == \
+                [int(i == winner) for i in range(n_endpoints)]
+        else:
+            queues[winner].pop(0)
+            frames = {f for _, f in delivered}
+            assert frames == {CanFrame(can_id, expected.to_bytes(2, "little"))}
+            assert sorted(nid for nid, _ in delivered) == \
+                [i + 1 for i in range(n_endpoints) if i != winner]
+
+
+_FILTERS = st.lists(st.tuples(st.integers(0, 0x7FF), st.integers(0, 0x7FF)), max_size=3)
+
+
+@given(_FILTERS, _FILTERS, st.lists(st.integers(0, 0x7FF), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_memoised_acceptance_matches_the_filter_list(filters, refilters, ids):
+    ep = Bus().attach(1, filters=tuple(filters))
+    for current in (filters, refilters):
+        ep.filters = current  # a new filter list forgets every earlier answer
+        for can_id in ids + ids:
+            assert ep.accepts(can_id) == any((can_id & mask) == match for mask, match in current)
+
+
 def test_idle_bus_step_is_free():
     bus, _, _ = two_node_bus()
     assert bus.step() == ([], 0)

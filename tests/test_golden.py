@@ -1,9 +1,10 @@
-"""Golden traces: four pinned scenarios must replay to the recorded bytes.
+"""Golden traces: five pinned scenarios must replay to the recorded bytes.
 
 Each scenario runs through the whole stack and is pinned by the sha256 and
-byte length of its event log, its frame trace and its report.  Criterion 11
-only compares two runs of the same build with each other; these digests
-also catch a change that alters behaviour the same way in every run.
+byte length of its event log, its frame trace and its report; a scenario
+that ends in a steering soak also pins the controller state it reached.
+Criterion 11 only compares two runs of the same build with each other; these
+digests also catch a change that alters behaviour the same way in every run.
 
 They change only with a change that means to alter behaviour.  Print the
 current digests with::
@@ -87,8 +88,23 @@ def updater_rollback():
     return world, report
 
 
+def full_soak():
+    """A full campaign, then 2 s of the updated application steering on a
+    deviation feed that carries one malformed line."""
+    old = generate_image(16 * KIB, seed=27, gains=PidGains())
+    new = mutate_blocks(old, count=3, seed=28)
+    feed = ["0.10\n"] * 300 + ["0.1\n"] + ["-0.12\n"] * 5000
+    world, _, target = build_world(old_image=old, seed=27, deviation_lines=feed)
+    world.bus.trace_enabled = True
+    report = run_campaign(world, CampaignPlan(mode=CampaignMode.FULL, old_image=old,
+                                              new_image=new, shared_secret=DEFAULT_SECRET))
+    world.run_ticks(2000)
+    return world, report, f"{target.steering!r} motor={target.motor}"
+
+
 SCENARIOS = {
     "full-clean": full_clean,
+    "full-soak": full_soak,
     "delta-lossy": delta_lossy,
     "updater-rollback": updater_rollback,
     "wrong-secret": wrong_secret,
@@ -96,11 +112,12 @@ SCENARIOS = {
 
 
 def digests(name: str) -> dict[str, list]:
-    world, report = SCENARIOS[name]()
+    world, report, *steering = SCENARIOS[name]()
     out = {}
-    for part, text in (("events", world.events_jsonl()),
-                       ("frames", world.frames_csv()),
-                       ("report", report.to_json())):
+    parts = [("events", world.events_jsonl()),
+             ("frames", world.frames_csv()),
+             ("report", report.to_json())]
+    for part, text in parts + [("steering", text) for text in steering]:
         blob = text.encode()
         out[part] = [hashlib.sha256(blob).hexdigest(), len(blob)]
     return out
@@ -116,6 +133,12 @@ GOLDEN = {
         "events": ["22e20c6b0fdb6c603b1c53a8ae2ce20cea086ae5fef7c0898ed1b732414ee8b8", 984],
         "frames": ["bd34d74dfb5088831a3d42e713727c67240ed1f7cd401ce2bc5c1f61de2b827c", 88184],
         "report": ["74f94bdffedc0fcc784a985d676c1fc50d07109f0bea36eb5f3db272c2e14554", 425],
+    },
+    "full-soak": {
+        "events": ["22201bc7eb0978142fe960b639a63aa05a226b9150857dd73d8e4ad0b4a2414f", 1068],
+        "frames": ["48bbcb4a319d10cc42be8d1387cb1bf8501b95645d6fa7953cac165f222a582a", 88184],
+        "report": ["390250e7baf3659ba88cdc786feb50ffa06e3f21b817a9c7993ded3e94c2b62d", 425],
+        "steering": ["2256a2b897adbdcf415476dc0322ee4ead5abe407a0ade0704c37e28a17395c7", 115],
     },
     "updater-rollback": {
         "events": ["46d443753b521f976e6a3337c42fe524468c1669dc42b474eaf2f13a6d6c5aba", 1096],

@@ -9,7 +9,8 @@ import pytest
 from fotasim.canbus import BusConfig, send_segmented
 from fotasim.lka import MOTOR_RIGHT, PidGains
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
-from fotasim.scenario import build_world, generate_image
+from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
+from fotasim.scenario import DEFAULT_SECRET, build_world, generate_image, mutate_blocks
 from fotasim.simruntime import (
     DEFAULT_TICK_US,
     NodeMode,
@@ -74,6 +75,33 @@ def test_cancelled_task_never_steps_again():
     world.run_ticks(3)
     assert hits == [1]
     assert task not in node.tasks
+
+
+def test_finished_generator_leaves_the_other_tasks_in_priority_order():
+    world, node = host_world()
+    ran = []
+
+    def short():
+        ran.append("comm")
+        yield
+        ran.append("comm")
+
+    node.add_task(Task("app", TaskPriority.APP, lambda: ran.append("app")))
+    node.add_task(Task("nvm", TaskPriority.NVM, lambda: ran.append("nvm")))
+    node.add_task(Task.from_generator("short", TaskPriority.COMM, short()))
+    world.run_ticks(3)
+    assert ran == ["comm", "nvm", "app"] * 2 + ["nvm", "app"]
+    assert [t.name for t in node.tasks] == ["nvm", "app"]
+
+
+def test_node_added_after_ticks_runs_on_the_next_tick():
+    world, _ = host_world()
+    world.run_ticks(3)
+    late = world.add_node("late", 10, role="host")
+    hits = []
+    late.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
+    world.tick()
+    assert hits == [3 * DEFAULT_TICK_US]
 
 
 # -- clock ---------------------------------------------------------------
@@ -315,6 +343,25 @@ def test_frames_csv_lists_every_bus_slot():
     assert len(lines) == 3  # header plus one row per transmitted frame
     for row in lines[1:]:
         assert re.fullmatch(r"\d+,2ab,\d,(?:[0-9a-f]{2})*,data", row)
+
+
+def test_frame_trace_does_not_perturb_a_lossy_campaign():
+    """The delta-lossy golden scenario with the bus trace on and off."""
+    def run(traced):
+        old = generate_image(32 * KIB, seed=22, gains=PidGains())
+        new = mutate_blocks(old, count=6, seed=23)
+        world, _, _ = build_world(old_image=old, seed=22,
+                                  bus=BusConfig(corruption_probability=0.02, rng_seed=22))
+        world.bus.trace_enabled = traced
+        report = run_campaign(world, CampaignPlan(mode=CampaignMode.DELTA, old_image=old,
+                                                  new_image=new, shared_secret=DEFAULT_SECRET))
+        return world.events_jsonl(), report.to_json(), world.bus.trace
+
+    events_on, report_on, trace_on = run(True)
+    events_off, report_off, trace_off = run(False)
+    assert (events_on, report_on) == (events_off, report_off)
+    assert any(row["kind"] == "error" for row in trace_on)  # the lottery fired
+    assert trace_off == []
 
 
 def test_same_seed_replays_to_identical_logs():

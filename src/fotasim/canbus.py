@@ -66,6 +66,10 @@ class FrameKind(Enum):
     ERROR = "error"
 
 
+# EnumType.__getattr__ makes each FrameKind.X read ~10x slower than a global.
+_DATA = FrameKind.DATA
+
+
 @dataclass(frozen=True, slots=True)
 class CanFrame:
     can_id: int
@@ -180,7 +184,7 @@ class Bus:
         return endpoint
 
     def transmit(self, endpoint: Endpoint, frame: CanFrame) -> None:
-        if frame.kind is not FrameKind.DATA:
+        if frame.kind is not _DATA:
             raise MalformedFrame("only data frames can be queued for transmission")
         self._order += 1
         endpoint.tx.append(_TxEntry(self._order, frame))

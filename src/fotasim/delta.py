@@ -9,6 +9,15 @@ the sectors that contain changed blocks and reprograms them in full, which
 reconciles the 1 KiB diff granularity with the much coarser erase
 granularity of the device.
 
+The byte work runs in C builtins.  A changed block is XORed with its old
+contents as one big integer, and ``bytes.translate`` turns the XOR into a
+0/1 map of where the bytes differ.  ``bytes.find`` then steps from one run
+of difference to the next gap of ``gap_merge`` equal bytes and on to the
+next run, so equal bytes are skipped in C.  Block and image CRCs are read
+from one bit-reversed copy of each image
+(:func:`~fotasim.integrity.reflect`), so checking a block is one zlib call
+on a memoryview slice.
+
 Wire format, all little-endian:
 
     header:  "FDP1" | version u8 | block_size u32 | new_image_length u32
@@ -25,7 +34,7 @@ import struct
 from dataclasses import dataclass
 
 from .flashmodel import FlashDevice, Region
-from .integrity import DEFAULT_BLOCK_SIZE, EmptyImage, block_count, crc32
+from .integrity import DEFAULT_BLOCK_SIZE, EmptyImage, block_count, reflect, reflected_crc32
 from .nvstore import METADATA_SIZE, AppMetadata
 
 MAGIC = b"FDP1"
@@ -40,6 +49,8 @@ _ENTRY = struct.Struct("<HHI")
 _TUPLE = struct.Struct("<HH")
 
 HEADER_SIZE = _HEADER.size
+
+_NONZERO_TO_ONE = bytes(1) + bytes((1,)) * 255  # bytes.translate table
 
 
 class DeltaError(Exception):
@@ -139,23 +150,26 @@ class DeltaPackage:
 
 
 def _diff_runs(old_block: bytes, new_block: bytes, gap_merge: int) -> list[tuple[int, int]]:
-    """Half-open [start, end) runs where the blocks differ, merging runs
-    separated by fewer than ``gap_merge`` equal bytes."""
-    runs: list[list[int]] = []
-    i = 0
-    n = len(new_block)
-    while i < n:
-        if old_block[i] == new_block[i]:
-            i += 1
-            continue
-        start = i
-        while i < n and old_block[i] != new_block[i]:
-            i += 1
-        if runs and start - runs[-1][1] < gap_merge:
-            runs[-1][1] = i
-        else:
-            runs.append([start, i])
-    return [(s, e) for s, e in runs]
+    """Half-open [start, end) runs where two equal-length blocks differ,
+    merging runs separated by fewer than ``gap_merge`` equal bytes.
+
+    ``differs`` holds 0 where the blocks agree and 1 where they differ.  A
+    merged run starts at a 1 and ends where the next ``gap_merge`` (at least
+    one) 0s in a row begin, or after the last 1.
+    """
+    xor = int.from_bytes(old_block, "little") ^ int.from_bytes(new_block, "little")
+    differs = xor.to_bytes(len(new_block), "little").translate(_NONZERO_TO_ONE)
+    gap = bytes(max(gap_merge, 1))
+    runs = []
+    start = differs.find(1)
+    while start >= 0:
+        end = differs.find(gap, start)
+        if end < 0:
+            runs.append((start, differs.rfind(1) + 1))
+            break
+        runs.append((start, end))
+        start = differs.find(1, end)
+    return runs
 
 
 def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
@@ -173,25 +187,27 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         raise ValueError("block_size must be positive")
     if gap_merge < 0:
         raise ValueError("gap_merge cannot be negative")
+    n = len(new)
+    old = bytes(old[:n]).ljust(n, b"\xff")
+    old_reflected = memoryview(reflect(old))
+    new_reflected = memoryview(reflect(new))
     entries = []
-    for index in range(block_count(len(new), block_size)):
+    for index in range(block_count(n, block_size)):
         lo = index * block_size
-        hi = min(lo + block_size, len(new))
+        hi = min(lo + block_size, n)
         new_block = new[lo:hi]
         old_block = old[lo:hi]
-        if len(old_block) < len(new_block):
-            old_block += b"\xff" * (len(new_block) - len(old_block))
         if old_block == new_block:
             continue
-        new_crc = crc32(new_block)
-        if crc32(old_block) == new_crc:
+        new_crc = reflected_crc32(new_reflected[lo:hi])
+        if reflected_crc32(old_reflected[lo:hi]) == new_crc:
             continue
         tuples = tuple(
             DeltaTuple(s, e - s, new_block[s:e])
             for s, e in _diff_runs(old_block, new_block, gap_merge)
         )
         entries.append(DeltaEntry(index, new_crc, tuples))
-    return DeltaPackage(block_size, len(new), crc32(new), tuple(entries))
+    return DeltaPackage(block_size, n, reflected_crc32(new_reflected), tuple(entries))
 
 
 def encode_package(pkg: DeltaPackage) -> bytes:
@@ -238,19 +254,25 @@ def decode_package(blob: bytes) -> DeltaPackage:
 
 def apply_delta(base: bytes, pkg: DeltaPackage) -> bytes:
     """Stage the new image in RAM: pad or truncate ``base`` to the new
-    length, apply every tuple, then verify block CRCs and the image CRC."""
+    length and apply every tuple.  Then verify the patched blocks' CRCs in
+    entry order, so the lowest bad block is the one reported, and last the
+    whole-image CRC."""
     n = pkg.new_image_length
+    size = pkg.block_size
     stage = bytearray(base[:n])
     if len(stage) < n:
         stage += b"\xff" * (n - len(stage))
     for entry in pkg.entries:
-        lo = entry.block_index * pkg.block_size
+        lo = entry.block_index * size
         for t in entry.tuples:
             stage[lo + t.offset : lo + t.offset + t.length] = t.data
-        if crc32(bytes(stage[lo : min(lo + pkg.block_size, n)])) != entry.new_block_crc:
-            raise BlockCrcMismatch(entry.block_index)
     staged = bytes(stage)
-    if crc32(staged) != pkg.new_image_crc:
+    reflected = memoryview(reflect(staged))
+    for entry in pkg.entries:
+        lo = entry.block_index * size
+        if reflected_crc32(reflected[lo : lo + size]) != entry.new_block_crc:
+            raise BlockCrcMismatch(entry.block_index)
+    if reflected_crc32(reflected) != pkg.new_image_crc:
         raise ImageCrcMismatch("staged image fails the whole-image CRC")
     return staged
 

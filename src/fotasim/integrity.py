@@ -5,6 +5,11 @@ initial value 0xFFFFFFFF, no input/output reflection and no final XOR
 (check value: crc32(b"123456789") == 0x0376E6E7).  It is computed here by
 running zlib's reflected CRC-32 over bit-reversed input and bit-reversing
 the result, which is algebraically the same register and runs at C speed.
+
+Bit-reversing the input is a ``bytes.translate`` pass, the larger part of a
+CRC's cost.  Code that checks many blocks of one image reverses the image
+once with :func:`reflect` and hands memoryview slices of the copy to
+:func:`reflected_crc32`, which then costs one zlib call per block.
 """
 
 from __future__ import annotations
@@ -47,17 +52,26 @@ _BITREV_BYTES = bytes(_bitrev8(i) for i in range(256))
 
 
 def _bitrev32(x: int) -> int:
-    x = ((x & 0x55555555) << 1) | ((x & 0xAAAAAAAA) >> 1)
-    x = ((x & 0x33333333) << 2) | ((x & 0xCCCCCCCC) >> 2)
-    x = ((x & 0x0F0F0F0F) << 4) | ((x & 0xF0F0F0F0) >> 4)
-    x = ((x & 0x00FF00FF) << 8) | ((x & 0xFF00FF00) >> 8)
-    return ((x & 0x0000FFFF) << 16) | (x >> 16)
+    # Reverse the byte order, then the bits inside each byte.
+    return int.from_bytes(x.to_bytes(4, "little").translate(_BITREV_BYTES), "big")
 
 
 def crc32(data: bytes) -> int:
     """CRC-32/MPEG-2 of ``data``.  crc32(b"") == 0xFFFFFFFF (the register
     is never touched for empty input)."""
-    return _bitrev32(zlib.crc32(bytes(data).translate(_BITREV_BYTES)) ^ 0xFFFFFFFF)
+    return reflected_crc32(reflect(data))
+
+
+def reflect(data: bytes) -> bytes:
+    """``data`` with the bits of every byte reversed, the input form that
+    :func:`reflected_crc32` reads."""
+    return bytes(data).translate(_BITREV_BYTES)
+
+
+def reflected_crc32(reflected: bytes | memoryview) -> int:
+    """CRC-32/MPEG-2 of the bytes whose :func:`reflect` copy is
+    ``reflected``: ``reflected_crc32(reflect(d)[i:j]) == crc32(d[i:j])``."""
+    return _bitrev32(zlib.crc32(reflected) ^ 0xFFFFFFFF)
 
 
 def crc_compare(computed: int, stored: int) -> CompareResult:
@@ -82,7 +96,9 @@ def block_crcs(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> list[int]:
         raise EmptyImage("cannot build a block CRC table for an empty image")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
-    return [crc32(image[i : i + block_size]) for i in range(0, len(image), block_size)]
+    reflected = memoryview(reflect(image))
+    return [reflected_crc32(reflected[i : i + block_size])
+            for i in range(0, len(reflected), block_size)]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fotasim.delta import (
     MalformedPackage,
     Truncated,
     UnsupportedVersion,
+    _diff_runs,
     apply_delta,
     build_delta,
     decode_package,
@@ -39,7 +40,90 @@ def make_pair(size=8 * KIB, seed=1):
     return old, bytearray(old)
 
 
+def diff_runs_reference(old_block, new_block, gap_merge):
+    """The diff kernel as a plain per-byte loop, kept as an oracle."""
+    runs = []
+    i = 0
+    n = len(new_block)
+    while i < n:
+        if old_block[i] == new_block[i]:
+            i += 1
+            continue
+        start = i
+        while i < n and old_block[i] != new_block[i]:
+            i += 1
+        if runs and start - runs[-1][1] < gap_merge:
+            runs[-1][1] = i
+        else:
+            runs.append([start, i])
+    return [(s, e) for s, e in runs]
+
+
+@st.composite
+def block_pairs(draw):
+    """An old block and a copy with edits XORed in: runs of random masks,
+    single-bit flips, or edits pinned to the first and last byte."""
+    n = draw(st.integers(1, 300))
+    old = draw(st.binary(min_size=n, max_size=n))
+    new = bytearray(old)
+    masks = st.integers(1, 255) | st.sampled_from([1 << k for k in range(8)])
+    positions = st.integers(0, n - 1) | st.sampled_from([0, n - 1])
+    for pos, length, mask in draw(st.lists(st.tuples(positions, st.integers(1, 20), masks),
+                                           max_size=12)):
+        for i in range(pos, min(pos + length, n)):
+            new[i] ^= mask
+    return old, bytes(new)
+
+
 # -- diffing --------------------------------------------------------------------
+
+
+@given(block_pairs(), st.integers(0, 16))
+@settings(max_examples=150, deadline=None)
+def test_diff_runs_match_the_per_byte_loop(pair, gap_merge):
+    old, new = pair
+    assert _diff_runs(old, new, gap_merge) == diff_runs_reference(old, new, gap_merge)
+
+
+@given(st.integers(1, 2 * KIB), st.integers(0, 2**32 - 1), st.integers(0, 16))
+@settings(max_examples=100, deadline=None)
+def test_diff_runs_match_the_per_byte_loop_on_unrelated_blocks(size, seed, gap_merge):
+    rng = Random(seed)
+    old, new = rng.randbytes(size), rng.randbytes(size)
+    assert _diff_runs(old, new, gap_merge) == diff_runs_reference(old, new, gap_merge)
+
+
+@pytest.mark.parametrize("gap_merge", range(17))
+def test_diff_runs_edges(gap_merge):
+    block = bytes(range(64))
+    assert _diff_runs(block, block, gap_merge) == []
+    assert _diff_runs(b"\x00", b"\x00", gap_merge) == []
+    assert _diff_runs(b"\x00", b"\x80", gap_merge) == [(0, 1)]
+    edges = bytearray(block)
+    edges[0] ^= 1
+    edges[63] ^= 0x80
+    assert _diff_runs(block, bytes(edges), gap_merge) == [(0, 1), (63, 64)]
+
+
+def single_bit_flips(block, positions):
+    flipped = bytearray(block)
+    for i in positions:
+        flipped[i] ^= 4
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("gap_merge", range(17))
+def test_diff_runs_gap_merge_boundary(gap_merge):
+    block = bytes(64)
+    # A gap of gap_merge equal bytes (and of one, the shortest gap) splits
+    # the runs ...
+    far = 6 + max(gap_merge, 1)
+    split = _diff_runs(block, single_bit_flips(block, (5, far)), gap_merge)
+    assert split == [(5, 6), (far, far + 1)]
+    # ... one byte fewer merges them.
+    if gap_merge:
+        near = 5 + gap_merge
+        assert _diff_runs(block, single_bit_flips(block, (5, near)), gap_merge) == [(5, near + 1)]
 
 
 def test_ten_changed_bytes_in_block_two():
@@ -233,6 +317,66 @@ def test_apply_detects_block_corruption():
     with pytest.raises(BlockCrcMismatch) as exc:
         apply_delta(old, bad)
     assert exc.value.block_index == 2
+
+
+def with_entries(pkg, entries, new_image_crc=None):
+    crc = pkg.new_image_crc if new_image_crc is None else new_image_crc
+    return DeltaPackage(pkg.block_size, pkg.new_image_length, crc, tuple(entries))
+
+
+def tampered(entry):
+    """``entry`` with its first tuple's data inverted, CRC left as built."""
+    first, *rest = entry.tuples
+    bad = DeltaTuple(first.offset, first.length, bytes(b ^ 0xFF for b in first.data))
+    return DeltaEntry(entry.block_index, entry.new_block_crc, (bad, *rest))
+
+
+def test_apply_reports_the_lowest_bad_block_first():
+    old, new = make_pair()
+    for i in (1024, 3072, 5000):
+        new[i] ^= 1
+    pkg = build_delta(old, bytes(new))
+    assert pkg.changed_blocks() == [1, 3, 4]
+    first, middle, last = pkg.entries
+    bad = with_entries(pkg, (first, tampered(middle), tampered(last)))
+    with pytest.raises(BlockCrcMismatch) as exc:
+        apply_delta(old, bad)
+    assert exc.value.block_index == 3
+    # A bad block outranks a wrong image CRC as well.
+    bad_twice = with_entries(pkg, (tampered(first), middle, last), pkg.new_image_crc ^ 1)
+    with pytest.raises(BlockCrcMismatch) as exc:
+        apply_delta(old, bad_twice)
+    assert exc.value.block_index == 1
+
+
+def test_apply_checks_the_image_crc_after_good_blocks():
+    old, new = make_pair()
+    new[2048] ^= 1
+    pkg = build_delta(old, bytes(new))
+    with pytest.raises(ImageCrcMismatch):
+        apply_delta(old, with_entries(pkg, pkg.entries, pkg.new_image_crc ^ 0x80000000))
+
+
+@pytest.mark.parametrize("old_size, new_size", [
+    (6 * KIB, 4 * KIB),           # old longer than new
+    (2 * KIB, 5 * KIB),           # old shorter: its missing tail reads as 0xFF
+    (3 * KIB + 100, 3 * KIB + 700),  # short tail block on both sides
+    (4 * KIB + 900, 4 * KIB + 1),    # new ends one byte into its last block
+])
+def test_build_crcs_cover_each_new_block(old_size, new_size):
+    rng = Random(old_size * new_size)
+    old = rng.randbytes(old_size)
+    new = bytearray(old[:new_size].ljust(new_size, b"\xff"))
+    for _ in range(40):
+        new[rng.randrange(new_size)] ^= rng.randrange(1, 256)
+    new = bytes(new)
+    pkg = build_delta(old, new)
+    assert pkg.entries
+    for entry in pkg.entries:
+        lo = entry.block_index * KIB
+        assert entry.new_block_crc == crc32(new[lo : lo + KIB])
+    assert pkg.new_image_crc == crc32(new)
+    assert apply_delta(old, pkg) == new
 
 
 def test_apply_detects_wrong_base():

@@ -15,6 +15,8 @@ from fotasim.integrity import (
     block_crcs,
     crc32,
     crc_compare,
+    reflect,
+    reflected_crc32,
 )
 
 from conftest import crc32_bitwise
@@ -82,6 +84,22 @@ def test_block_crcs_partial_final_block():
     assert len(crcs) == 2
     assert crcs[0] == crc32(data[:1024])
     assert crcs[1] == crc32(data[1024:])  # only the real 256 bytes, no padding
+
+
+@given(st.binary(min_size=1, max_size=6000), st.integers(1, 2048))
+@settings(max_examples=150, deadline=None)
+def test_block_crcs_match_crc32_of_each_chunk(data, block_size):
+    expected = [crc32(data[i : i + block_size]) for i in range(0, len(data), block_size)]
+    assert block_crcs(data, block_size) == expected
+    assert block_crcs(bytearray(data), block_size) == expected
+    assert block_crcs(memoryview(data), block_size) == expected
+
+
+@given(st.binary(max_size=2048), st.integers(0, 2048), st.integers(0, 2048))
+@settings(max_examples=150, deadline=None)
+def test_reflected_crc_of_a_slice_matches_crc32(data, i, j):
+    view = memoryview(reflect(data))
+    assert reflected_crc32(view[i:j]) == crc32(data[i:j]) == crc32_bitwise(data[i:j])
 
 
 def test_block_crcs_empty_image_rejected():

@@ -41,6 +41,7 @@ from .nvstore import (
     BackupRegisters,
     BootFlag,
     MalformedMetadata,
+    app_capacity,
     read_app_metadata,
 )
 from .uds import SECURITY_SID, SecuritySession, server_handle
@@ -251,6 +252,8 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         app = ctx.app_region()
         try:
             pkg = decode_package(payload[1:])
+            if pkg.new_image_length > app_capacity(ctx.device.layout):
+                return _nack(code, NACK_FLASH)  # before staging: a header can declare 4 GiB
             base = b""
             try:
                 meta, _ = read_app_metadata(ctx.device)
@@ -262,12 +265,11 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_DELTA)
         try:
             ctx.ensure_flash_unlocked()
-            stats = program_delta(ctx.device, app, staged, pkg, ctx.now())
+            erased = program_delta(ctx.device, app, staged, pkg, ctx.now())
         except (FlashError, ValueError):
             return _nack(code, NACK_FLASH)
-        ctx.sectors_erased += stats.sectors_erased
-        ctx.log("CommandServed", command="delta_apply",
-                blocks=len(pkg.entries), sectors=stats.sectors_erased)
+        ctx.sectors_erased += erased
+        ctx.log("CommandServed", command="delta_apply", blocks=len(pkg.entries), sectors=erased)
         return _ack(code)
 
     ctx.log("CommandServed", command="unknown", code=code)

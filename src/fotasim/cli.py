@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .delta import DeltaError, apply_delta, build_delta, decode_package, encode_package
-from .integrity import DEFAULT_BLOCK_SIZE, crc32
+from .delta import DEFAULT_GAP_MERGE, DeltaError, apply_delta, build_delta, decode_package, encode_package
+from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .lka import PidGains, pack_image
 from .orchestrator import run_campaign
 from .scenario import (
@@ -87,12 +87,11 @@ def _cmd_delta_build(args) -> int:
         raise CliError(str(exc)) from exc
     blob = encode_package(package)
     _write(args.output, blob)
-    total = (len(new) + args.block_size - 1) // args.block_size
     print(json.dumps({
         "package_bytes": len(blob),
         "new_image_bytes": len(new),
         "blocks_changed": len(package.entries),
-        "blocks_total": total,
+        "blocks_total": block_count(len(new), args.block_size),
         "payload_bytes": package.payload_bytes(),
     }, sort_keys=True))
     return 0
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("new")
     p_build.add_argument("-o", "--output", required=True)
     p_build.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
-    p_build.add_argument("--gap-merge", type=int, default=8)
+    p_build.add_argument("--gap-merge", type=int, default=DEFAULT_GAP_MERGE)
     p_build.set_defaults(func=_cmd_delta_build)
     p_apply = delta_sub.add_parser("apply", help="patch a base image with a package")
     p_apply.add_argument("base")

@@ -26,6 +26,11 @@ Wire format, all little-endian:
     tuple:   offset u16 | length u16 | data
 
 Entries are sorted by block index, tuples by offset; neither overlaps.
+
+In memory a tuple is a plain ``(offset, data)`` pair whose wire length is
+``len(data)``, so a run cannot disagree with its own length.
+:class:`DeltaPackage` is the one place the package rules are checked, in a
+single walk over entries and tuples.
 """
 
 from __future__ import annotations
@@ -84,38 +89,10 @@ class ImageCrcMismatch(DeltaError):
 
 
 @dataclass(frozen=True)
-class DeltaTuple:
-    """One byte run to rewrite inside a block."""
-
-    offset: int
-    length: int
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.offset <= 0xFFFF:
-            raise MalformedPackage("tuple offset exceeds 16 bits")
-        if not 1 <= self.length <= 0xFFFF:
-            raise MalformedPackage("tuple length must be 1..65535")
-        if len(self.data) != self.length:
-            raise MalformedPackage("tuple data does not match its length field")
-
-
-@dataclass(frozen=True)
 class DeltaEntry:
     block_index: int
     new_block_crc: int
-    tuples: tuple[DeltaTuple, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.block_index <= 0xFFFF:
-            raise MalformedPackage("block index exceeds 16 bits")
-        if not 0 <= self.new_block_crc <= 0xFFFFFFFF:
-            raise MalformedPackage("block CRC exceeds 32 bits")
-        cursor = -1
-        for t in self.tuples:
-            if t.offset <= cursor:
-                raise MalformedPackage("tuples must be sorted and non-overlapping")
-            cursor = t.offset + t.length - 1
+    tuples: tuple[tuple[int, bytes], ...]  # (offset, data) runs to rewrite in the block
 
 
 @dataclass(frozen=True)
@@ -126,27 +103,39 @@ class DeltaPackage:
     entries: tuple[DeltaEntry, ...]
 
     def __post_init__(self) -> None:
-        if self.block_size < 1 or self.new_image_length < 1:
+        size, n = self.block_size, self.new_image_length
+        if size < 1 or n < 1:
             raise MalformedPackage("block size and image length must be positive")
-        blocks = block_count(self.new_image_length, self.block_size)
+        blocks = block_count(n, size)
         previous = -1
         for entry in self.entries:
+            if not 0 <= entry.block_index <= 0xFFFF:
+                raise MalformedPackage("block index exceeds 16 bits")
             if entry.block_index <= previous:
                 raise MalformedPackage("entries must be sorted by block index")
-            previous = entry.block_index
             if entry.block_index >= blocks:
                 raise MalformedPackage("entry lies beyond the new image")
-            limit = min(self.block_size,
-                        self.new_image_length - entry.block_index * self.block_size)
-            for t in entry.tuples:
-                if t.offset + t.length > limit:
+            previous = entry.block_index
+            if not 0 <= entry.new_block_crc <= 0xFFFFFFFF:
+                raise MalformedPackage("block CRC exceeds 32 bits")
+            limit = min(size, n - entry.block_index * size)
+            cursor = 0  # first offset the next run may start at
+            for offset, data in entry.tuples:
+                if not 0 <= offset <= 0xFFFF:
+                    raise MalformedPackage("tuple offset exceeds 16 bits")
+                if not 1 <= len(data) <= 0xFFFF:
+                    raise MalformedPackage("tuple length must be 1..65535")
+                if offset < cursor:
+                    raise MalformedPackage("tuples must be sorted and non-overlapping")
+                cursor = offset + len(data)
+                if cursor > limit:
                     raise MalformedPackage("tuple overruns its block")
 
     def changed_blocks(self) -> list[int]:
         return [e.block_index for e in self.entries]
 
     def payload_bytes(self) -> int:
-        return sum(t.length for e in self.entries for t in e.tuples)
+        return sum(len(data) for e in self.entries for _, data in e.tuples)
 
 
 def _diff_runs(old_block: bytes, new_block: bytes, gap_merge: int) -> list[tuple[int, int]]:
@@ -202,10 +191,7 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         new_crc = reflected_crc32(new_reflected[lo:hi])
         if reflected_crc32(old_reflected[lo:hi]) == new_crc:
             continue
-        tuples = tuple(
-            DeltaTuple(s, e - s, new_block[s:e])
-            for s, e in _diff_runs(old_block, new_block, gap_merge)
-        )
+        tuples = tuple((s, new_block[s:e]) for s, e in _diff_runs(old_block, new_block, gap_merge))
         entries.append(DeltaEntry(index, new_crc, tuples))
     return DeltaPackage(block_size, n, reflected_crc32(new_reflected), tuple(entries))
 
@@ -215,9 +201,9 @@ def encode_package(pkg: DeltaPackage) -> bytes:
                                  pkg.new_image_crc, len(pkg.entries)))
     for entry in pkg.entries:
         out += _ENTRY.pack(entry.block_index, len(entry.tuples), entry.new_block_crc)
-        for t in entry.tuples:
-            out += _TUPLE.pack(t.offset, t.length)
-            out += t.data
+        for offset, data in entry.tuples:
+            out += _TUPLE.pack(offset, len(data))
+            out += data
     return bytes(out)
 
 
@@ -244,7 +230,7 @@ def decode_package(blob: bytes) -> DeltaPackage:
             pos += _TUPLE.size
             if pos + length > len(blob):
                 raise Truncated("blob ends inside tuple data")
-            tuples.append(DeltaTuple(offset, length, blob[pos : pos + length]))
+            tuples.append((offset, blob[pos : pos + length]))
             pos += length
         entries.append(DeltaEntry(block_index, block_crc, tuple(tuples)))
     if pos != len(blob):
@@ -260,12 +246,11 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> bytes:
     n = pkg.new_image_length
     size = pkg.block_size
     stage = bytearray(base[:n])
-    if len(stage) < n:
-        stage += b"\xff" * (n - len(stage))
+    stage += b"\xff" * (n - len(stage))  # empty unless base is short
     for entry in pkg.entries:
         lo = entry.block_index * size
-        for t in entry.tuples:
-            stage[lo + t.offset : lo + t.offset + t.length] = t.data
+        for offset, data in entry.tuples:
+            stage[lo + offset : lo + offset + len(data)] = data
     staged = bytes(stage)
     reflected = memoryview(reflect(staged))
     for entry in pkg.entries:
@@ -277,22 +262,8 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> bytes:
     return staged
 
 
-@dataclass(frozen=True)
-class FlashStats:
-    """Accounting from :func:`program_delta`.
-
-    ``sectors_erased`` counts sectors erased because they held changed
-    blocks; the metadata sector's refresh is part of every programming pass
-    and is charged to duration and bytes, not to this count.
-    """
-
-    sectors_erased: int
-    bytes_programmed: int
-    duration_us: int
-
-
 def program_delta(device: FlashDevice, region: Region, staged: bytes,
-                  pkg: DeltaPackage, now_us: int = 0) -> FlashStats:
+                  pkg: DeltaPackage, now_us: int = 0) -> int:
     """Write a staged (already verified) image into ``region``.
 
     Erases the metadata sector first, so an interruption can never leave a
@@ -300,6 +271,11 @@ def program_delta(device: FlashDevice, region: Region, staged: bytes,
     sector containing a changed block and reprograms those sectors from the
     staged image.  The refreshed metadata record is programmed last: it is
     the commit point.
+
+    Returns the number of sectors erased because they held changed blocks;
+    the metadata sector's refresh is part of every programming pass and is
+    not counted.  Erase and program time is summed by the device
+    (:attr:`~fotasim.flashmodel.FlashDevice.busy_total_us`).
     """
     if len(staged) != pkg.new_image_length:
         raise ValueError("staged image does not match the package length")
@@ -317,22 +293,15 @@ def program_delta(device: FlashDevice, region: Region, staged: bytes,
     meta_sector = layout.sector_at(meta_off)
 
     erase_order = [meta_sector] + [s for _, s in sorted(changed.items()) if s.index != meta_sector.index]
-    duration = 0
     for sector in erase_order:
-        duration += device.erase_sectors(sector.index, 1, now_us)
+        device.erase_sectors(sector.index, 1, now_us)
 
-    bytes_programmed = 0
     image_end = region.start + len(staged)
     for sector in sorted(erase_order, key=lambda s: s.index):
         lo = max(sector.start, region.start)
         hi = min(sector.end, image_end)
-        if lo >= hi:
-            continue
-        chunk = staged[lo - region.start : hi - region.start]
-        duration += device.program(lo, chunk, now_us)
-        bytes_programmed += len(chunk)
+        if lo < hi:
+            device.program(lo, staged[lo - region.start : hi - region.start], now_us)
 
-    blob = AppMetadata.for_image(staged, pkg.block_size).encode()
-    duration += device.program(meta_off, blob, now_us)
-    bytes_programmed += len(blob)
-    return FlashStats(len(changed), bytes_programmed, duration)
+    device.program(meta_off, AppMetadata.for_image(staged, pkg.block_size).encode(), now_us)
+    return len(changed)

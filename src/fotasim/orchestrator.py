@@ -25,7 +25,7 @@ from .bootflow import (
     BootloaderCommand,
 )
 from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented
-from .delta import build_delta, encode_package
+from .delta import DEFAULT_GAP_MERGE, build_delta, encode_package
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .nvstore import AppMetadata, BootFlag, app_capacity, max_table_blocks, metadata_offset
 from .simruntime import Node, Task, TaskPriority, TaskState, World
@@ -57,7 +57,7 @@ class CampaignPlan:
     request_id: int = DEFAULT_REQUEST_ID
     retry_budget: int = 3
     block_size: int = DEFAULT_BLOCK_SIZE
-    gap_merge: int = 8
+    gap_merge: int = DEFAULT_GAP_MERGE
     command_deadline_us: int = DEFAULT_COMMAND_DEADLINE_US
     boot_deadline_us: int = DEFAULT_BOOT_DEADLINE_US
 

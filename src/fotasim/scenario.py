@@ -202,11 +202,11 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
     bus_spec = spec.get("bus", {})
     try:
         config = BusConfig(
-            frame_time_us=int(bus_spec.get("frame_time_us", 500)),
+            frame_time_us=int(bus_spec.get("frame_time_us", BusConfig.frame_time_us)),
             corruption_probability=float(bus_spec.get("corruption_probability", 0.0)),
             drop_probability=float(bus_spec.get("drop_probability", 0.0)),
             rng_seed=seed,
-            max_auto_retransmit=bus_spec.get("max_auto_retransmit", 3),
+            max_auto_retransmit=bus_spec.get("max_auto_retransmit", BusConfig.max_auto_retransmit),
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad bus section: {exc}") from exc
@@ -237,8 +237,8 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
         old_image=old_image,
         new_image=new_image,
         shared_secret=secret,
-        retry_budget=int(campaign.get("retry_budget", 3)),
+        retry_budget=int(campaign.get("retry_budget", CampaignPlan.retry_budget)),
         block_size=block_size,
-        gap_merge=int(campaign.get("gap_merge", 8)),
+        gap_merge=int(campaign.get("gap_merge", CampaignPlan.gap_merge)),
     )
     return world, plan

@@ -1,5 +1,7 @@
 """Boot decision table, command servers, updater rollback."""
 
+import struct
+import tracemalloc
 from random import Random
 
 import pytest
@@ -26,7 +28,7 @@ from fotasim.bootflow import (
     updater_serve,
     updater_silent,
 )
-from fotasim.delta import build_delta, encode_package
+from fotasim.delta import MAGIC, build_delta, encode_package
 from fotasim.flashmodel import (
     DEFAULT_UNLOCK_KEYS,
     KIB,
@@ -267,6 +269,23 @@ def test_delta_apply_garbage_is_delta_nack():
     unlock_session(ctx)
     reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + b"not a package")
     assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_DELTA])
+
+
+def test_delta_apply_oversize_package_is_flash_nack_without_staging():
+    # A header-only package that declares a 4 GiB image decodes cleanly;
+    # staging it would pad a buffer to the declared length.
+    ctx = make_ctx(Random(14).randbytes(2 * KIB))
+    unlock_session(ctx)
+    blob = struct.pack("<4sBIIIH", MAGIC, 1, 1024, 0xFFFFFFFF, 0, 0)
+    tracemalloc.start()
+    try:
+        reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_FLASH])
+    assert peak < 1 << 20
+    assert app_integrity(ctx.device) is CompareResult.SUCCEEDED
 
 
 def test_unknown_command_is_silent():

@@ -1,5 +1,6 @@
 """Delta packages: diffing, wire format, staged apply, flash programming."""
 
+import struct
 from random import Random
 
 import pytest
@@ -12,8 +13,8 @@ from fotasim.delta import (
     BadMagic,
     BlockCrcMismatch,
     DeltaEntry,
+    DeltaError,
     DeltaPackage,
-    DeltaTuple,
     ImageCrcMismatch,
     MalformedPackage,
     Truncated,
@@ -133,10 +134,7 @@ def test_ten_changed_bytes_in_block_two():
     pkg = build_delta(old, bytes(new))
     assert pkg.changed_blocks() == [2]
     (entry,) = pkg.entries
-    assert len(entry.tuples) == 1
-    (t,) = entry.tuples
-    assert (t.offset, t.length) == (0, 10)
-    assert t.data == bytes(new[2048:2058])
+    assert entry.tuples == ((0, bytes(new[2048:2058])),)
     assert entry.new_block_crc == crc32(bytes(new[2048:3072]))
 
 
@@ -176,15 +174,14 @@ def test_gap_merge_boundary():
     new[base + 8] ^= 1   # gap of 7 equal bytes < gap_merge=8: merged
     pkg = build_delta(old, bytes(new))
     (entry,) = pkg.entries
-    assert len(entry.tuples) == 1
-    assert (entry.tuples[0].offset, entry.tuples[0].length) == (base, 9)
+    assert [(offset, len(data)) for offset, data in entry.tuples] == [(base, 9)]
 
     old2, new2 = make_pair()
     new2[base] ^= 1
     new2[base + 9] ^= 1  # gap of 8 equal bytes: kept separate
     pkg2 = build_delta(old2, bytes(new2))
     (entry2,) = pkg2.entries
-    assert [(t.offset, t.length) for t in entry2.tuples] == [(base, 1), (base + 9, 1)]
+    assert [(offset, len(data)) for offset, data in entry2.tuples] == [(base, 1), (base + 9, 1)]
 
 
 def test_changes_in_several_blocks():
@@ -255,29 +252,63 @@ def test_decode_rejects_trailing_bytes():
         decode_package(blob + b"\x00")
 
 
+def wire(block_size, image_length, entries, image_crc=0):
+    """Hand-pack an FDP1 blob from ``(block_index, crc, runs)`` entries,
+    each run an ``(offset, data)`` pair, without going through the model."""
+    out = struct.pack("<4sBIIIH", MAGIC, 1, block_size, image_length, image_crc, len(entries))
+    for index, crc, runs in entries:
+        out += struct.pack("<HHI", index, len(runs), crc)
+        for offset, data in runs:
+            out += struct.pack("<HH", offset, len(data)) + data
+    return out
+
+
+def model(block_size, image_length, entries, image_crc=0):
+    return DeltaPackage(block_size, image_length, image_crc,
+                        tuple(DeltaEntry(i, crc, tuple(runs)) for i, crc, runs in entries))
+
+
+def assert_refused(block_size, image_length, entries):
+    """The rule holds at both doors: the constructor and the decoder."""
+    with pytest.raises(MalformedPackage):
+        model(block_size, image_length, entries)
+    with pytest.raises(MalformedPackage):
+        decode_package(wire(block_size, image_length, entries))
+
+
 def test_tuple_validation():
+    assert_refused(1024, 1024, [(0, 0, [(0, b"")])])                 # zero length
+    assert_refused(1024, 1024, [(0, 0, [(5, b"a"), (6, b"")])])      # zero length after a run
+    # Offsets are 16-bit: the wire cannot carry 0x10000, and the model refuses
+    # it even where the block is long enough to hold it.
     with pytest.raises(MalformedPackage):
-        DeltaTuple(0, 0, b"")                       # zero length
+        model(0x20000, 0x20000, [(0, 0, [(0x10000, b"x")])])
+    edge = [(0, 0, [(0xFFFF, b"xy")])]
+    assert decode_package(wire(0x20000, 0x20000, edge)) == model(0x20000, 0x20000, edge)
     with pytest.raises(MalformedPackage):
-        DeltaTuple(0, 2, b"x")                      # length/data mismatch
-    with pytest.raises(MalformedPackage):
-        DeltaTuple(0x10000, 1, b"x")                # offset too wide
+        model(0x20000, 0x20000, [(0, 0, [(0, bytes(0x10000))])])    # length > 16 bits
 
 
 def test_entry_rejects_overlapping_tuples():
-    with pytest.raises(MalformedPackage):
-        DeltaEntry(0, 0, (DeltaTuple(0, 4, b"aaaa"), DeltaTuple(3, 2, b"bb")))
-    with pytest.raises(MalformedPackage):
-        DeltaEntry(0, 0, (DeltaTuple(5, 1, b"a"), DeltaTuple(0, 1, b"b")))  # unsorted
+    assert_refused(1024, 1024, [(0, 0, [(0, b"aaaa"), (3, b"bb")])])  # overlapping
+    assert_refused(1024, 1024, [(0, 0, [(5, b"a"), (0, b"b")])])      # unsorted
+    assert_refused(1024, 1024, [(0, 0, [(5, b"a"), (5, b"b")])])      # same offset twice
+    # Back to back is not an overlap.
+    adjacent = [(0, 0, [(0, b"aaaa"), (4, b"bb")])]
+    assert decode_package(wire(1024, 1024, adjacent)) == model(1024, 1024, adjacent)
 
 
 def test_package_rejects_out_of_image_entries():
-    with pytest.raises(MalformedPackage):
-        DeltaPackage(1024, 1024, 0, (DeltaEntry(1, 0, ()),))  # only block 0 exists
-    with pytest.raises(MalformedPackage):
-        # Tuple runs past the 500-byte final block.
-        DeltaPackage(1024, 500, 0,
-                     (DeltaEntry(0, 0, (DeltaTuple(490, 20, bytes(20)),)),))
+    assert_refused(1024, 1024, [(1, 0, [])])                        # only block 0 exists
+    assert_refused(1024, 500, [(0, 0, [(490, bytes(20))])])         # past the 500-byte final block
+    assert_refused(1024, 1524, [(1, 0, [(499, b"ab")])])            # past a short block 1
+    assert_refused(1024, 4096, [(2, 0, []), (1, 0, [])])            # unsorted entries
+    assert_refused(1024, 4096, [(2, 0, []), (2, 0, [])])            # duplicate entries
+    assert_refused(0, 4096, [])                                     # zero block size
+    assert_refused(1024, 0, [])                                     # empty image
+    # A run that ends exactly on the short final block's last byte is fine.
+    last = [(1, 0, [(498, b"ab")])]
+    assert decode_package(wire(1024, 1524, last)) == model(1024, 1524, last)
 
 
 @given(st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=64))
@@ -287,9 +318,53 @@ def test_handcrafted_package_roundtrip(crc, data):
         block_size=256,
         new_image_length=1000,
         new_image_crc=crc,
-        entries=(DeltaEntry(1, crc ^ 0xFFFFFFFF, (DeltaTuple(10, len(data), data),)),),
+        entries=(DeltaEntry(1, crc ^ 0xFFFFFFFF, ((10, data),)),),
     )
     assert decode_package(encode_package(pkg)) == pkg
+    assert encode_package(pkg) == wire(256, 1000, [(1, crc ^ 0xFFFFFFFF, [(10, data)])], crc)
+
+
+def _fuzz_seed_blob():
+    old = Random(41).randbytes(5 * KIB + 300)
+    new = bytearray(old)
+    for i in (3, 20, 1500, 1507, 4000, 5 * KIB + 299):
+        new[i] ^= 0x5A
+    return encode_package(build_delta(old, bytes(new)))
+
+
+FUZZ_SEED_BLOB = _fuzz_seed_blob()
+
+
+def decodes_or_raises_delta_error(blob):
+    try:
+        return isinstance(decode_package(blob), DeltaPackage)
+    except DeltaError:
+        return True
+
+
+def test_decode_of_every_single_byte_corruption_returns_or_raises_delta_error():
+    for pos in range(len(FUZZ_SEED_BLOB)):
+        for value in (0x00, 0xFF, FUZZ_SEED_BLOB[pos] ^ 0x01, FUZZ_SEED_BLOB[pos] ^ 0x80):
+            blob = bytearray(FUZZ_SEED_BLOB)
+            blob[pos] = value
+            assert decodes_or_raises_delta_error(bytes(blob)), (pos, value)
+
+
+# Half the corrupted bytes land in the header and first entry, where one
+# byte changes a size, a count or an index rather than patch data.  A byte is
+# overwritten rather than XORed so that 0x00 and 0xFF, the values that empty
+# or saturate a field, come up often.
+_CORRUPT_POSITIONS = st.one_of(st.integers(0, HEADER_SIZE + 16),
+                               st.integers(0, len(FUZZ_SEED_BLOB) - 1))
+
+
+@given(st.lists(st.tuples(_CORRUPT_POSITIONS, st.integers(0, 255)), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_decode_of_a_corrupted_blob_returns_or_raises_delta_error(flips):
+    blob = bytearray(FUZZ_SEED_BLOB)
+    for pos, value in flips:
+        blob[pos] = value
+    assert decodes_or_raises_delta_error(bytes(blob))
 
 
 # -- staged apply ------------------------------------------------------------------
@@ -312,7 +387,7 @@ def test_apply_detects_block_corruption():
     bad = DeltaPackage(
         pkg.block_size, pkg.new_image_length, pkg.new_image_crc,
         (DeltaEntry(2, pkg.entries[0].new_block_crc,
-                    (DeltaTuple(0, 1, b"\x00"),)),),
+                    ((0, b"\x00"),)),),
     )
     with pytest.raises(BlockCrcMismatch) as exc:
         apply_delta(old, bad)
@@ -326,8 +401,8 @@ def with_entries(pkg, entries, new_image_crc=None):
 
 def tampered(entry):
     """``entry`` with its first tuple's data inverted, CRC left as built."""
-    first, *rest = entry.tuples
-    bad = DeltaTuple(first.offset, first.length, bytes(b ^ 0xFF for b in first.data))
+    (offset, data), *rest = entry.tuples
+    bad = (offset, bytes(b ^ 0xFF for b in data))
     return DeltaEntry(entry.block_index, entry.new_block_crc, (bad, *rest))
 
 
@@ -425,8 +500,7 @@ def test_program_delta_touches_only_changed_sectors():
     app = device.layout.region(REGION_APPLICATION)
     before_s6 = device.read(app.start + 128 * KIB, KIB)[0]
 
-    stats = program_delta(device, app, staged, pkg)
-    assert stats.sectors_erased == 1          # metadata refresh not counted
+    assert program_delta(device, app, staged, pkg) == 1  # metadata refresh not counted
     # Sector 6 bytes were never rewritten.
     assert device.read(app.start + 128 * KIB, KIB)[0] == before_s6
     # Whole image readback matches.
@@ -449,8 +523,7 @@ def test_program_delta_counts_every_changed_sector():
     staged = apply_delta(old, pkg)
     device = provisioned_device(old, block_size=2 * KIB)
     device.unlock(*DEFAULT_UNLOCK_KEYS)
-    stats = program_delta(device, device.layout.region(REGION_APPLICATION), staged, pkg)
-    assert stats.sectors_erased == 3
+    assert program_delta(device, device.layout.region(REGION_APPLICATION), staged, pkg) == 3
     assert device.read(device.layout.region(REGION_APPLICATION).start, len(new))[0] == bytes(new)
 
 
@@ -462,13 +535,13 @@ def test_program_delta_duration_accounts_erase_and_program():
     staged = apply_delta(old, pkg)
     device = provisioned_device(old)
     device.unlock(*DEFAULT_UNLOCK_KEYS)
-    stats = program_delta(device, device.layout.region(REGION_APPLICATION), staged, pkg)
+    busy_before = device.busy_total_us
+    program_delta(device, device.layout.region(REGION_APPLICATION), staged, pkg)
     # Two 128 KiB erases (data sector 5 + metadata sector 7), 10 KiB image
     # reprogram, and one metadata record.
     meta_len = len(read_app_metadata(device)[0].encode())
     expected = 2 * 1_000_000 + (10 * KIB // 4) * 16 + -(-meta_len // 4) * 16
-    assert stats.duration_us == expected
-    assert stats.bytes_programmed == 10 * KIB + meta_len
+    assert device.busy_total_us - busy_before == expected
 
 
 def test_program_delta_rejects_mismatched_stage():

@@ -104,7 +104,6 @@ class EcuContext:
     regs: BackupRegisters
     session: SecuritySession
     version: tuple[int, int, int] = (1, 0, 0)
-    flash_keys: tuple[int, int] = DEFAULT_UNLOCK_KEYS
     updater_image: bytes | None = None
     now: Callable[[], int] = lambda: 0
     log: Callable = _noop
@@ -120,7 +119,7 @@ class EcuContext:
 
     def ensure_flash_unlocked(self) -> None:
         if self.device.locked:
-            self.device.unlock(*self.flash_keys)
+            self.device.unlock(*DEFAULT_UNLOCK_KEYS)
 
     def _hook(self, step: str) -> None:
         if self.fault_hook is not None:

@@ -15,8 +15,10 @@ from pathlib import Path
 
 from . import __version__
 from .delta import DEFAULT_GAP_MERGE, DeltaError, apply_delta, build_delta, decode_package, encode_package
+from .flashmodel import default_layout
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .lka import PidGains, pack_image
+from .nvstore import app_capacity
 from .orchestrator import run_campaign
 from .scenario import (
     DEFAULT_SECRET,
@@ -65,10 +67,7 @@ def _parse_gains(raw: str) -> PidGains:
 def _cmd_image_pack(args) -> int:
     raw = _read(args.raw)
     gains = _parse_gains(args.gains) if args.gains else PidGains()
-    try:
-        image = pack_image(raw, gains, args.block_size)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    image = pack_image(raw, gains)
     _write(args.output, image)
     print(json.dumps({
         "length": len(image),
@@ -101,6 +100,10 @@ def _cmd_delta_apply(args) -> int:
     base = _read(args.base)
     try:
         package = decode_package(_read(args.package))
+        limit = app_capacity(default_layout())  # checked before apply_delta pads a stage
+        if package.new_image_length > limit:
+            raise CliError(f"package declares a {package.new_image_length}-byte image; "
+                           f"the application region holds at most {limit} bytes")
         new_image = apply_delta(base, package)
     except (DeltaError, ValueError) as exc:
         raise CliError(str(exc)) from exc
@@ -211,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("raw")
     p_pack.add_argument("-o", "--output", required=True)
     p_pack.add_argument("--gains", metavar="KP,KI,KD")
-    p_pack.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     p_pack.set_defaults(func=_cmd_image_pack)
 
     p_delta = sub.add_parser("delta", help="build or apply block-delta packages")

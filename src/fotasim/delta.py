@@ -174,6 +174,8 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         raise EmptyImage("delta inputs must be non-empty")
     if block_size < 1:
         raise ValueError("block_size must be positive")
+    if block_size > 0x10000:
+        raise ValueError(f"block_size {block_size} exceeds 0x10000: tuple offsets are 16-bit")
     if gap_merge < 0:
         raise ValueError("gap_merge cannot be negative")
     n = len(new)
@@ -191,7 +193,10 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         new_crc = reflected_crc32(new_reflected[lo:hi])
         if reflected_crc32(old_reflected[lo:hi]) == new_crc:
             continue
-        tuples = tuple((s, new_block[s:e]) for s, e in _diff_runs(old_block, new_block, gap_merge))
+        runs = _diff_runs(old_block, new_block, gap_merge)
+        if block_size > 0xFFFF:  # a whole changed 64 KiB block overflows a u16 length
+            runs = [(o, min(o + 0xFFFF, e)) for s, e in runs for o in range(s, e, 0xFFFF)]
+        tuples = tuple((s, new_block[s:e]) for s, e in runs)
         entries.append(DeltaEntry(index, new_crc, tuples))
     return DeltaPackage(block_size, n, reflected_crc32(new_reflected), tuple(entries))
 

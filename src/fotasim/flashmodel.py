@@ -3,17 +3,18 @@
 The device is a byte array with NOR-flash semantics: erase sets whole
 sectors to 0xFF, programming may only clear bits (enforced strictly here as
 "target bytes must read 0xFF"), and every mutation is gated behind a
-two-key unlock.  Erase and program report simulated durations.  The device
-keeps the only flash-time account: a busy horizon, which reads report as
-their stall and which a node running on the device stalls on, and the
-running total of busy time.
+two-key unlock.  Geometry, key pair and costs are fixed module constants.
+Erase and program report simulated durations.  The device keeps the only
+flash-time account: a busy horizon, which reads report as their stall and
+which a node running on the device stalls on, and the running total of
+busy time.
 
 Nothing here touches real hardware.  Durations are bookkeeping, not sleeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KIB = 1024
 
@@ -31,10 +32,19 @@ REGION_APPLICATION = "application"
 # unlock() wants exactly this key pair, in this order.
 DEFAULT_UNLOCK_KEYS = (0x45670123, 0xCDEF89AB)
 
+# Simulated costs in microseconds: erase by sector size, program per 32-bit word.
+ERASE_US = {16 * KIB: 250_000, 64 * KIB: 700_000, 128 * KIB: 1_000_000}
+PROGRAM_WORD_US = 16
+
 # erase_sectors() sentinel: mass-erase of the application region.
 MASS_ERASE_APPLICATION = 0xFF
 
 ERASED_BYTE = 0xFF
+
+
+def program_cost(length: int) -> int:
+    """Programming ``length`` bytes costs ceil(length / 4) words."""
+    return -(-length // 4) * PROGRAM_WORD_US
 
 
 class FlashError(Exception):
@@ -96,30 +106,6 @@ class Region:
 
     def contains(self, address: int, length: int = 1) -> bool:
         return self.start <= address and address + length <= self.end
-
-
-@dataclass(frozen=True)
-class FlashTiming:
-    """Simulated operation costs in microseconds.
-
-    ``erase_us`` maps sector size to erase duration; ``program_word_us`` is
-    charged per 32-bit word, so programming ``n`` bytes costs
-    ceil(n / 4) * program_word_us.
-    """
-
-    erase_us: dict[int, int] = field(
-        default_factory=lambda: {16 * KIB: 250_000, 64 * KIB: 700_000, 128 * KIB: 1_000_000}
-    )
-    program_word_us: int = 16
-
-    def erase_cost(self, sector_size: int) -> int:
-        try:
-            return self.erase_us[sector_size]
-        except KeyError:
-            raise InvalidLayout(f"no erase cost configured for {sector_size}-byte sectors") from None
-
-    def program_cost(self, length: int) -> int:
-        return -(-length // 4) * self.program_word_us
 
 
 class FlashLayout:
@@ -184,7 +170,7 @@ def default_layout() -> FlashLayout:
 
 
 class FlashDevice:
-    """One flash bank.  Fresh devices are fully erased and locked.
+    """One 512 KiB flash bank.  Fresh devices are fully erased and locked.
 
     A failed unlock latches the lock until :meth:`reset`; this mirrors
     controllers that refuse further key writes after a bad sequence.
@@ -194,12 +180,8 @@ class FlashDevice:
     duration of every erase and program, the device's flash-time account.
     """
 
-    def __init__(self, layout: FlashLayout | None = None,
-                 timing: FlashTiming | None = None,
-                 unlock_keys: tuple[int, int] = DEFAULT_UNLOCK_KEYS):
-        self.layout = layout or default_layout()
-        self.timing = timing or FlashTiming()
-        self.unlock_keys = unlock_keys
+    def __init__(self) -> None:
+        self.layout = default_layout()
         self.cells = bytearray([ERASED_BYTE]) * self.layout.size
         self.locked = True
         self.latched = False
@@ -211,7 +193,7 @@ class FlashDevice:
     def unlock(self, key1: int, key2: int) -> None:
         if not self.locked:
             raise AlreadyUnlocked("unlock issued while already unlocked")
-        if self.latched or (key1, key2) != self.unlock_keys:
+        if self.latched or (key1, key2) != DEFAULT_UNLOCK_KEYS:
             self.latched = True
             raise BadKeySequence("wrong key sequence; device latched until reset")
         self.locked = False
@@ -246,7 +228,7 @@ class FlashDevice:
         duration = 0
         for s in sectors:
             self.cells[s.start : s.end] = bytes([ERASED_BYTE]) * s.size
-            duration += self.timing.erase_cost(s.size)
+            duration += ERASE_US[s.size]
         self._occupy(now_us, duration)
         return duration
 
@@ -271,7 +253,7 @@ class FlashDevice:
                 if b != ERASED_BYTE:
                     raise ProgramOnNonErased(address + i)
         self.cells[address : address + n] = data
-        duration = self.timing.program_cost(n)
+        duration = program_cost(n)
         self._occupy(now_us, duration)
         return duration
 
@@ -295,8 +277,6 @@ class FlashDevice:
         self.busy_total_us += duration
 
 
-def new_device(layout: FlashLayout | None = None,
-               timing: FlashTiming | None = None,
-               unlock_keys: tuple[int, int] = DEFAULT_UNLOCK_KEYS) -> FlashDevice:
+def new_device() -> FlashDevice:
     """Fresh, fully erased, locked device with the default 512 KiB layout."""
-    return FlashDevice(layout, timing, unlock_keys)
+    return FlashDevice()

@@ -4,8 +4,8 @@ A camera feed is modelled as text lines carrying the lateral deviation in
 metres ("-0.12\\n"); the controller turns deviation into a steering-angle
 target, runs a PID loop against a first-order steering plant, and reduces
 the command to one of three motor orders.  The PID gains live inside the
-firmware image itself, in one designated parameter block, so an update
-that retunes the controller is an ordinary one-block delta.
+firmware image itself, at byte 1024 (block 1 of 1 KiB), so an update that
+retunes the controller is an ordinary one-block delta.
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ DEFAULT_THRESHOLD_M = 0.05
 TARGET_GAIN_DEG_PER_M = 60.0
 TARGET_LIMIT_DEG = 30.0
 
-# Gains are stored in this block of the application image.
+# Gains are stored in this 1 KiB block of the application image, whatever
+# block size a campaign moves the image in.
 PARAM_BLOCK_INDEX = 1
+PARAM_OFFSET = PARAM_BLOCK_INDEX * DEFAULT_BLOCK_SIZE
+
+SIMULATE_DT_S = 0.01
 
 COMMAND_LIMIT = 100.0
 INTEGRAL_LIMIT = 100.0
@@ -68,13 +72,13 @@ class SteeringState:
     previous_error: float = 0.0
 
 
-def motor_order(deviation: float, threshold: float = DEFAULT_THRESHOLD_M) -> int:
+def motor_order(deviation: float) -> int:
     """Reduce a lateral deviation to a steer-right/steer-left/straight order."""
-    if not math.isfinite(deviation) or not math.isfinite(threshold):
-        raise NonFiniteInput(f"deviation {deviation!r}, threshold {threshold!r}")
-    if deviation > threshold:
+    if not math.isfinite(deviation):
+        raise NonFiniteInput(repr(deviation))
+    if deviation > DEFAULT_THRESHOLD_M:
         return MOTOR_RIGHT
-    if deviation < -threshold:
+    if deviation < -DEFAULT_THRESHOLD_M:
         return MOTOR_LEFT
     return MOTOR_STRAIGHT
 
@@ -134,34 +138,32 @@ def plant_step(state: SteeringState, gains: PidGains, target_deg: float, dt: flo
 
 
 def simulate(gains: PidGains, target_deg: float, initial_deg: float,
-             duration_s: float, dt: float = 0.01) -> list[tuple[float, float]]:
-    """Run the loop against the first-order plant (1 deg/s per command unit);
-    returns ``(time_s, |target - position|)`` per step."""
+             duration_s: float) -> list[tuple[float, float]]:
+    """Run the loop against the first-order plant (1 deg/s per command unit)
+    in 10 ms steps; returns ``(time_s, |target - position|)`` per step."""
     state = SteeringState(position=initial_deg)
     trace = []
-    steps = round(duration_s / dt)
+    steps = round(duration_s / SIMULATE_DT_S)
     t = 0.0
     for _ in range(steps):
-        state = plant_step(state, gains, target_deg, dt)
-        t += dt
+        state = plant_step(state, gains, target_deg, SIMULATE_DT_S)
+        t += SIMULATE_DT_S
         trace.append((t, abs(target_deg - state.position)))
     return trace
 
 
-def pack_image(raw: bytes, gains: PidGains, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
+def pack_image(raw: bytes, gains: PidGains) -> bytes:
     """Embed ``gains`` into the parameter block of a firmware payload,
     padding with 0xFF if the payload ends before that block does."""
-    need = (PARAM_BLOCK_INDEX + 1) * block_size
+    need = PARAM_OFFSET + DEFAULT_BLOCK_SIZE
     image = bytearray(raw)
     if len(image) < need:
         image += b"\xff" * (need - len(image))
-    off = PARAM_BLOCK_INDEX * block_size
-    image[off : off + _GAINS.size] = gains.encode()
+    image[PARAM_OFFSET : PARAM_OFFSET + _GAINS.size] = gains.encode()
     return bytes(image)
 
 
-def read_gains(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> PidGains:
-    off = PARAM_BLOCK_INDEX * block_size
-    if len(image) < off + _GAINS.size:
+def read_gains(image: bytes) -> PidGains:
+    if len(image) < PARAM_OFFSET + _GAINS.size:
         raise ValueError("image too short to hold a parameter block")
-    return PidGains.decode(image[off : off + _GAINS.size])
+    return PidGains.decode(image[PARAM_OFFSET : PARAM_OFFSET + _GAINS.size])

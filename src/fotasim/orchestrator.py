@@ -28,11 +28,15 @@ from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented
 from .delta import DEFAULT_GAP_MERGE, build_delta, encode_package
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .nvstore import AppMetadata, BootFlag, app_capacity, max_table_blocks, metadata_offset
-from .simruntime import Node, Task, TaskPriority, TaskState, World
+from .simruntime import Task, TaskPriority, TaskState, World
 from .uds import client_unlock
 
 DEFAULT_REQUEST_ID = 0x101
 DEFAULT_RESPONSE_ID = 0x201
+
+# The two nodes of every campaign world; scenario.build_world names them.
+MASTER_NODE = "master"
+TARGET_NODE = "target"
 
 DEFAULT_COMMAND_DEADLINE_US = 5_000_000
 DEFAULT_BOOT_DEADLINE_US = 10_000_000
@@ -53,8 +57,6 @@ class CampaignPlan:
     old_image: bytes
     new_image: bytes
     shared_secret: int
-    target: str = "target"
-    request_id: int = DEFAULT_REQUEST_ID
     retry_budget: int = 3
     block_size: int = DEFAULT_BLOCK_SIZE
     gap_merge: int = DEFAULT_GAP_MERGE
@@ -130,11 +132,11 @@ def _mem_write_payload(address: int, data: bytes) -> bytes:
 class _Campaign:
     """Generator-backed master-side state machine."""
 
-    def __init__(self, world: World, master: Node, plan: CampaignPlan):
+    def __init__(self, world: World, plan: CampaignPlan):
         self.world = world
-        self.master = master
+        self.master = world.node(MASTER_NODE)
         self.plan = plan
-        self.target = world.node(plan.target)
+        self.target = world.node(TARGET_NODE)
         self.report = CampaignReport(
             mode=plan.mode.value,
             old_image_crc=crc32(plan.old_image),
@@ -156,7 +158,7 @@ class _Campaign:
         is stray traffic."""
         retries_left = self.plan.retry_budget
         while True:
-            send_segmented(self.world.bus, self.master.endpoint, self.plan.request_id, payload)
+            send_segmented(self.world.bus, self.master.endpoint, DEFAULT_REQUEST_ID, payload)
             reply = yield from await_reply(self.master.endpoint, self._now,
                                            self._now() + self.plan.command_deadline_us,
                                            _is_ack_or_nack)
@@ -172,7 +174,7 @@ class _Campaign:
             while index < len(events):
                 e = events[index]
                 index += 1
-                if (e["node"] == self.plan.target and e["event"] == "Decision"
+                if (e["node"] == TARGET_NODE and e["event"] == "Decision"
                         and e.get("decision") == decision):
                     return True
             yield
@@ -180,7 +182,7 @@ class _Campaign:
 
     def _unlock(self):
         result = yield from client_unlock(
-            self.world.bus, self.master.endpoint, self.plan.request_id,
+            self.world.bus, self.master.endpoint, DEFAULT_REQUEST_ID,
             self.plan.shared_secret, self._now, self.plan.command_deadline_us,
         )
         return result
@@ -288,19 +290,17 @@ class _Campaign:
         return finish("success")
 
 
-def start_campaign(world: World, plan: CampaignPlan, master: str = "master") -> CampaignHandle:
-    node = world.node(master)
-    campaign = _Campaign(world, node, plan)
-
+def start_campaign(world: World, plan: CampaignPlan) -> CampaignHandle:
+    campaign = _Campaign(world, plan)
     task = Task.from_generator("campaign", TaskPriority.COMM, campaign.run())
-    node.add_task(task)
+    campaign.master.add_task(task)
     return CampaignHandle(task, campaign.report)
 
 
-def run_campaign(world: World, plan: CampaignPlan, master: str = "master",
+def run_campaign(world: World, plan: CampaignPlan,
                  max_ticks: int | None = None) -> CampaignReport:
     """Run a campaign to completion; returns its report."""
-    handle = start_campaign(world, plan, master)
+    handle = start_campaign(world, plan)
     if max_ticks is None:
         # Worst case: every payload byte twice (retries), plus flash stalls.
         max_ticks = 120_000 + 4 * (len(plan.new_image) // 7 + 1)

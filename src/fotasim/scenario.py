@@ -29,7 +29,7 @@ from pathlib import Path
 from random import Random
 
 from .canbus import BusConfig
-from .flashmodel import MASS_ERASE_APPLICATION, REGION_APPLICATION, FlashDevice
+from .flashmodel import DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, REGION_APPLICATION, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, block_count
 from .lka import PidGains, pack_image
 from .nvstore import (
@@ -40,7 +40,8 @@ from .nvstore import (
     max_table_blocks,
     write_app_metadata,
 )
-from .orchestrator import DEFAULT_REQUEST_ID, DEFAULT_RESPONSE_ID, CampaignMode, CampaignPlan
+from .orchestrator import (DEFAULT_REQUEST_ID, DEFAULT_RESPONSE_ID, MASTER_NODE, TARGET_NODE,
+                           CampaignMode, CampaignPlan)
 from .simruntime import Node, World
 
 DEFAULT_SECRET = 0x5EC10ACE
@@ -50,15 +51,14 @@ class ScenarioError(ValueError):
     pass
 
 
-def generate_image(size: int, seed: int, gains: PidGains | None = None,
-                   block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
+def generate_image(size: int, seed: int, gains: PidGains | None = None) -> bytes:
     """Seeded pseudo-random firmware payload with an optional gains block."""
     if size < 1:
         raise ScenarioError("image size must be positive")
     raw = Random(seed).randbytes(size)
     if gains is None:
         return raw
-    return pack_image(raw, gains, block_size)
+    return pack_image(raw, gains)
 
 
 def mutate_blocks(image: bytes, count: int, seed: int,
@@ -95,7 +95,7 @@ def provision_application(device: FlashDevice, image: bytes,
         raise ScenarioError("image needs more block CRCs than the metadata slot holds")
     was_locked = device.locked
     if was_locked:
-        device.unlock(*device.unlock_keys)
+        device.unlock(*DEFAULT_UNLOCK_KEYS)
     device.erase_sectors(MASS_ERASE_APPLICATION)
     device.program(app.start, image)
     write_app_metadata(device, AppMetadata.for_image(image, block_size))
@@ -107,8 +107,6 @@ def provision_application(device: FlashDevice, image: bytes,
 def build_world(*, old_image: bytes, seed: int = 0,
                 bus: BusConfig | None = None,
                 secret: int = DEFAULT_SECRET,
-                request_id: int = DEFAULT_REQUEST_ID,
-                response_id: int = DEFAULT_RESPONSE_ID,
                 updater_image: bytes | None = None,
                 updater_style: str = "serve",
                 deviation_lines=None,
@@ -118,12 +116,12 @@ def build_world(*, old_image: bytes, seed: int = 0,
     boots straight into its application."""
     config = bus or BusConfig(rng_seed=seed)
     world = World(config)
-    master = world.add_node("master", 1, role="host",
-                            filters=((0x7FF, response_id),))
+    master = world.add_node(MASTER_NODE, 1, role="host",
+                            filters=((0x7FF, DEFAULT_RESPONSE_ID),))
     session_seed = (seed * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
-    target = world.add_node("target", 2, role="ecu",
-                            filters=((0x7FF, request_id),),
-                            reply_id=response_id,
+    target = world.add_node(TARGET_NODE, 2, role="ecu",
+                            filters=((0x7FF, DEFAULT_REQUEST_ID),),
+                            reply_id=DEFAULT_RESPONSE_ID,
                             shared_secret=secret,
                             session_seed=session_seed,
                             updater_image=updater_image,
@@ -188,7 +186,7 @@ def _resolve_image(spec: dict, name: str, base_dir: Path,
     elif "size" in entry:
         gains = entry.get("gains")
         data = generate_image(int(entry["size"]), int(entry.get("seed", 0)),
-                              PidGains(*gains) if gains else None, block_size)
+                              PidGains(*gains) if gains else None)
     else:
         raise ScenarioError(f"images.{name} needs a path, a size or a base")
     resolved[name] = data

@@ -31,7 +31,7 @@ from .bootflow import (
     updater_silent,
 )
 from .canbus import ACCEPT_ALL, Bus, BusConfig, CanError, recv_segmented, send_segmented
-from .flashmodel import DEFAULT_UNLOCK_KEYS, FlashDevice, new_device
+from .flashmodel import new_device
 from .lka import (
     PidGains,
     SteeringState,
@@ -45,6 +45,7 @@ from .nvstore import BackupRegisters
 from .uds import SecuritySession
 
 DEFAULT_TICK_US = 1000
+_TICK_S = DEFAULT_TICK_US / 1_000_000
 
 
 class TaskPriority(IntEnum):
@@ -110,11 +111,9 @@ class Node:
                  role: str = "ecu",
                  filters=ACCEPT_ALL,
                  reply_id: int | None = None,
-                 device: FlashDevice | None = None,
                  shared_secret: int = 0,
                  session_seed: int = 1,
                  version: tuple[int, int, int] = (1, 0, 0),
-                 flash_keys: tuple[int, int] = DEFAULT_UNLOCK_KEYS,
                  updater_image: bytes | None = None,
                  updater_style: str = "serve",
                  deviation_feed=None,
@@ -125,7 +124,7 @@ class Node:
         self.role = role
         self.endpoint = world.bus.attach(node_id, filters)
         self.reply_id = reply_id
-        self.device = device or new_device()
+        self.device = new_device()
         self.regs = BackupRegisters()
         self.session = SecuritySession(shared_secret, session_seed)
         self.updater_style = updater_style
@@ -141,7 +140,6 @@ class Node:
             regs=self.regs,
             session=self.session,
             version=version,
-            flash_keys=flash_keys,
             updater_image=updater_image,
             now=lambda: self.world.clock_us,
             log=lambda event, **detail: self.world.log(self.name, event, **detail),
@@ -268,8 +266,7 @@ class Node:
                 else:
                     self.steering_target = deviation_to_target(deviation)
                     self.motor = motor_order(deviation)
-        dt = self.world.tick_us / 1_000_000
-        self.steering = plant_step(self.steering, self.gains, self.steering_target, dt)
+        self.steering = plant_step(self.steering, self.gains, self.steering_target, _TICK_S)
 
 
 @dataclass(frozen=True)
@@ -280,10 +277,9 @@ class RunResult:
 
 
 class World:
-    def __init__(self, bus_config: BusConfig | None = None, tick_us: int = DEFAULT_TICK_US):
+    def __init__(self, bus_config: BusConfig | None = None):
         self.bus = Bus(bus_config)
         self.clock_us = 0
-        self.tick_us = tick_us
         self.nodes: dict[str, Node] = {}
         self._nodes: tuple[Node, ...] = ()  # insertion order, for the tick loop
         self.events: list[dict] = []
@@ -314,7 +310,7 @@ class World:
         _, elapsed = self.bus.step(self.clock_us)
         for node in self._nodes:
             node.run_tick()
-        self.clock_us += max(elapsed, self.tick_us)
+        self.clock_us += max(elapsed, DEFAULT_TICK_US)
 
     def run_ticks(self, count: int) -> None:
         for _ in range(count):

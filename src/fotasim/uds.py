@@ -72,11 +72,9 @@ class SecurityState(Enum):
 class SecuritySession:
     """Server-side state for one ECU."""
 
-    def __init__(self, shared_secret: int, rng_seed: int = _DEFAULT_RNG_STATE,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+    def __init__(self, shared_secret: int, rng_seed: int = _DEFAULT_RNG_STATE):
         self.shared_secret = shared_secret & 0xFFFFFFFF
         self.rng_state = (rng_seed & 0xFFFFFFFF) or _DEFAULT_RNG_STATE
-        self.max_attempts = max_attempts
         self.state = SecurityState.LOCKED
         self.active_seed: bytes | None = None
         self.failed_attempts = 0
@@ -132,7 +130,7 @@ def server_handle(session: SecuritySession, request: bytes, now_us: int = 0) -> 
             return bytes([RESPONSE_SID, SUB_SEND_KEY])
         session.state = SecurityState.LOCKED
         session.failed_attempts += 1
-        if session.failed_attempts >= session.max_attempts:
+        if session.failed_attempts >= DEFAULT_MAX_ATTEMPTS:
             session.lockout_until_us = now_us + LOCKOUT_US
             return bytes([NEGATIVE_RESPONSE, SECURITY_SID, NRC_EXCEEDED_ATTEMPTS])
         return bytes([NEGATIVE_RESPONSE, SECURITY_SID, NRC_INVALID_KEY])

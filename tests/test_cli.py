@@ -1,12 +1,16 @@
 """Command line behaviour: exit codes, stdout JSON, file round trips."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from fotasim.cli import main
+from fotasim.delta import DeltaPackage, encode_package
+from fotasim.flashmodel import default_layout
 from fotasim.integrity import crc32
 from fotasim.lka import PidGains, read_gains
+from fotasim.nvstore import app_capacity
 from fotasim.scenario import generate_image, mutate_blocks
 
 KIB = 1024
@@ -110,6 +114,35 @@ def test_delta_apply_rejects_a_wrong_base(tmp_path, capsys):
     assert code == 1
     assert "error" in json.loads(out)
     assert not (tmp_path / "rebuilt.bin").exists()
+
+
+def test_delta_apply_refuses_an_image_past_the_application_region(tmp_path, capsys):
+    # A header-only package may declare a 4 GiB image: refused before a
+    # stage of that size is padded.
+    (tmp_path / "base.bin").write_bytes(bytes(2 * KIB))
+    header_only = encode_package(DeltaPackage(1024, 0xFFFFFFFF, 0, ()))
+    (tmp_path / "huge.fdp").write_bytes(header_only)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "delta", "apply", str(tmp_path / "base.bin"),
+                               str(tmp_path / "huge.fdp"), "-o", str(tmp_path / "rebuilt.bin"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert str(app_capacity(default_layout())) in json.loads(out)["error"]
+    assert peak < 1 << 20
+    assert not (tmp_path / "rebuilt.bin").exists()
+
+
+def test_delta_build_refuses_blocks_past_the_16_bit_offsets(tmp_path, capsys):
+    (tmp_path / "image.bin").write_bytes(bytes(4 * KIB))
+    code, out, _ = run_cli(capsys, "delta", "build", str(tmp_path / "image.bin"),
+                           str(tmp_path / "image.bin"), "-o", str(tmp_path / "patch.fdp"),
+                           "--block-size", "131072")
+    assert code == 1
+    assert "16-bit" in json.loads(out)["error"]
+    assert not (tmp_path / "patch.fdp").exists()
 
 
 def test_uds_demo_reports_a_granted_handshake(capsys):

@@ -199,6 +199,26 @@ def test_empty_inputs_rejected():
         build_delta(b"x", b"")
 
 
+def test_block_size_past_the_16_bit_offsets_is_refused():
+    # A byte past offset 0xFFFF of a block cannot be addressed on the wire.
+    old = bytes(0x20000)
+    new = bytearray(old)
+    new[0x18000] = 1
+    with pytest.raises(ValueError, match="16-bit"):
+        build_delta(old, bytes(new), block_size=0x20000)
+
+
+@pytest.mark.parametrize("first_changed", [0xFFFF, 0x8000, 0])
+def test_64_kib_blocks_round_trip(first_changed):
+    # A wholly changed 64 KiB block is one run a byte longer than a u16
+    # length can carry; it ships as two tuples.
+    old = bytes(0x18000)
+    new = old[:first_changed] + b"\x01" * (0x10000 - first_changed) + old[0x10000:]
+    pkg = build_delta(old, new, block_size=0x10000)
+    assert pkg.changed_blocks() == [0]
+    assert apply_delta(old, decode_package(encode_package(pkg))) == new
+
+
 # -- wire format ------------------------------------------------------------------
 
 

@@ -16,13 +16,13 @@ from fotasim.flashmodel import (
     AlreadyUnlocked,
     BadKeySequence,
     FlashLayout,
-    FlashTiming,
     InvalidLayout,
     LockedDevice,
     ProgramOnNonErased,
     SectorOutOfRange,
     default_layout,
     new_device,
+    program_cost,
 )
 
 
@@ -244,11 +244,10 @@ def test_mass_erase_duration_sums_app_sectors():
 
 
 def test_program_cost_per_word():
-    t = FlashTiming()
-    assert t.program_cost(4) == 16
-    assert t.program_cost(1) == 16     # partial word still costs a word
-    assert t.program_cost(5) == 32
-    assert t.program_cost(1024) == 1024 // 4 * 16
+    assert program_cost(4) == 16
+    assert program_cost(1) == 16     # partial word still costs a word
+    assert program_cost(5) == 32
+    assert program_cost(1024) == 1024 // 4 * 16
 
 
 def test_busy_horizon_accumulates():

@@ -26,7 +26,7 @@ import pytest
 import fotasim
 from fotasim.bootflow import InjectedFault
 from fotasim.canbus import BusConfig
-from fotasim.flashmodel import REGION_BOOTLOADER
+from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS, REGION_BOOTLOADER
 from fotasim.lka import PidGains
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
@@ -75,7 +75,7 @@ def updater_rollback():
     world.bus.trace_enabled = True
     device = target.device
     region = device.layout.region(REGION_BOOTLOADER)
-    device.unlock(*device.unlock_keys)
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
     device.program(region.start, b"OLD-BOOTLOADER!!" * 256)
     device.reset()
     device.busy_until_us = 0

@@ -7,10 +7,12 @@ import re
 import pytest
 
 from fotasim.canbus import BusConfig, send_segmented
+from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
 from fotasim.lka import MOTOR_RIGHT, PidGains
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
-from fotasim.scenario import DEFAULT_SECRET, build_world, generate_image, mutate_blocks
+from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
+                              world_from_scenario)
 from fotasim.simruntime import (
     DEFAULT_TICK_US,
     NodeMode,
@@ -192,6 +194,23 @@ def test_provisioned_ecu_boots_into_the_application_with_its_gains():
     assert target.mode is NodeMode.APPLICATION
 
 
+def test_scenario_block_size_does_not_move_the_gains():
+    # Gains sit at byte 1024 whatever block size the campaign uses; the
+    # scenario must pack them where the target reads them.
+    spec = {
+        "seed": 3,
+        "images": {
+            "old": {"size": 8 * KIB, "seed": 1, "gains": [3.0, 0.2, 0.4]},
+            "new": {"base": "old", "change_blocks": 1, "seed": 2},
+        },
+        "campaign": {"block_size": 512},
+    }
+    world, _ = world_from_scenario(spec)
+    target = world.node("target")
+    assert world.run_until(lambda w: target.mode is NodeMode.APPLICATION, 10).met
+    assert target.gains == PidGains(3.0, 0.2, 0.4)
+
+
 def test_nan_parameter_block_falls_back_to_builtin_gains():
     nan = float("nan")
     image = generate_image(8 * KIB, seed=4, gains=PidGains(nan, nan, nan))
@@ -235,7 +254,7 @@ def test_software_reset_preserves_backup_registers():
     node = world.add_node("ecu", 2, role="ecu")
     world.tick()
     node.regs.write(5, 0xABCD)
-    node.device.unlock(*node.ctx.flash_keys)
+    node.device.unlock(*DEFAULT_UNLOCK_KEYS)
     world.software_reset("ecu")
     assert node.mode is NodeMode.BOOT
     assert node.regs.read(5) == 0xABCD
@@ -273,7 +292,7 @@ def test_flash_busy_window_gates_every_task():
 def test_flash_time_accumulates_and_extends_the_stall():
     world, node = host_world()
     device = node.device
-    device.unlock(*node.ctx.flash_keys)
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
     hits = []
     node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
     device.program(0, bytes(1000), world.clock_us)  # 250 words: 4000 us

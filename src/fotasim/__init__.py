@@ -8,7 +8,7 @@ tick-based scheduler, so every campaign replays bit-for-bit from a seed.
 
 from .canbus import Bus, BusConfig, CanFrame, recv_segmented, send_segmented
 from .delta import apply_delta, build_delta, decode_package, encode_package
-from .flashmodel import FlashDevice, default_layout, new_device
+from .flashmodel import FlashDevice, new_device
 from .integrity import block_crcs, crc32, crc_compare
 from .lka import PidGains, pid_step, simulate
 from .orchestrator import (
@@ -47,7 +47,6 @@ __all__ = [
     "crc32",
     "crc_compare",
     "decode_package",
-    "default_layout",
     "derive_key",
     "encode_package",
     "generate_image",

@@ -26,22 +26,25 @@ from typing import Callable
 
 from .delta import DeltaError, apply_delta, decode_package, program_delta
 from .flashmodel import (
+    APP_REGION,
+    APP_SECTORS,
+    BOOTLOADER_REGION,
+    BOOTLOADER_SECTORS,
     DEFAULT_UNLOCK_KEYS,
-    REGION_APPLICATION,
-    REGION_BOOTLOADER,
     FlashDevice,
     FlashError,
     MASS_ERASE_APPLICATION,
     Region,
+    Sector,
 )
 from .integrity import CompareResult, crc32, crc_compare
 from .nvstore import (
+    APP_CAPACITY,
     APP_ENTER_REG,
     UPDATER_ENTER_REG,
     BackupRegisters,
     BootFlag,
     MalformedMetadata,
-    app_capacity,
     read_app_metadata,
 )
 from .uds import SECURITY_SID, SecuritySession, server_handle
@@ -111,12 +114,6 @@ class EcuContext:
     fault_hook: Callable[[str], None] | None = None
     sectors_erased: int = 0
 
-    def app_region(self) -> Region:
-        return self.device.layout.region(REGION_APPLICATION)
-
-    def bootloader_region(self) -> Region:
-        return self.device.layout.region(REGION_BOOTLOADER)
-
     def ensure_flash_unlocked(self) -> None:
         if self.device.locked:
             self.device.unlock(*DEFAULT_UNLOCK_KEYS)
@@ -135,9 +132,14 @@ def app_integrity(device: FlashDevice) -> CompareResult:
         meta, _ = read_app_metadata(device)
     except MalformedMetadata:
         return CompareResult.FAILED
-    start = device.layout.region(REGION_APPLICATION).start
-    data, _ = device.read(start, meta.byte_count)
+    data, _ = device.read(APP_REGION.start, meta.byte_count)
     return crc_compare(crc32(data), meta.image_crc)
+
+
+def _disarm_stages(regs: BackupRegisters) -> None:
+    """Both stage flags to NOT_ENTER: the next boot lands in the bootloader."""
+    regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
+    regs.write_flag(UPDATER_ENTER_REG, BootFlag.NOT_ENTER)
 
 
 def boot_decide(device: FlashDevice, regs: BackupRegisters) -> BootDecision:
@@ -152,8 +154,7 @@ def boot_decide(device: FlashDevice, regs: BackupRegisters) -> BootDecision:
         return BootDecision.JUMP_APPLICATION
     if regs.read_flag(UPDATER_ENTER_REG) is BootFlag.ENTER:
         return BootDecision.JUMP_UPDATER
-    regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
-    regs.write_flag(UPDATER_ENTER_REG, BootFlag.NOT_ENTER)
+    _disarm_stages(regs)
     return BootDecision.JUMP_BOOTLOADER
 
 
@@ -168,14 +169,9 @@ def _nack(code: int, reason: int) -> bytes:
     return bytes([NACK, code, reason])
 
 
-def _sectors_in_region(ctx: EcuContext, region: Region, start: int, count: int) -> bool:
-    sectors = ctx.device.layout.sectors
-    if count < 1 or start < 0 or start + count > len(sectors):
-        return False
-    return all(
-        s.start >= region.start and s.end <= region.end
-        for s in sectors[start : start + count]
-    )
+def _sectors_in(sectors: tuple[Sector, ...], start: int, count: int) -> bool:
+    """Whether sectors [start, start + count) are all among ``sectors``."""
+    return count >= 1 and sectors[0].index <= start and start + count <= sectors[-1].index + 1
 
 
 def _mem_write(ctx: EcuContext, payload: bytes, region: Region,
@@ -225,15 +221,14 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         if not ctx.session.unlocked:
             return _nack(code, NACK_SECURITY)
         start, count = payload[1], payload[2]
-        app = ctx.app_region()
-        if start != MASS_ERASE_APPLICATION and not _sectors_in_region(ctx, app, start, count):
+        if start != MASS_ERASE_APPLICATION and not _sectors_in(APP_SECTORS, start, count):
             return _nack(code, NACK_REGION)
         try:
             ctx.ensure_flash_unlocked()
             ctx.device.erase_sectors(start, count, ctx.now())
         except FlashError:
             return _nack(code, NACK_FLASH)
-        erased = len(ctx.device.layout.sectors_within(app)) if start == MASS_ERASE_APPLICATION else count
+        erased = len(APP_SECTORS) if start == MASS_ERASE_APPLICATION else count
         ctx.sectors_erased += erased
         ctx.log("CommandServed", command="flash_erase", sectors=erased)
         return _ack(code)
@@ -243,20 +238,19 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_MALFORMED)
         if not ctx.session.unlocked:
             return _nack(code, NACK_SECURITY)
-        return _mem_write(ctx, payload, ctx.app_region(), _nack(code, NACK_MALFORMED))
+        return _mem_write(ctx, payload, APP_REGION, _nack(code, NACK_MALFORMED))
 
     if code == BootloaderCommand.DELTA_APPLY:
         if not ctx.session.unlocked:
             return _nack(code, NACK_SECURITY)
-        app = ctx.app_region()
         try:
             pkg = decode_package(payload[1:])
-            if pkg.new_image_length > app_capacity(ctx.device.layout):
+            if pkg.new_image_length > APP_CAPACITY:
                 return _nack(code, NACK_FLASH)  # before staging: a header can declare 4 GiB
             base = b""
             try:
                 meta, _ = read_app_metadata(ctx.device)
-                base, _ = ctx.device.read(app.start, meta.byte_count)
+                base, _ = ctx.device.read(APP_REGION.start, meta.byte_count)
             except MalformedMetadata:
                 pass  # no valid base; verification decides
             staged = apply_delta(base, pkg)
@@ -264,7 +258,7 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_DELTA)
         try:
             ctx.ensure_flash_unlocked()
-            erased = program_delta(ctx.device, app, staged, pkg, ctx.now())
+            erased = program_delta(ctx.device, staged, pkg, ctx.now())
         except (FlashError, ValueError):
             return _nack(code, NACK_FLASH)
         ctx.sectors_erased += erased
@@ -286,8 +280,7 @@ def app_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     if payload[0] == SECURITY_SID:
         return server_handle(ctx.session, payload, ctx.now())
     if payload[0] == APP_ENTER_BOOTLOADER:
-        ctx.regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
-        ctx.regs.write_flag(UPDATER_ENTER_REG, BootFlag.NOT_ENTER)
+        _disarm_stages(ctx.regs)
         ctx.log("CommandServed", command="enter_bootloader")
         ctx.request_reset()
         return _ack(APP_ENTER_BOOTLOADER)
@@ -315,7 +308,6 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     if not payload:
         return None
     code = payload[0]
-    region = ctx.bootloader_region()
 
     if code == UpdaterCommand.GET_VERSION:
         major, minor, patch = ctx.version
@@ -324,7 +316,7 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     if code == UpdaterCommand.MEM_ERASE_BOOTLOADER:
         if len(payload) != 3:
             return None
-        if not _sectors_in_region(ctx, region, payload[1], payload[2]):
+        if not _sectors_in(BOOTLOADER_SECTORS, payload[1], payload[2]):
             return _nack(code, NACK_REGION)
         try:
             ctx.ensure_flash_unlocked()
@@ -337,11 +329,10 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     if code == UpdaterCommand.MEM_WRITE_BOOTLOADER:
         if len(payload) < 7:
             return None
-        return _mem_write(ctx, payload, region, None)
+        return _mem_write(ctx, payload, BOOTLOADER_REGION, None)
 
     if code == UpdaterCommand.LEAVE_TO_BOOT_MANAGER:
-        ctx.regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
-        ctx.regs.write_flag(UPDATER_ENTER_REG, BootFlag.NOT_ENTER)
+        _disarm_stages(ctx.regs)
         ctx.request_reset()
         return _ack(code)
 
@@ -349,13 +340,16 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     return None
 
 
-def _restore_backup(ctx: EcuContext, region: Region, backup: bytes) -> None:
-    sectors = ctx.device.layout.sectors_within(region)
+def _erase_bootloader(ctx: EcuContext) -> None:
     ctx.ensure_flash_unlocked()
-    ctx.device.erase_sectors(sectors[0].index, len(sectors), ctx.now())
+    ctx.device.erase_sectors(BOOTLOADER_SECTORS[0].index, len(BOOTLOADER_SECTORS), ctx.now())
+
+
+def _restore_backup(ctx: EcuContext, backup: bytes) -> None:
+    _erase_bootloader(ctx)
     payload = backup.rstrip(b"\xff")  # trailing erased bytes need no programming
     if payload:
-        ctx.device.program(region.start, payload, ctx.now())
+        ctx.device.program(BOOTLOADER_REGION.start, payload, ctx.now())
 
 
 def updater_silent(ctx: EcuContext) -> UpdaterResult:
@@ -365,12 +359,10 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
     erase restores it in full, so the region is never left part old, part
     new.  Success and rollback both clear the stage flags and software-reset.
     """
-    region = ctx.bootloader_region()
     image = ctx.updater_image
 
     def leave(result: UpdaterResult) -> UpdaterResult:
-        ctx.regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
-        ctx.regs.write_flag(UPDATER_ENTER_REG, BootFlag.NOT_ENTER)
+        _disarm_stages(ctx.regs)
         ctx.log("CommandServed", command="updater_silent", status=result.status.value,
                 cause=result.cause)
         ctx.request_reset()
@@ -378,29 +370,27 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
 
     if not image:
         return leave(UpdaterResult(UpdaterStatus.REJECTED, "no embedded image"))
-    if len(image) > region.size:
+    if len(image) > BOOTLOADER_REGION.size:
         # Rejected before anything is touched; the old bootloader survives.
         return leave(UpdaterResult(UpdaterStatus.REJECTED, "image exceeds region"))
 
-    backup, _ = ctx.device.read(region.start, region.size)
+    backup, _ = ctx.device.read(BOOTLOADER_REGION.start, BOOTLOADER_REGION.size)
     erased = False
     try:
         ctx._hook("backup")
         ctx._hook("erase")
-        sectors = ctx.device.layout.sectors_within(region)
-        ctx.ensure_flash_unlocked()
-        ctx.device.erase_sectors(sectors[0].index, len(sectors), ctx.now())
-        ctx.sectors_erased += len(sectors)
+        _erase_bootloader(ctx)
+        ctx.sectors_erased += len(BOOTLOADER_SECTORS)
         erased = True
         ctx._hook("program")
-        ctx.device.program(region.start, image, ctx.now())
+        ctx.device.program(BOOTLOADER_REGION.start, image, ctx.now())
         ctx._hook("verify")
-        readback, _ = ctx.device.read(region.start, len(image))
+        readback, _ = ctx.device.read(BOOTLOADER_REGION.start, len(image))
         if crc_compare(crc32(readback), crc32(image)) is not CompareResult.SUCCEEDED:
             raise _VerifyFailed("read-back CRC mismatch")
     except (FlashError, InjectedFault, _VerifyFailed) as exc:
         if erased:
-            _restore_backup(ctx, region, backup)
+            _restore_backup(ctx, backup)
         ctx.log("Rollback", cause=str(exc))
         return leave(UpdaterResult(UpdaterStatus.ROLLED_BACK, str(exc)))
 

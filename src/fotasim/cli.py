@@ -15,10 +15,9 @@ from pathlib import Path
 
 from . import __version__
 from .delta import DEFAULT_GAP_MERGE, DeltaError, apply_delta, build_delta, decode_package, encode_package
-from .flashmodel import default_layout
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .lka import PidGains, pack_image
-from .nvstore import app_capacity
+from .nvstore import APP_CAPACITY
 from .orchestrator import run_campaign
 from .scenario import (
     DEFAULT_SECRET,
@@ -100,10 +99,9 @@ def _cmd_delta_apply(args) -> int:
     base = _read(args.base)
     try:
         package = decode_package(_read(args.package))
-        limit = app_capacity(default_layout())  # checked before apply_delta pads a stage
-        if package.new_image_length > limit:
+        if package.new_image_length > APP_CAPACITY:  # checked before apply_delta pads a stage
             raise CliError(f"package declares a {package.new_image_length}-byte image; "
-                           f"the application region holds at most {limit} bytes")
+                           f"the application region holds at most {APP_CAPACITY} bytes")
         new_image = apply_delta(base, package)
     except (DeltaError, ValueError) as exc:
         raise CliError(str(exc)) from exc

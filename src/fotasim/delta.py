@@ -38,9 +38,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .flashmodel import FlashDevice, Region
+from .flashmodel import APP_REGION, LAYOUT, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, EmptyImage, block_count, reflect, reflected_crc32
-from .nvstore import METADATA_SIZE, AppMetadata
+from .nvstore import APP_CAPACITY, METADATA_OFFSET, AppMetadata, write_app_metadata
 
 MAGIC = b"FDP1"
 VERSION = 1
@@ -267,9 +267,8 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> bytes:
     return staged
 
 
-def program_delta(device: FlashDevice, region: Region, staged: bytes,
-                  pkg: DeltaPackage, now_us: int = 0) -> int:
-    """Write a staged (already verified) image into ``region``.
+def program_delta(device: FlashDevice, staged: bytes, pkg: DeltaPackage, now_us: int = 0) -> int:
+    """Write a staged (already verified) image into the application region.
 
     Erases the metadata sector first, so an interruption can never leave a
     stale metadata record pointing at a half-written image, then erases each
@@ -284,29 +283,28 @@ def program_delta(device: FlashDevice, region: Region, staged: bytes,
     """
     if len(staged) != pkg.new_image_length:
         raise ValueError("staged image does not match the package length")
-    if len(staged) > region.size - METADATA_SIZE:
+    if len(staged) > APP_CAPACITY:
         raise ValueError("image does not fit the region alongside its metadata")
-    layout = device.layout
-    meta_off = region.end - METADATA_SIZE
+    start = APP_REGION.start
 
     changed = {}
     for index in pkg.changed_blocks():
-        lo = region.start + index * pkg.block_size
-        hi = region.start + min((index + 1) * pkg.block_size, len(staged))
-        for sector in layout.sectors_overlapping(lo, hi):
+        lo = start + index * pkg.block_size
+        hi = start + min((index + 1) * pkg.block_size, len(staged))
+        for sector in LAYOUT.sectors_overlapping(lo, hi):
             changed[sector.index] = sector
-    meta_sector = layout.sector_at(meta_off)
+    meta_sector = LAYOUT.sector_at(METADATA_OFFSET)
 
     erase_order = [meta_sector] + [s for _, s in sorted(changed.items()) if s.index != meta_sector.index]
     for sector in erase_order:
         device.erase_sectors(sector.index, 1, now_us)
 
-    image_end = region.start + len(staged)
+    image_end = start + len(staged)
     for sector in sorted(erase_order, key=lambda s: s.index):
-        lo = max(sector.start, region.start)
+        lo = max(sector.start, start)
         hi = min(sector.end, image_end)
         if lo < hi:
-            device.program(lo, staged[lo - region.start : hi - region.start], now_us)
+            device.program(lo, staged[lo - start : hi - start], now_us)
 
-    device.program(meta_off, AppMetadata.for_image(staged, pkg.block_size).encode(), now_us)
+    write_app_metadata(device, AppMetadata.for_image(staged, pkg.block_size), now_us)
     return len(changed)

@@ -3,7 +3,10 @@
 The device is a byte array with NOR-flash semantics: erase sets whole
 sectors to 0xFF, programming may only clear bits (enforced strictly here as
 "target bytes must read 0xFF"), and every mutation is gated behind a
-two-key unlock.  Geometry, key pair and costs are fixed module constants.
+two-key unlock.  Geometry, key pair and costs are fixed module constants:
+the one flash map is ``LAYOUT``, with ``APP_REGION`` and
+``BOOTLOADER_REGION`` and their sector tuples ``APP_SECTORS`` and
+``BOOTLOADER_SECTORS``, and every device's ``layout`` is ``LAYOUT``.
 Erase and program report simulated durations.  The device keeps the only
 flash-time account: a busy horizon, which reads report as their stall and
 which a node running on the device stalls on, and the running total of
@@ -48,10 +51,6 @@ def program_cost(length: int) -> int:
 
 
 class FlashError(Exception):
-    pass
-
-
-class InvalidLayout(FlashError):
     pass
 
 
@@ -109,35 +108,19 @@ class Region:
 
 
 class FlashLayout:
-    """Sector table plus named regions, all validated on construction."""
+    """Sector table plus named regions."""
 
     def __init__(self, sector_sizes: tuple[int, ...], regions: dict[str, tuple[int, int]]):
-        if not sector_sizes:
-            raise InvalidLayout("layout needs at least one sector")
         sectors = []
         offset = 0
         for index, size in enumerate(sector_sizes):
-            if size <= 0:
-                raise InvalidLayout(f"sector {index} has non-positive size")
             sectors.append(Sector(index, offset, size))
             offset += size
         self.sectors: tuple[Sector, ...] = tuple(sectors)
         self.size = offset
-
-        boundaries = {s.start for s in sectors} | {self.size}
-        named = {}
-        claimed = [False] * len(sectors)
-        for name, (start, size) in regions.items():
-            end = start + size
-            if start not in boundaries or end not in boundaries or size <= 0:
-                raise InvalidLayout(f"region {name!r} is not sector-aligned")
-            for s in sectors:
-                if s.start >= start and s.end <= end:
-                    if claimed[s.index]:
-                        raise InvalidLayout(f"region {name!r} overlaps another region")
-                    claimed[s.index] = True
-            named[name] = Region(name, start, size)
-        self.regions: dict[str, Region] = named
+        self.regions: dict[str, Region] = {
+            name: Region(name, start, size) for name, (start, size) in regions.items()
+        }
 
     def region(self, name: str) -> Region:
         return self.regions[name]
@@ -154,19 +137,23 @@ class FlashLayout:
         """Sectors intersecting the half-open byte range [start, end)."""
         return [s for s in self.sectors if s.start < end and s.end > start]
 
-    def sectors_within(self, region: Region) -> list[Sector]:
-        return [s for s in self.sectors if s.start >= region.start and s.end <= region.end]
+    def sectors_within(self, region: Region) -> tuple[Sector, ...]:
+        return tuple(s for s in self.sectors if s.start >= region.start and s.end <= region.end)
 
 
-def default_layout() -> FlashLayout:
-    return FlashLayout(
-        DEFAULT_SECTOR_SIZES,
-        {
-            REGION_BOOT_MANAGER: (0, 64 * KIB),
-            REGION_BOOTLOADER: (64 * KIB, 64 * KIB),
-            REGION_APPLICATION: (128 * KIB, 384 * KIB),
-        },
-    )
+# The one flash map: 64 KiB boot manager, 64 KiB bootloader, 384 KiB application.
+LAYOUT = FlashLayout(
+    DEFAULT_SECTOR_SIZES,
+    {
+        REGION_BOOT_MANAGER: (0, 64 * KIB),
+        REGION_BOOTLOADER: (64 * KIB, 64 * KIB),
+        REGION_APPLICATION: (128 * KIB, 384 * KIB),
+    },
+)
+APP_REGION = LAYOUT.region(REGION_APPLICATION)
+BOOTLOADER_REGION = LAYOUT.region(REGION_BOOTLOADER)
+APP_SECTORS = LAYOUT.sectors_within(APP_REGION)
+BOOTLOADER_SECTORS = LAYOUT.sectors_within(BOOTLOADER_REGION)
 
 
 class FlashDevice:
@@ -180,9 +167,10 @@ class FlashDevice:
     duration of every erase and program, the device's flash-time account.
     """
 
+    layout = LAYOUT
+
     def __init__(self) -> None:
-        self.layout = default_layout()
-        self.cells = bytearray([ERASED_BYTE]) * self.layout.size
+        self.cells = bytearray([ERASED_BYTE]) * LAYOUT.size
         self.locked = True
         self.latched = False
         self.busy_until_us = 0
@@ -218,13 +206,13 @@ class FlashDevice:
         """
         self._require_unlocked()
         if start_sector == MASS_ERASE_APPLICATION:
-            sectors = self.layout.sectors_within(self.layout.region(REGION_APPLICATION))
+            sectors = APP_SECTORS
         else:
-            if count < 1 or start_sector < 0 or start_sector + count > len(self.layout.sectors):
+            if count < 1 or start_sector < 0 or start_sector + count > len(LAYOUT.sectors):
                 raise SectorOutOfRange(
                     f"sectors [{start_sector}, {start_sector + count}) outside device"
                 )
-            sectors = list(self.layout.sectors[start_sector : start_sector + count])
+            sectors = LAYOUT.sectors[start_sector : start_sector + count]
         duration = 0
         for s in sectors:
             self.cells[s.start : s.end] = bytes([ERASED_BYTE]) * s.size
@@ -243,7 +231,7 @@ class FlashDevice:
         n = len(data)
         if n == 0:
             return 0
-        if address < 0 or address + n > self.layout.size:
+        if address < 0 or address + n > LAYOUT.size:
             raise AddressOutOfRange(
                 f"program of {n} bytes at 0x{address:06X} leaves the device"
             )
@@ -265,7 +253,7 @@ class FlashDevice:
         ``stall_us`` is how long the caller waits for the device to leave its
         busy window, zero when idle.  Reads are never gated by the lock.
         """
-        if length < 0 or address < 0 or address + length > self.layout.size:
+        if length < 0 or address < 0 or address + length > LAYOUT.size:
             raise AddressOutOfRange(
                 f"read of {length} bytes at 0x{address:06X} leaves the device"
             )
@@ -278,5 +266,5 @@ class FlashDevice:
 
 
 def new_device() -> FlashDevice:
-    """Fresh, fully erased, locked device with the default 512 KiB layout."""
+    """Fresh, fully erased, locked device with the 512 KiB layout."""
     return FlashDevice()

@@ -40,6 +40,8 @@ INTEGRAL_LIMIT = 100.0
 PLANT_GAIN_DEG_PER_S = 1.0
 
 _GAINS = struct.Struct("<ddd")
+PARAM_END = PARAM_OFFSET + _GAINS.size  # an image this long holds the gains
+
 _DEVIATION_RE = re.compile(r"[+-]?[0-9]+\.[0-9]{2}\n\Z")
 
 
@@ -159,11 +161,11 @@ def pack_image(raw: bytes, gains: PidGains) -> bytes:
     image = bytearray(raw)
     if len(image) < need:
         image += b"\xff" * (need - len(image))
-    image[PARAM_OFFSET : PARAM_OFFSET + _GAINS.size] = gains.encode()
+    image[PARAM_OFFSET:PARAM_END] = gains.encode()
     return bytes(image)
 
 
 def read_gains(image: bytes) -> PidGains:
-    if len(image) < PARAM_OFFSET + _GAINS.size:
+    if len(image) < PARAM_END:
         raise ValueError("image too short to hold a parameter block")
-    return PidGains.decode(image[PARAM_OFFSET : PARAM_OFFSET + _GAINS.size])
+    return PidGains.decode(image[PARAM_OFFSET:PARAM_END])

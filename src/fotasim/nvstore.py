@@ -5,7 +5,9 @@ Backup registers survive a software reset but not a power cycle, which is
 exactly what makes them usable as boot-stage mailboxes.  The metadata
 record pins down what a valid application looks like: its byte count, its
 whole-image CRC and its per-block CRC table, stored in the last KiB of the
-application region.
+application region (``METADATA_OFFSET``).  ``APP_CAPACITY`` is what that
+leaves for the image, and ``MAX_TABLE_BLOCKS`` is how many block CRCs the
+record holds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .flashmodel import REGION_APPLICATION, FlashDevice, FlashLayout
+from .flashmodel import APP_REGION, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, BlockCrcTable, MalformedTable, block_crcs, crc32
 
 BACKUP_REGISTER_COUNT = 20
@@ -27,6 +29,15 @@ UPDATER_ENTER_REG = 1
 METADATA_SIZE = 1024
 _COUNT_FIELD = 16
 _U32 = struct.Struct("<I")
+
+# The record's slot is the last KiB of the application region; the image
+# gets the rest.
+METADATA_OFFSET = APP_REGION.end - METADATA_SIZE
+APP_CAPACITY = APP_REGION.size - METADATA_SIZE
+
+# Most block-CRC entries the record carries.  The slot also bounds image
+# size: an image needs ceil(len / block_size) <= MAX_TABLE_BLOCKS.
+MAX_TABLE_BLOCKS = (METADATA_SIZE - _COUNT_FIELD - 4 - 2) // 4
 
 
 class BootFlag(IntEnum):
@@ -108,38 +119,19 @@ class AppMetadata:
         return cls(int(raw_count), image_crc, table)
 
 
-def metadata_offset(layout: FlashLayout) -> int:
-    """Absolute device offset of the metadata record: the last KiB of the
-    application region."""
-    return layout.region(REGION_APPLICATION).end - METADATA_SIZE
-
-
-def app_capacity(layout: FlashLayout) -> int:
-    """Application image bytes available once the metadata block is reserved."""
-    return layout.region(REGION_APPLICATION).size - METADATA_SIZE
-
-
-def max_table_blocks() -> int:
-    """Most block-CRC entries the fixed-size metadata record can carry.
-
-    The slot also bounds image size: an image needs
-    ceil(len / block_size) <= max_table_blocks() to be describable."""
-    return (METADATA_SIZE - _COUNT_FIELD - 4 - 2) // 4
-
-
 def read_app_metadata(device: FlashDevice, now_us: int = 0) -> tuple[AppMetadata, int]:
     """Decode the metadata record from flash; returns ``(metadata, stall_us)``.
 
     Raises :class:`MalformedMetadata` for anything undecodable, including a
     byte count that could not fit the application region.
     """
-    blob, stall = device.read(metadata_offset(device.layout), METADATA_SIZE, now_us)
+    blob, stall = device.read(METADATA_OFFSET, METADATA_SIZE, now_us)
     meta = AppMetadata.decode(blob)
-    if meta.byte_count > app_capacity(device.layout):
+    if meta.byte_count > APP_CAPACITY:
         raise MalformedMetadata("byte count exceeds application capacity")
     return meta, stall
 
 
 def write_app_metadata(device: FlashDevice, meta: AppMetadata, now_us: int = 0) -> int:
     """Program the metadata record; the slot must already be erased."""
-    return device.program(metadata_offset(device.layout), meta.encode(), now_us)
+    return device.program(METADATA_OFFSET, meta.encode(), now_us)

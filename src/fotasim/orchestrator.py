@@ -26,8 +26,9 @@ from .bootflow import (
 )
 from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented
 from .delta import DEFAULT_GAP_MERGE, build_delta, encode_package
+from .flashmodel import APP_REGION
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
-from .nvstore import AppMetadata, BootFlag, app_capacity, max_table_blocks, metadata_offset
+from .nvstore import APP_CAPACITY, MAX_TABLE_BLOCKS, METADATA_OFFSET, AppMetadata, BootFlag
 from .simruntime import Task, TaskPriority, TaskState, World
 from .uds import client_unlock
 
@@ -216,8 +217,7 @@ class _Campaign:
             return report
 
         total_blocks = block_count(len(plan.new_image), plan.block_size)
-        if (len(plan.new_image) > app_capacity(self.target.device.layout)
-                or total_blocks > max_table_blocks()):
+        if len(plan.new_image) > APP_CAPACITY or total_blocks > MAX_TABLE_BLOCKS:
             return finish("failed", "image_too_large")
 
         # 1. Authenticate against the running application.
@@ -240,8 +240,6 @@ class _Campaign:
         if not unlock.granted:
             return finish("failed", f"security_{unlock.outcome.value}")
 
-        app = self.target.device.layout.region("application")
-
         # 4. Move the image.
         if plan.mode is CampaignMode.FULL:
             reply = yield from self._command(
@@ -251,14 +249,13 @@ class _Campaign:
             for index in range(total_blocks):
                 lo = index * plan.block_size
                 chunk = plan.new_image[lo : lo + plan.block_size]
-                reply = yield from self._command(_mem_write_payload(app.start + lo, chunk))
+                reply = yield from self._command(_mem_write_payload(APP_REGION.start + lo, chunk))
                 if not _is_ack(reply, BootloaderCommand.MEM_WRITE):
                     return finish("failed", "block_write_refused")
                 report.blocks_transferred += 1
             # Metadata last: this write is the commit point.
             meta = AppMetadata.for_image(plan.new_image, plan.block_size)
-            reply = yield from self._command(_mem_write_payload(
-                metadata_offset(self.target.device.layout), meta.encode()))
+            reply = yield from self._command(_mem_write_payload(METADATA_OFFSET, meta.encode()))
             if not _is_ack(reply, BootloaderCommand.MEM_WRITE):
                 return finish("failed", "metadata_write_refused")
         else:

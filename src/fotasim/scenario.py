@@ -29,15 +29,15 @@ from pathlib import Path
 from random import Random
 
 from .canbus import BusConfig
-from .flashmodel import DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, REGION_APPLICATION, FlashDevice
+from .flashmodel import APP_REGION, DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, block_count
 from .lka import PidGains, pack_image
 from .nvstore import (
+    APP_CAPACITY,
     APP_ENTER_REG,
-    METADATA_SIZE,
+    MAX_TABLE_BLOCKS,
     AppMetadata,
     BootFlag,
-    max_table_blocks,
     write_app_metadata,
 )
 from .orchestrator import (DEFAULT_REQUEST_ID, DEFAULT_RESPONSE_ID, MASTER_NODE, TARGET_NODE,
@@ -88,16 +88,15 @@ def provision_application(device: FlashDevice, image: bytes,
     Setup helper: erases the application region first and clears the busy
     horizon afterwards, so provisioning never bleeds into simulated time.
     """
-    app = device.layout.region(REGION_APPLICATION)
-    if len(image) > app.size - METADATA_SIZE:
+    if len(image) > APP_CAPACITY:
         raise ScenarioError("image does not fit the application region")
-    if block_count(len(image), block_size) > max_table_blocks():
+    if block_count(len(image), block_size) > MAX_TABLE_BLOCKS:
         raise ScenarioError("image needs more block CRCs than the metadata slot holds")
     was_locked = device.locked
     if was_locked:
         device.unlock(*DEFAULT_UNLOCK_KEYS)
     device.erase_sectors(MASS_ERASE_APPLICATION)
-    device.program(app.start, image)
+    device.program(APP_REGION.start, image)
     write_app_metadata(device, AppMetadata.for_image(image, block_size))
     if was_locked:
         device.reset()

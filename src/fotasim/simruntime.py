@@ -31,8 +31,9 @@ from .bootflow import (
     updater_silent,
 )
 from .canbus import ACCEPT_ALL, Bus, BusConfig, CanError, recv_segmented, send_segmented
-from .flashmodel import new_device
+from .flashmodel import APP_REGION, new_device
 from .lka import (
+    PARAM_END,
     PidGains,
     SteeringState,
     deviation_to_target,
@@ -219,12 +220,10 @@ class Node:
             self.mode = NodeMode.BOOTLOADER
 
     def _enter_application(self) -> None:
-        app = self.device.layout.region("application")
-        try:
-            image, _ = self.device.read(app.start, app.size)
-            gains = read_gains(image)
-        except ValueError:
-            gains = PidGains()
+        # The application region always spans the gains; a short image
+        # leaves them erased, and erased bytes decode as NaN.
+        params, _ = self.device.read(APP_REGION.start, PARAM_END)
+        gains = read_gains(params)
         # NaN-laden parameter blocks fall back to the builtin tuning.
         if not all(g == g for g in (gains.kp, gains.ki, gains.kd)):
             gains = PidGains()

@@ -244,7 +244,7 @@ def test_delta_apply_end_to_end():
     pkg = build_delta(old, bytes(new))
     reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg))
     assert reply == bytes([ACK, BootloaderCommand.DELTA_APPLY])
-    app = ctx.app_region()
+    app = ctx.device.layout.region("application")
     assert ctx.device.read(app.start, len(new))[0] == bytes(new)
     meta, _ = read_app_metadata(ctx.device)
     assert meta.image_crc == crc32(bytes(new))

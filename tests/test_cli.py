@@ -7,10 +7,9 @@ import pytest
 
 from fotasim.cli import main
 from fotasim.delta import DeltaPackage, encode_package
-from fotasim.flashmodel import default_layout
 from fotasim.integrity import crc32
 from fotasim.lka import PidGains, read_gains
-from fotasim.nvstore import app_capacity
+from fotasim.nvstore import APP_CAPACITY
 from fotasim.scenario import generate_image, mutate_blocks
 
 KIB = 1024
@@ -130,7 +129,7 @@ def test_delta_apply_refuses_an_image_past_the_application_region(tmp_path, caps
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert str(app_capacity(default_layout())) in json.loads(out)["error"]
+    assert str(APP_CAPACITY) in json.loads(out)["error"]
     assert peak < 1 << 20
     assert not (tmp_path / "rebuilt.bin").exists()
 

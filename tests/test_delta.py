@@ -520,7 +520,7 @@ def test_program_delta_touches_only_changed_sectors():
     app = device.layout.region(REGION_APPLICATION)
     before_s6 = device.read(app.start + 128 * KIB, KIB)[0]
 
-    assert program_delta(device, app, staged, pkg) == 1  # metadata refresh not counted
+    assert program_delta(device, staged, pkg) == 1  # metadata refresh not counted
     # Sector 6 bytes were never rewritten.
     assert device.read(app.start + 128 * KIB, KIB)[0] == before_s6
     # Whole image readback matches.
@@ -543,7 +543,7 @@ def test_program_delta_counts_every_changed_sector():
     staged = apply_delta(old, pkg)
     device = provisioned_device(old, block_size=2 * KIB)
     device.unlock(*DEFAULT_UNLOCK_KEYS)
-    assert program_delta(device, device.layout.region(REGION_APPLICATION), staged, pkg) == 3
+    assert program_delta(device, staged, pkg) == 3
     assert device.read(device.layout.region(REGION_APPLICATION).start, len(new))[0] == bytes(new)
 
 
@@ -556,7 +556,7 @@ def test_program_delta_duration_accounts_erase_and_program():
     device = provisioned_device(old)
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     busy_before = device.busy_total_us
-    program_delta(device, device.layout.region(REGION_APPLICATION), staged, pkg)
+    program_delta(device, staged, pkg)
     # Two 128 KiB erases (data sector 5 + metadata sector 7), 10 KiB image
     # reprogram, and one metadata record.
     meta_len = len(read_app_metadata(device)[0].encode())
@@ -571,4 +571,4 @@ def test_program_delta_rejects_mismatched_stage():
     device = provisioned_device(old)
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     with pytest.raises(ValueError):
-        program_delta(device, device.layout.region(REGION_APPLICATION), b"short", pkg)
+        program_delta(device, b"short", pkg)

@@ -5,9 +5,14 @@ from random import Random
 import pytest
 
 from fotasim.flashmodel import (
+    APP_REGION,
+    APP_SECTORS,
+    BOOTLOADER_REGION,
+    BOOTLOADER_SECTORS,
     DEFAULT_UNLOCK_KEYS,
     ERASED_BYTE,
     KIB,
+    LAYOUT,
     MASS_ERASE_APPLICATION,
     REGION_APPLICATION,
     REGION_BOOT_MANAGER,
@@ -15,12 +20,9 @@ from fotasim.flashmodel import (
     AddressOutOfRange,
     AlreadyUnlocked,
     BadKeySequence,
-    FlashLayout,
-    InvalidLayout,
     LockedDevice,
     ProgramOnNonErased,
     SectorOutOfRange,
-    default_layout,
     new_device,
     program_cost,
 )
@@ -36,7 +38,7 @@ def unlocked():
 
 
 def test_default_geometry():
-    layout = default_layout()
+    layout = LAYOUT
     assert layout.size == 512 * KIB
     assert [s.size for s in layout.sectors] == [
         16 * KIB, 16 * KIB, 16 * KIB, 16 * KIB, 64 * KIB,
@@ -49,16 +51,20 @@ def test_default_geometry():
 
 
 def test_regions_cover_expected_sectors():
-    layout = default_layout()
-    within = layout.sectors_within(layout.region(REGION_APPLICATION))
-    assert [s.index for s in within] == [5, 6, 7]
+    layout = LAYOUT
+    within_app = layout.sectors_within(layout.region(REGION_APPLICATION))
+    assert [s.index for s in within_app] == [5, 6, 7]
     within = layout.sectors_within(layout.region(REGION_BOOT_MANAGER))
     assert [s.index for s in within] == [0, 1, 2, 3]
     assert [s.index for s in layout.sectors_within(layout.region(REGION_BOOTLOADER))] == [4]
+    assert (APP_REGION, APP_SECTORS) == (layout.region(REGION_APPLICATION), within_app)
+    assert BOOTLOADER_REGION == layout.region(REGION_BOOTLOADER)
+    assert [s.index for s in BOOTLOADER_SECTORS] == [4]
+    assert new_device().layout is LAYOUT
 
 
 def test_sector_at_boundaries():
-    layout = default_layout()
+    layout = LAYOUT
     assert layout.sector_at(0).index == 0
     assert layout.sector_at(16 * KIB - 1).index == 0
     assert layout.sector_at(16 * KIB).index == 1
@@ -70,32 +76,19 @@ def test_sector_at_boundaries():
 
 
 def test_sectors_overlapping_partial_range():
-    layout = default_layout()
+    layout = LAYOUT
     touched = layout.sectors_overlapping(16 * KIB - 1, 16 * KIB + 1)
     assert [s.index for s in touched] == [0, 1]
 
 
 def test_region_contains():
-    app = default_layout().region(REGION_APPLICATION)
+    app = LAYOUT.region(REGION_APPLICATION)
     assert app.contains(app.start)
     assert app.contains(app.end - 1)
     assert not app.contains(app.end)
     assert app.contains(app.start, app.size)
     assert not app.contains(app.start, app.size + 1)
     assert not app.contains(app.start - 1)
-
-
-def test_layout_rejects_misaligned_region():
-    with pytest.raises(InvalidLayout):
-        FlashLayout((16 * KIB,) * 4, {"odd": (100, 16 * KIB)})
-
-
-def test_layout_rejects_overlapping_regions():
-    with pytest.raises(InvalidLayout):
-        FlashLayout(
-            (16 * KIB,) * 4,
-            {"a": (0, 32 * KIB), "b": (16 * KIB, 32 * KIB)},
-        )
 
 
 # -- lock handling -------------------------------------------------------------

@@ -13,10 +13,10 @@ from fotasim.nvstore import (
     AppMetadata,
     BackupRegisters,
     BootFlag,
+    APP_CAPACITY,
+    METADATA_OFFSET,
     MalformedMetadata,
     decode_flag,
-    app_capacity,
-    metadata_offset,
     read_app_metadata,
     write_app_metadata,
 )
@@ -105,9 +105,8 @@ def test_metadata_decode_rejects_truncation():
 
 
 def test_metadata_slot_is_last_kib_of_app_region():
-    device = new_device()
-    assert metadata_offset(device.layout) == 512 * KIB - 1024
-    assert app_capacity(device.layout) == 384 * KIB - 1024
+    assert METADATA_OFFSET == 512 * KIB - 1024
+    assert APP_CAPACITY == 384 * KIB - 1024
 
 
 def test_metadata_flash_roundtrip():
@@ -129,7 +128,7 @@ def test_read_rejects_erased_slot():
 def test_read_rejects_count_beyond_capacity():
     device = new_device()
     device.unlock(*DEFAULT_UNLOCK_KEYS)
-    bogus = AppMetadata(byte_count=app_capacity(device.layout) + 1,
+    bogus = AppMetadata(byte_count=APP_CAPACITY + 1,
                         image_crc=0, table=AppMetadata.for_image(b"x").table)
     write_app_metadata(device, bogus)
     with pytest.raises(MalformedMetadata):

@@ -8,7 +8,7 @@ import pytest
 
 from fotasim.canbus import BusConfig, send_segmented
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
-from fotasim.lka import MOTOR_RIGHT, PidGains
+from fotasim.lka import MOTOR_RIGHT, PARAM_OFFSET, PidGains
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
 from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
@@ -209,6 +209,25 @@ def test_scenario_block_size_does_not_move_the_gains():
     target = world.node("target")
     assert world.run_until(lambda w: target.mode is NodeMode.APPLICATION, 10).met
     assert target.gains == PidGains(3.0, 0.2, 0.4)
+
+
+def test_image_ending_before_the_gains_boots_with_builtin_gains():
+    # A 1 KiB image has no parameter block: the gains bytes the target reads
+    # are erased flash.
+    world, _, target = build_world(old_image=generate_image(KIB, seed=6), seed=6)
+    world.tick()
+    assert target.mode is NodeMode.APPLICATION
+    assert target.gains == PidGains()
+
+
+def test_image_ending_with_the_gains_boots_with_them():
+    gains = PidGains(kp=1.5, ki=0.125, kd=0.25)
+    image = generate_image(PARAM_OFFSET, seed=7) + gains.encode()
+    assert len(image) == PARAM_OFFSET + 24
+    world, _, target = build_world(old_image=image, seed=7)
+    world.tick()
+    assert target.mode is NodeMode.APPLICATION
+    assert target.gains == gains
 
 
 def test_nan_parameter_block_falls_back_to_builtin_gains():

@@ -129,7 +129,7 @@ class EcuContext:
 def app_integrity(device: FlashDevice) -> CompareResult:
     """CRC the stored application against its metadata record."""
     try:
-        meta, _ = read_app_metadata(device)
+        meta = read_app_metadata(device)
     except MalformedMetadata:
         return CompareResult.FAILED
     data, _ = device.read(APP_REGION.start, meta.byte_count)
@@ -249,7 +249,7 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
                 return _nack(code, NACK_FLASH)  # before staging: a header can declare 4 GiB
             base = b""
             try:
-                meta, _ = read_app_metadata(ctx.device)
+                meta = read_app_metadata(ctx.device)
                 base, _ = ctx.device.read(APP_REGION.start, meta.byte_count)
             except MalformedMetadata:
                 pass  # no valid base; verification decides

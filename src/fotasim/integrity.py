@@ -118,10 +118,6 @@ class BlockCrcTable:
             if not 0 <= value <= 0xFFFFFFFF:
                 raise MalformedTable("entries must be 32-bit values")
 
-    @classmethod
-    def for_image(cls, image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockCrcTable":
-        return cls(tuple(block_crcs(image, block_size)))
-
     def encode(self) -> bytes:
         out = bytearray(_U16.pack(len(self.entries)))
         for value in self.entries:

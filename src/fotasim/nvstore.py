@@ -119,17 +119,17 @@ class AppMetadata:
         return cls(int(raw_count), image_crc, table)
 
 
-def read_app_metadata(device: FlashDevice, now_us: int = 0) -> tuple[AppMetadata, int]:
-    """Decode the metadata record from flash; returns ``(metadata, stall_us)``.
+def read_app_metadata(device: FlashDevice) -> AppMetadata:
+    """Decode the metadata record from flash.
 
     Raises :class:`MalformedMetadata` for anything undecodable, including a
     byte count that could not fit the application region.
     """
-    blob, stall = device.read(METADATA_OFFSET, METADATA_SIZE, now_us)
+    blob, _ = device.read(METADATA_OFFSET, METADATA_SIZE)
     meta = AppMetadata.decode(blob)
     if meta.byte_count > APP_CAPACITY:
         raise MalformedMetadata("byte count exceeds application capacity")
-    return meta, stall
+    return meta
 
 
 def write_app_metadata(device: FlashDevice, meta: AppMetadata, now_us: int = 0) -> int:

@@ -29,7 +29,7 @@ from .delta import DEFAULT_GAP_MERGE, build_delta, encode_package
 from .flashmodel import APP_REGION
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .nvstore import APP_CAPACITY, MAX_TABLE_BLOCKS, METADATA_OFFSET, AppMetadata, BootFlag
-from .simruntime import Task, TaskPriority, TaskState, World
+from .simruntime import Task, TaskPriority, World
 from .uds import client_unlock
 
 DEFAULT_REQUEST_ID = 0x101
@@ -91,24 +91,6 @@ class CampaignReport:
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
-
-
-# Read once per tick; EnumType.__getattr__ makes TaskState.DONE ~10x slower than a global.
-_DONE = TaskState.DONE
-
-
-class CampaignHandle:
-    def __init__(self, task: Task, report: CampaignReport):
-        self.task = task
-        self.report = report
-
-    @property
-    def done(self) -> bool:
-        return self.task.state is _DONE
-
-    def cancel(self) -> None:
-        """Abandon the campaign mid-flight (the target is not told)."""
-        self.task.cancel()
 
 
 def _is_ack(reply: bytes | None, code: int) -> bool:
@@ -287,26 +269,32 @@ class _Campaign:
         return finish("success")
 
 
-def start_campaign(world: World, plan: CampaignPlan) -> CampaignHandle:
+def start_campaign(world: World, plan: CampaignPlan) -> Task:
+    """Install a campaign on the master; returns its task.  The task's
+    ``result`` is the campaign's report from the start and fills in as the
+    campaign runs; ``cancel()`` abandons it mid-flight (the target is not
+    told)."""
     campaign = _Campaign(world, plan)
     task = Task.from_generator("campaign", TaskPriority.COMM, campaign.run())
+    task.result = campaign.report
     campaign.master.add_task(task)
-    return CampaignHandle(task, campaign.report)
+    return task
 
 
 def run_campaign(world: World, plan: CampaignPlan,
                  max_ticks: int | None = None) -> CampaignReport:
     """Run a campaign to completion; returns its report."""
-    handle = start_campaign(world, plan)
+    task = start_campaign(world, plan)
     if max_ticks is None:
         # Worst case: every payload byte twice (retries), plus flash stalls.
         max_ticks = 120_000 + 4 * (len(plan.new_image) // 7 + 1)
-    result = world.run_until(lambda w: handle.done, max_ticks)
+    result = world.run_until(lambda w: task.done, max_ticks)
+    report = task.result
     if not result.met:
-        handle.cancel()
-        handle.report.outcome = "failed"
-        handle.report.reason = "campaign_stalled"
-    return handle.report
+        task.cancel()
+        report.outcome = "failed"
+        report.reason = "campaign_stalled"
+    return report
 
 
 def reduction_ratio(delta_report: CampaignReport, full_report: CampaignReport) -> float:

@@ -70,8 +70,8 @@ def mutate_blocks(image: bytes, count: int, seed: int,
     lo, hi = block_range if block_range else (0, total)
     if not (0 <= lo < hi <= total):
         raise ScenarioError(f"block range [{lo}, {hi}) invalid for {total} blocks")
-    if count > hi - lo:
-        raise ScenarioError("more blocks requested than the range holds")
+    if not 0 <= count <= hi - lo:
+        raise ScenarioError(f"cannot rewrite {count} of the range's {hi - lo} blocks")
     rng = Random(seed)
     out = bytearray(image)
     for index in rng.sample(range(lo, hi), count):
@@ -162,32 +162,44 @@ def load_scenario(path: str | Path) -> dict:
     return spec
 
 
-def _resolve_image(spec: dict, name: str, base_dir: Path,
-                   resolved: dict[str, bytes], block_size: int) -> bytes:
+def _section(spec: dict, name: str) -> dict:
+    section = spec.get(name, {})
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{name} section must be an object")
+    return section
+
+
+def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes],
+                   block_size: int, deriving: tuple = ()) -> bytes:
+    if name in deriving:
+        raise ScenarioError(f"images.{name} derives from itself")
     if name in resolved:
         return resolved[name]
-    entry = spec["images"].get(name)
+    entry = images.get(name)
     if not isinstance(entry, dict):
         raise ScenarioError(f"images.{name} missing or not an object")
-    if "path" in entry:
-        try:
+    try:
+        if "path" in entry:
             data = (base_dir / entry["path"]).read_bytes()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read images.{name}: {exc}") from exc
-    elif "base" in entry:
-        base = _resolve_image(spec, entry["base"], base_dir, resolved, block_size)
-        rng_seed = int(entry.get("seed", 0))
-        count = int(entry.get("change_blocks", 1))
-        block_range = entry.get("block_range")
-        if block_range is not None:
-            block_range = (int(block_range[0]), int(block_range[1]))
-        data = mutate_blocks(base, count, rng_seed, block_size, block_range)
-    elif "size" in entry:
-        gains = entry.get("gains")
-        data = generate_image(int(entry["size"]), int(entry.get("seed", 0)),
-                              PidGains(*gains) if gains else None)
-    else:
-        raise ScenarioError(f"images.{name} needs a path, a size or a base")
+            if not data:
+                raise ScenarioError("the file is empty")
+        elif "base" in entry:
+            base = _resolve_image(images, entry["base"], base_dir, resolved, block_size,
+                                  deriving + (name,))
+            rng_seed = int(entry.get("seed", 0))
+            count = int(entry.get("change_blocks", 1))
+            block_range = entry.get("block_range")
+            if block_range is not None:
+                block_range = (int(block_range[0]), int(block_range[1]))
+            data = mutate_blocks(base, count, rng_seed, block_size, block_range)
+        elif "size" in entry:
+            gains = entry.get("gains")
+            data = generate_image(int(entry["size"]), int(entry.get("seed", 0)),
+                                  PidGains(*map(float, gains)) if gains else None)
+        else:
+            raise ScenarioError("needs a path, a size or a base")
+    except (IndexError, OSError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad images.{name}: {exc}") from exc
     resolved[name] = data
     return data
 
@@ -195,9 +207,9 @@ def _resolve_image(spec: dict, name: str, base_dir: Path,
 def world_from_scenario(spec: dict, seed_override: int | None = None
                         ) -> tuple[World, CampaignPlan]:
     """Build a runnable world plus its campaign plan from a scenario dict."""
-    seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
-    bus_spec = spec.get("bus", {})
+    bus_spec, campaign = _section(spec, "bus"), _section(spec, "campaign")
     try:
+        seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
         config = BusConfig(
             frame_time_us=int(bus_spec.get("frame_time_us", BusConfig.frame_time_us)),
             corruption_probability=float(bus_spec.get("corruption_probability", 0.0)),
@@ -205,37 +217,36 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
             rng_seed=seed,
             max_auto_retransmit=bus_spec.get("max_auto_retransmit", BusConfig.max_auto_retransmit),
         )
+        block_size = int(campaign.get("block_size", DEFAULT_BLOCK_SIZE))
+        retry_budget = int(campaign.get("retry_budget", CampaignPlan.retry_budget))
+        gap_merge = int(campaign.get("gap_merge", CampaignPlan.gap_merge))
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad bus section: {exc}") from exc
-
-    campaign = spec.get("campaign", {})
+        raise ScenarioError(f"bad number in the seed, bus or campaign section: {exc}") from exc
+    if block_size < 1 or gap_merge < 0:
+        raise ScenarioError("campaign.block_size must be positive, gap_merge not negative")
     mode_raw = campaign.get("mode", "delta")
     try:
         mode = CampaignMode(mode_raw)
     except ValueError:
         raise ScenarioError(f"campaign.mode {mode_raw!r} unknown") from None
     secret = parse_secret(campaign.get("secret", DEFAULT_SECRET))
-    block_size = int(campaign.get("block_size", DEFAULT_BLOCK_SIZE))
 
+    images = _section(spec, "images")
     base_dir = Path(spec.get("_dir", "."))
     resolved: dict[str, bytes] = {}
-    old_image = _resolve_image(spec, "old", base_dir, resolved, block_size)
-    new_image = _resolve_image(spec, "new", base_dir, resolved, block_size)
+    old_image = _resolve_image(images, "old", base_dir, resolved, block_size)
+    new_image = _resolve_image(images, "new", base_dir, resolved, block_size)
 
-    lka_spec = spec.get("lka", {})
-    deviations = lka_spec.get("deviations")
+    deviations = _section(spec, "lka").get("deviations")
+    if deviations is not None and not (isinstance(deviations, list)
+                                       and all(isinstance(line, str) for line in deviations)):
+        raise ScenarioError("lka.deviations must be a list of strings")
 
     world, _, _ = build_world(
         old_image=old_image, seed=seed, bus=config, secret=secret,
         deviation_lines=deviations, block_size=block_size,
     )
-    plan = CampaignPlan(
-        mode=mode,
-        old_image=old_image,
-        new_image=new_image,
-        shared_secret=secret,
-        retry_budget=int(campaign.get("retry_budget", CampaignPlan.retry_budget)),
-        block_size=block_size,
-        gap_merge=int(campaign.get("gap_merge", CampaignPlan.gap_merge)),
-    )
+    plan = CampaignPlan(mode=mode, old_image=old_image, new_image=new_image,
+                        shared_secret=secret, retry_budget=retry_budget,
+                        block_size=block_size, gap_merge=gap_merge)
     return world, plan

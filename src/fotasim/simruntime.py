@@ -7,11 +7,12 @@ and the 1 ms base tick.  All randomness flows from seeds held in the bus
 and the security sessions, so a (seed, scenario) pair replays to an
 identical event log, byte for byte.
 
-ECU nodes own a flash device, backup registers and a security session and
-live the boot-chain life: reset, decide, then serve as application,
-bootloader or updater until the next reset.  Host nodes are plain task
-carriers (the update master is one).  A software reset preserves backup
-registers; a power cycle clears them.
+A node's ``role`` says what it is.  An ECU owns a flash device, backup
+registers and a security session and lives the boot-chain life: reset,
+decide, then serve as application, bootloader or updater until the next
+reset.  A software reset preserves backup registers; a power cycle clears
+them.  A host (the update master) is an endpoint and the tasks installed
+on it, nothing more.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ class TaskPriority(IntEnum):
     APP = 2
 
 
-class TaskState(Enum):
-    READY = "ready"
-    DONE = "done"
-
-
 class Task:
     """One schedulable unit.  ``step`` runs to completion each tick; a
     generator-backed task is advanced once per tick instead and is done
@@ -69,7 +65,7 @@ class Task:
         self.name = name
         self.priority = priority
         self.step = step
-        self.state = TaskState.READY
+        self.done = False
         self.result = None
 
     @classmethod
@@ -81,32 +77,30 @@ class Task:
                 next(gen)
             except StopIteration as stop:
                 task.result = stop.value
-                task.state = TaskState.DONE
+                task.done = True
 
         task.step = advance
         return task
 
     def cancel(self) -> None:
-        self.state = TaskState.DONE
+        self.done = True
 
 
 class NodeMode(Enum):
-    HOST = "host"
     BOOT = "boot"
     APPLICATION = "application"
     BOOTLOADER = "bootloader"
     UPDATER = "updater"
 
 
-# Tick-loop aliases: EnumType.__getattr__ makes each TaskState.X read ~10x slower than a global.
-_READY, _DONE, _BOOT, _HOST, _APPLICATION = (
-    TaskState.READY, TaskState.DONE, NodeMode.BOOT, NodeMode.HOST, NodeMode.APPLICATION)
+# Tick-loop aliases: EnumType.__getattr__ makes each NodeMode.X read ~10x slower than a global.
+_BOOT, _APPLICATION = NodeMode.BOOT, NodeMode.APPLICATION
 
 
 class Node:
-    """One bus participant.  ``role == "ecu"`` gives it flash, registers, a
-    security session and the boot-chain behaviour; ``role == "host"`` gives
-    it only an endpoint and whatever tasks get installed."""
+    """One bus participant.  A host (``role == "host"``) is its endpoint and
+    whatever tasks get installed; an ECU (``role == "ecu"``) also gets flash,
+    registers, a security session and the boot-chain behaviour."""
 
     def __init__(self, world: "World", name: str, node_id: int, *,
                  role: str = "ecu",
@@ -114,49 +108,42 @@ class Node:
                  reply_id: int | None = None,
                  shared_secret: int = 0,
                  session_seed: int = 1,
-                 version: tuple[int, int, int] = (1, 0, 0),
                  updater_image: bytes | None = None,
                  updater_style: str = "serve",
                  deviation_feed=None,
                  fault_hook=None):
-        self.world = world
         self.name = name
         self.node_id = node_id
         self.role = role
         self.endpoint = world.bus.attach(node_id, filters)
+        self.tasks: list[Task] = []
+        if role == "host":
+            return
+
+        self.world = world
         self.reply_id = reply_id
         self.device = new_device()
         self.regs = BackupRegisters()
         self.session = SecuritySession(shared_secret, session_seed)
         self.updater_style = updater_style
         self.deviation_feed = iter(deviation_feed) if deviation_feed is not None else None
-
-        self.mode = NodeMode.HOST if role == "host" else NodeMode.BOOT
+        self.mode = NodeMode.BOOT
         self.pending_reset = False
         self.boot_count = 0
-        self.tasks: list[Task] = []
-
         self.ctx = EcuContext(
             device=self.device,
             regs=self.regs,
             session=self.session,
-            version=version,
             updater_image=updater_image,
             now=lambda: self.world.clock_us,
             log=lambda event, **detail: self.world.log(self.name, event, **detail),
             request_reset=self._request_reset,
             fault_hook=fault_hook,
         )
-
         # Steering loop state, live while the node runs as an application.
-        self.gains = PidGains()
-        self.steering = SteeringState()
-        self.steering_target = 0.0
-        self.motor = 0
-
-        if role == "ecu":
-            self.add_task(Task("serve", TaskPriority.COMM, self._serve_step))
-            self.add_task(Task("steer", TaskPriority.APP, self._app_step))
+        self._start_steering(PidGains())
+        self.add_task(Task("serve", TaskPriority.COMM, self._serve_step))
+        self.add_task(Task("steer", TaskPriority.APP, self._app_step))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -178,30 +165,29 @@ class Node:
         self.device.reset()
         self.endpoint.clear()
         self.pending_reset = False
-        if self.role == "ecu":
-            self.mode = NodeMode.BOOT
+        self.mode = NodeMode.BOOT
         self.world.log(self.name, "Reset", kind=kind)
 
     # -- per-tick behaviour --------------------------------------------------
 
     def run_tick(self) -> None:
-        if self.pending_reset:
-            if self.endpoint.tx:
-                return  # flush queued replies, then go down
-            self._reset("software")
-            return
-        if self.world.clock_us < self.device.busy_until_us:
-            return  # stalled on a flash operation
-        if self.mode is _BOOT:
-            self._boot()
-            return
+        if self.role == "ecu":
+            if self.pending_reset:
+                if not self.endpoint.tx:  # flush queued replies, then go down
+                    self._reset("software")
+                return
+            if self.world.clock_us < self.device.busy_until_us:
+                return  # stalled on a flash operation
+            if self.mode is _BOOT:
+                self._boot()
+                return
         tasks = self.tasks
         for task in tasks:
-            if task.state is _READY:
+            if not task.done:
                 task.step()
         for task in tasks:
-            if task.state is _DONE:
-                self.tasks = [t for t in tasks if t.state is not _DONE]
+            if task.done:
+                self.tasks = [t for t in tasks if not t.done]
                 break
 
     def _boot(self) -> None:
@@ -227,13 +213,16 @@ class Node:
         # NaN-laden parameter blocks fall back to the builtin tuning.
         if not all(g == g for g in (gains.kp, gains.ki, gains.kd)):
             gains = PidGains()
+        self._start_steering(gains)
+
+    def _start_steering(self, gains: PidGains) -> None:
         self.gains = gains
         self.steering = SteeringState()
         self.steering_target = 0.0
         self.motor = 0
 
     def _serve_step(self) -> None:
-        if self.mode in (_BOOT, _HOST):
+        if self.mode is _BOOT:
             return
         while self.endpoint.rx and not self.pending_reset:
             try:

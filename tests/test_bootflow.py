@@ -246,7 +246,7 @@ def test_delta_apply_end_to_end():
     assert reply == bytes([ACK, BootloaderCommand.DELTA_APPLY])
     app = ctx.device.layout.region("application")
     assert ctx.device.read(app.start, len(new))[0] == bytes(new)
-    meta, _ = read_app_metadata(ctx.device)
+    meta = read_app_metadata(ctx.device)
     assert meta.image_crc == crc32(bytes(new))
 
 

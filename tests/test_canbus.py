@@ -14,7 +14,6 @@ from fotasim.canbus import (
     CanFrame,
     ChecksumMismatch,
     DuplicateNode,
-    FrameKind,
     MalformedFrame,
     PayloadTooLarge,
     SequenceGap,
@@ -49,12 +48,6 @@ def test_duplicate_node_id_rejected():
     bus.attach(1)
     with pytest.raises(DuplicateNode):
         bus.attach(1)
-
-
-def test_error_frames_cannot_be_transmitted():
-    bus, a, _ = two_node_bus()
-    with pytest.raises(MalformedFrame):
-        bus.transmit(a, CanFrame(0x100, b"x", FrameKind.ERROR))
 
 
 # -- arbitration ----------------------------------------------------------------

@@ -174,12 +174,45 @@ def test_sim_run_missing_scenario_is_a_usage_error(tmp_path, capsys):
     assert "not found" in err
 
 
-def test_sim_run_bad_scenario_is_an_operation_error(tmp_path, capsys):
+GOOD_IMAGES = {"old": {"size": 16 * KIB, "seed": 1},
+               "new": {"base": "old", "change_blocks": 3, "seed": 2}}
+
+
+@pytest.mark.parametrize("spec, needle", [
+    pytest.param({"seed": 1}, "images", id="no-images"),
+    pytest.param({"images": [1, 2]}, "images", id="images-list"),
+    pytest.param({"images": GOOD_IMAGES, "bus": [1]}, "bus", id="bus-list"),
+    pytest.param({"images": GOOD_IMAGES, "seed": "x"}, "seed", id="seed-not-a-number"),
+    pytest.param({"images": {"old": {"base": "old"}, "new": {"base": "old"}}},
+                 "images.old derives from itself", id="image-based-on-itself"),
+    pytest.param({"images": {"old": {"base": "new"}, "new": {"base": "old"}}},
+                 "derives from itself", id="image-base-cycle"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"block_size": 0}},
+                 "block_size", id="block-size-zero"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"retry_budget": "x"}},
+                 "campaign", id="retry-budget-not-a-number"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "change_blocks": -1}}},
+                 "images.new", id="negative-change-blocks"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "block_range": [1]}}},
+                 "images.new", id="block-range-one-bound"),
+    pytest.param({"images": {"old": {"size": KIB, "gains": "abc"}, "new": {"size": KIB}}},
+                 "images.old", id="gains-not-numbers"),
+    pytest.param({"images": {"old": {"path": "empty.bin"}, "new": {"size": KIB}}},
+                 "images.old", id="empty-path-image"),
+    pytest.param({"images": GOOD_IMAGES, "lka": {"deviations": 5}},
+                 "lka.deviations", id="deviations-a-number"),
+    pytest.param({"images": GOOD_IMAGES, "lka": {"deviations": [5]}},
+                 "lka.deviations", id="deviations-of-numbers"),
+])
+def test_sim_run_bad_scenario_is_an_operation_error(tmp_path, capsys, spec, needle):
+    (tmp_path / "empty.bin").write_bytes(b"")
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps({"seed": 1}))  # no images section
+    path.write_text(json.dumps(spec))
     code, out, _ = run_cli(capsys, "sim", "run", str(path))
     assert code == 1
-    assert "images" in json.loads(out)["error"]
+    assert needle in json.loads(out)["error"]
 
 
 def test_sim_run_executes_a_delta_campaign(tmp_path, capsys):

@@ -527,7 +527,7 @@ def test_program_delta_touches_only_changed_sectors():
     assert device.read(app.start, len(new))[0] == bytes(new)
     # Metadata was refreshed to describe the new image.
     device.reset()
-    meta, _ = read_app_metadata(device)
+    meta = read_app_metadata(device)
     assert meta.byte_count == len(new)
     assert meta.image_crc == crc32(bytes(new))
 
@@ -559,7 +559,7 @@ def test_program_delta_duration_accounts_erase_and_program():
     program_delta(device, staged, pkg)
     # Two 128 KiB erases (data sector 5 + metadata sector 7), 10 KiB image
     # reprogram, and one metadata record.
-    meta_len = len(read_app_metadata(device)[0].encode())
+    meta_len = len(read_app_metadata(device).encode())
     expected = 2 * 1_000_000 + (10 * KIB // 4) * 16 + -(-meta_len // 4) * 16
     assert device.busy_total_us - busy_before == expected
 

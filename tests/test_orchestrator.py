@@ -204,6 +204,18 @@ def test_handle_exposes_progress_and_cancel():
     assert handle.done
 
 
+def test_campaign_task_result_is_the_live_report():
+    old, new = image_pair(size=16 * KIB, changed=2)
+    world, _, _ = build_world(old_image=old, seed=13)
+    task = start_campaign(world, plan_for(CampaignMode.DELTA, old, new))
+    report = task.result
+    assert isinstance(report, CampaignReport)
+    assert (report.mode, report.total_duration_us) == ("delta", 0)
+    assert world.run_until(lambda w: task.done, max_ticks=60_000).met
+    assert task.result is report
+    assert report.success and report.total_duration_us > 0
+
+
 def test_report_serializes_to_sorted_json():
     old, new = image_pair(size=16 * KIB, changed=2)
     world, _, _ = build_world(old_image=old, seed=12)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,6 @@ from fotasim.simruntime import (
     NodeMode,
     Task,
     TaskPriority,
-    TaskState,
     World,
 )
 
@@ -59,9 +59,9 @@ def test_generator_task_advances_once_per_tick_and_keeps_result():
     task = Task.from_generator("worker", TaskPriority.APP, worker())
     node.add_task(task)
     world.tick()
-    assert task.state is TaskState.READY and task.result is None
+    assert not task.done and task.result is None
     world.run_ticks(2)
-    assert task.state is TaskState.DONE
+    assert task.done
     assert task.result == 42
     world.tick()
     assert task not in node.tasks
@@ -156,6 +156,18 @@ def test_run_until_gives_up_after_the_budget():
     assert result.met is False
     assert result.ticks == 5
     assert result.at_time_us == world.clock_us == 5 * DEFAULT_TICK_US
+
+
+def test_a_host_node_is_its_endpoint_and_its_tasks():
+    tracemalloc.start()
+    try:
+        _, master, _ = build_world(old_image=generate_image(KIB, seed=1), seed=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for ecu_state in ("device", "regs", "session", "ctx"):
+        assert not hasattr(master, ecu_state)
+    assert held < 768 * KIB
 
 
 def test_duplicate_node_name_is_rejected():
@@ -297,19 +309,27 @@ def test_power_cycle_clears_backup_registers_and_busy_time():
 # -- flash stalls ----------------------------------------------------------
 
 
+def booted_ecu():
+    """An erased ECU after its boot tick: in the bootloader at 1 ms."""
+    world = World()
+    node = world.add_node("ecu", 2, role="ecu")
+    world.tick()
+    return world, node
+
+
 def test_flash_busy_window_gates_every_task():
-    world, node = host_world()
+    world, node = booted_ecu()
     hits = []
     node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(1)))
-    node.device.busy_until_us = 2500
-    world.run_ticks(3)  # clock samples 0, 1000, 2000: all inside the window
+    node.device.busy_until_us = 3500
+    world.run_ticks(3)  # clock samples 1000, 2000, 3000: all inside the window
     assert hits == []
-    world.tick()  # clock 3000
+    world.tick()  # clock 4000
     assert hits == [1]
 
 
 def test_flash_time_accumulates_and_extends_the_stall():
-    world, node = host_world()
+    world, node = booted_ecu()
     device = node.device
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     hits = []
@@ -317,9 +337,9 @@ def test_flash_time_accumulates_and_extends_the_stall():
     device.program(0, bytes(1000), world.clock_us)  # 250 words: 4000 us
     device.program(1000, bytes(500), world.clock_us)  # 2000 us, queued behind it
     assert device.busy_total_us == 6000
-    assert node.busy_until_us == device.busy_until_us == 6000
-    world.run_ticks(7)  # clock samples 0..6000: the node stalls until 6000
-    assert hits == [6000]
+    assert node.busy_until_us == device.busy_until_us == 7000
+    world.run_ticks(7)  # clock samples 1000..7000: the node stalls until 7000
+    assert hits == [7000]
     world.run_ticks(2)  # idle gap
     device.program(1500, bytes(500), world.clock_us)  # stall starts from now
     assert device.busy_total_us == 8000

@@ -11,11 +11,13 @@ frame: the pending frame with the lowest id wins arbitration (FIFO order
 breaks ties).  Fault injection corrupts or drops the frame under
 transmission; a corrupted frame is signalled as an error frame and never
 reaches a receive FIFO, and the sender re-queues it until its retransmit
-budget runs out, at which point the node counts a bus-off.
+budget runs out, at which point the node counts a bus-off.  A stream is
+that step repeated for one sender's frame train, one frame per tick.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -179,28 +181,98 @@ class Bus:
     def pending(self) -> bool:
         return any(ep.tx for ep in self._endpoints)
 
-    def step(self, now_us: int = 0) -> tuple[list[tuple[int, CanFrame]], int]:
-        """Transmit at most one frame; returns ``(delivered, elapsed_us)``.
-
-        ``delivered`` lists ``(receiver node_id, frame)`` pairs.  ``elapsed``
-        is the frame time when a frame occupied the bus, zero when idle.
-        """
+    def _winner(self) -> Endpoint | None:
+        """The endpoint whose head frame wins arbitration, or None when idle."""
         sender = None
         for ep in self._endpoints:
             if ep.tx:
                 head = ep.tx[0]
                 if sender is None or (head.frame.can_id, head.order) < (best.frame.can_id, best.order):
                     sender, best = ep, head
+        return sender
+
+    def step(self, now_us: int = 0) -> tuple[list[tuple[int, CanFrame]], int]:
+        """Transmit at most one frame; returns ``(delivered, elapsed_us)``.
+
+        ``delivered`` lists ``(receiver node_id, frame)`` pairs.  ``elapsed``
+        is the frame time when a frame occupied the bus, zero when idle.
+        """
+        sender = self._winner()
         if sender is None:
             return [], 0
+        frame = self._land(sender, now_us)
+        delivered = []
+        if frame is not None:
+            for ep in self._endpoints:
+                if ep is not sender and ep.accepts(frame.can_id):
+                    ep.rx.append(frame)
+                    delivered.append((ep.node_id, frame))
+            self.stats.deliveries += len(delivered)
+        return delivered, self.config.frame_time_us
+
+    def stream(self, now_us: int, tick_us: int, max_frames: int,
+               listeners: list[Endpoint]) -> int:
+        """Transmit the winning sender's frames back to back, one per tick of
+        ``tick_us`` starting at ``now_us``; returns how many were sent.
+
+        This is :meth:`step` repeated while the outcome of each step is
+        already known: the stream carries one sender and one id, and stops
+        after ``max_frames``, at a frame with another id, at one that
+        another sender's queued frame would beat, and at one that a
+        ``listeners`` endpoint could not take into reassembly without
+        completing or breaking a message.  A delivered frame goes straight
+        into each listener's reassembly and onto the receive FIFO of every
+        other accepting endpoint.  Draws, statistics, trace rows,
+        retransmits and bus-offs are exactly those of the same steps.
+        """
+        sender = self._winner()
+        if sender is None:
+            return 0
+        tx = sender.tx
+        can_id = tx[0].frame.can_id
+        # The sender keeps the bus until its next frame would lose to another
+        # sender's queued frame: one with a lower id, or the same id queued earlier.
+        rival = min(((ep.tx[0].frame.can_id, ep.tx[0].order)
+                     for ep in self._endpoints if ep.tx and ep is not sender),
+                    default=(MAX_STANDARD_ID + 1, 0))
+        last_order = rival[1] if rival[0] == can_id else math.inf
+        deaf, hear = [], []
+        for ep in self._endpoints:
+            if ep is not sender and ep.accepts(can_id):
+                (hear if ep in listeners else deaf).append(ep)
+        receivers = len(deaf) + len(hear)
+        land, stats = self._land, self.stats
+        sent = 0
+        while sent < max_frames and tx:
+            entry = tx[0]
+            frame = entry.frame
+            if frame.can_id != can_id or entry.order > last_order:
+                break
+            for ep in hear:
+                if not _is_quiet(ep._assembly.get(can_id), frame):
+                    return sent
+            if land(sender, now_us) is not None:
+                for ep in deaf:
+                    ep.rx.append(frame)
+                for ep in hear:
+                    _take_quiet(ep, ep._assembly.get(can_id), frame)
+                stats.deliveries += receivers
+            now_us += tick_us
+            sent += 1
+        return sent
+
+    def _land(self, sender: Endpoint, now_us: int) -> CanFrame | None:
+        """Put the sender's head frame on the bus: count it, draw the fault
+        lottery, trace it, and re-queue or drop it when it is corrupted or
+        lost.  Returns the frame when it reaches the receivers."""
         entry = sender.tx.popleft()
         frame = entry.frame
         dlc = len(frame.data)
 
-        stats, elapsed = self.stats, self.config.frame_time_us
+        stats = self.stats
         stats.frames_sent += 1
         stats.payload_bytes += dlc
-        stats.busy_time_us += elapsed
+        stats.busy_time_us += self.config.frame_time_us
 
         roll = self.rng.random()
         if roll < self.config.corruption_probability and dlc > 0:
@@ -210,21 +282,14 @@ class Bus:
             if self.trace_enabled:
                 self._trace(now_us, frame.can_id, mangled, "error")
             self._retransmit(sender, entry)
-            return [], elapsed
+            return None
         if roll < self.config.corruption_probability + self.config.drop_probability:
             stats.dropped += 1
             self._retransmit(sender, entry)
-            return [], elapsed
-
+            return None
         if self.trace_enabled:
             self._trace(now_us, frame.can_id, frame.data, "data")
-        delivered = []
-        for ep in self._endpoints:
-            if ep is not sender and ep.accepts(frame.can_id):
-                ep.rx.append(frame)
-                delivered.append((ep.node_id, frame))
-        stats.deliveries += len(delivered)
-        return delivered, elapsed
+        return frame
 
     def _retransmit(self, sender: Endpoint, entry: _TxEntry) -> None:
         budget = self.config.max_auto_retransmit
@@ -255,6 +320,29 @@ def send_segmented(bus: Bus, endpoint: Endpoint, can_id: int, payload: bytes) ->
     return 2 + seq  # the header plus seq + 1 body frames
 
 
+def _is_quiet(state: _Assembly | None, frame: CanFrame) -> bool:
+    """The reassembly rule :func:`recv_segmented` and :meth:`Bus.stream`
+    share: whether taking ``frame`` into ``state`` (the open assembly on its
+    id, if any) neither completes nor breaks a message.  That holds for a
+    header where no assembly is open and for the next body frame short of
+    the payload's end."""
+    data = frame.data
+    if state is None:
+        return len(data) == _HEADER.size and data[0] == HEADER_MARKER
+    return (bool(data) and data[0] == state.seq & 0xFF
+            and len(state.buf) + len(data) - 1 < state.expected)
+
+
+def _take_quiet(endpoint: Endpoint, state: _Assembly | None, frame: CanFrame) -> None:
+    """Take a frame for which :func:`_is_quiet` holds."""
+    if state is None:
+        _, length, crc, _ = _HEADER.unpack(frame.data)
+        endpoint._assembly[frame.can_id] = _Assembly(length, crc)
+    else:
+        state.buf += frame.data[1:]
+        state.seq += 1
+
+
 def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
     """Feed queued frames into reassembly; returns the next complete message,
     or None while one is still pending.
@@ -266,34 +354,32 @@ def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
     while endpoint.rx:
         frame = endpoint.rx.popleft()
         state = endpoint._assembly.get(frame.can_id)
+        if _is_quiet(state, frame):
+            _take_quiet(endpoint, state, frame)
+            continue
         if state is None:
-            if frame.dlc == _HEADER.size and frame.data[0] == HEADER_MARKER:
-                marker, length, crc, _ = _HEADER.unpack(frame.data)
-                endpoint._assembly[frame.can_id] = _Assembly(length, crc)
-                continue
             raise SequenceGap(f"body frame on id 0x{frame.can_id:X} without a header")
+        del endpoint._assembly[frame.can_id]
         if frame.dlc < 1 or frame.data[0] != state.seq & 0xFF:
-            del endpoint._assembly[frame.can_id]
             got = frame.data[0] if frame.dlc else None
             raise SequenceGap(f"expected seq {state.seq & 0xFF}, got {got}")
         state.buf += frame.data[1:]
-        state.seq += 1
-        if len(state.buf) >= state.expected:
-            del endpoint._assembly[frame.can_id]
-            payload = bytes(state.buf[: state.expected])
-            if len(state.buf) != state.expected or crc32(payload) != state.crc:
-                raise ChecksumMismatch(f"payload on id 0x{frame.can_id:X} failed its checksum")
-            return SegmentedMessage(frame.can_id, payload)
+        payload = bytes(state.buf[: state.expected])
+        if len(state.buf) != state.expected or crc32(payload) != state.crc:
+            raise ChecksumMismatch(f"payload on id 0x{frame.can_id:X} failed its checksum")
+        return SegmentedMessage(frame.can_id, payload)
     return None
 
 
 def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
-    """Wait for a reply as a coroutine, yielding once per tick.
+    """Wait for a reply as a coroutine that yields its deadline.
 
     Returns the first reassembled payload for which ``accept(payload)``
     holds, or None once ``now()`` reaches ``deadline_us``.  Payloads that
     ``accept`` refuses are drained as stray traffic; a mangled message is
-    dropped and the deadline decides.
+    dropped and the deadline decides.  Each yield hands ``deadline_us`` to
+    the scheduler: until then the waiter has nothing to do unless a message
+    completes or breaks on ``endpoint``, so a world may skip those ticks.
     """
     while now() < deadline_us:
         try:
@@ -304,5 +390,5 @@ def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
             if accept(msg.payload):
                 return msg.payload
             continue
-        yield
+        yield deadline_us
     return None

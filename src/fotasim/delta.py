@@ -44,6 +44,7 @@ from .nvstore import APP_CAPACITY, METADATA_OFFSET, AppMetadata, write_app_metad
 
 MAGIC = b"FDP1"
 VERSION = 1
+MAX_BLOCK_SIZE = 0x10000  # tuple offsets are 16-bit
 
 # Diff runs separated by fewer than this many equal bytes are merged; the
 # per-tuple framing overhead is not worth chasing shorter gaps.
@@ -174,7 +175,7 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         raise EmptyImage("delta inputs must be non-empty")
     if block_size < 1:
         raise ValueError("block_size must be positive")
-    if block_size > 0x10000:
+    if block_size > MAX_BLOCK_SIZE:
         raise ValueError(f"block_size {block_size} exceeds 0x10000: tuple offsets are 16-bit")
     if gap_merge < 0:
         raise ValueError("gap_merge cannot be negative")

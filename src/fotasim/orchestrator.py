@@ -39,6 +39,10 @@ DEFAULT_RESPONSE_ID = 0x201
 MASTER_NODE = "master"
 TARGET_NODE = "target"
 
+# A full campaign's block rides in one MEM_WRITE after its command byte,
+# 4-byte address and 2-byte length.
+MAX_FULL_BLOCK_SIZE = MAX_SEGMENTED_PAYLOAD - 7
+
 DEFAULT_COMMAND_DEADLINE_US = 5_000_000
 DEFAULT_BOOT_DEADLINE_US = 10_000_000
 
@@ -129,7 +133,7 @@ class _Campaign:
         )
         self.command_retries = 0
 
-    # -- low-level helpers, all generators advanced once per tick ------------
+    # -- low-level helpers, all generators that yield their deadline ---------
 
     def _now(self) -> int:
         return self.world.clock_us
@@ -151,6 +155,9 @@ class _Campaign:
             self.command_retries += 1
 
     def _wait_decision(self, decision: str, from_index: int, deadline_us: int):
+        """Wait for the target to log ``decision`` at or after event
+        ``from_index``; yields its deadline, so only a new event or the
+        deadline needs a tick."""
         index = from_index
         while self._now() < deadline_us:
             events = self.world.events
@@ -160,7 +167,7 @@ class _Campaign:
                 if (e["node"] == TARGET_NODE and e["event"] == "Decision"
                         and e.get("decision") == decision):
                     return True
-            yield
+            yield deadline_us
         return False
 
     def _unlock(self):

@@ -16,6 +16,10 @@ A scenario file is JSON with four optional sections::
       "lka": {"deviations": ["0.10\\n", "-0.02\\n"]}
     }
 
+``max_auto_retransmit`` is a non-negative integer, or ``null`` for no
+budget.  ``block_size`` is at most 0x10000 in delta mode and 65,528 in full
+mode, where a block rides in one MEM_WRITE.
+
 Images come either from disk (``{"path": "old.bin"}``, relative to the
 scenario file) or from a seeded generator, so a scenario can be entirely
 self-contained.  ``new`` may derive from ``old`` by rewriting a given
@@ -29,6 +33,7 @@ from pathlib import Path
 from random import Random
 
 from .canbus import BusConfig
+from .delta import MAX_BLOCK_SIZE
 from .flashmodel import APP_REGION, DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, block_count
 from .lka import PidGains, pack_image
@@ -40,8 +45,8 @@ from .nvstore import (
     BootFlag,
     write_app_metadata,
 )
-from .orchestrator import (DEFAULT_REQUEST_ID, DEFAULT_RESPONSE_ID, MASTER_NODE, TARGET_NODE,
-                           CampaignMode, CampaignPlan)
+from .orchestrator import (DEFAULT_REQUEST_ID, DEFAULT_RESPONSE_ID, MASTER_NODE,
+                           MAX_FULL_BLOCK_SIZE, TARGET_NODE, CampaignMode, CampaignPlan)
 from .simruntime import Node, World
 
 DEFAULT_SECRET = 0x5EC10ACE
@@ -208,6 +213,9 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
                         ) -> tuple[World, CampaignPlan]:
     """Build a runnable world plus its campaign plan from a scenario dict."""
     bus_spec, campaign = _section(spec, "bus"), _section(spec, "campaign")
+    retransmit = bus_spec.get("max_auto_retransmit", BusConfig.max_auto_retransmit)
+    if retransmit is not None and not (type(retransmit) is int and retransmit >= 0):
+        raise ScenarioError("bus.max_auto_retransmit must be a non-negative integer or null")
     try:
         seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
         config = BusConfig(
@@ -215,7 +223,7 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
             corruption_probability=float(bus_spec.get("corruption_probability", 0.0)),
             drop_probability=float(bus_spec.get("drop_probability", 0.0)),
             rng_seed=seed,
-            max_auto_retransmit=bus_spec.get("max_auto_retransmit", BusConfig.max_auto_retransmit),
+            max_auto_retransmit=retransmit,
         )
         block_size = int(campaign.get("block_size", DEFAULT_BLOCK_SIZE))
         retry_budget = int(campaign.get("retry_budget", CampaignPlan.retry_budget))
@@ -229,6 +237,9 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
         mode = CampaignMode(mode_raw)
     except ValueError:
         raise ScenarioError(f"campaign.mode {mode_raw!r} unknown") from None
+    most = MAX_BLOCK_SIZE if mode is CampaignMode.DELTA else MAX_FULL_BLOCK_SIZE
+    if block_size > most:
+        raise ScenarioError(f"campaign.block_size {block_size} exceeds {most} in {mode.value} mode")
     secret = parse_secret(campaign.get("secret", DEFAULT_SECRET))
 
     images = _section(spec, "images")

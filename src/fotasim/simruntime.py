@@ -7,6 +7,17 @@ and the 1 ms base tick.  All randomness flows from seeds held in the bus
 and the security sessions, so a (seed, scenario) pair replays to an
 identical event log, byte for byte.
 
+:meth:`World.tick` is that tick.  :meth:`World.run_ticks` and
+:meth:`World.run_until` give the same result, tick count and clock, but pass
+a span of ticks in one step when no node's ``run_tick`` would act in any of
+them.  A node is quiet while it waits: an ECU stalled on flash until its
+busy horizon, an ECU serving as bootloader or updater until a message
+completes or breaks on its endpoint, a host until every task's yielded
+deadline or such a message.  During a span the bus streams one sender's
+frames (:meth:`Bus.stream <fotasim.canbus.Bus.stream>`), or, when it is
+idle, the clock jumps to the earliest wake-up.  Steering in the application
+runs every tick, and so does any task without a deadline.
+
 A node's ``role`` says what it is.  An ECU owns a flash device, backup
 registers and a security session and lives the boot-chain life: reset,
 decide, then serve as application, bootloader or updater until the next
@@ -18,6 +29,7 @@ on it, nothing more.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
@@ -59,7 +71,13 @@ class TaskPriority(IntEnum):
 class Task:
     """One schedulable unit.  ``step`` runs to completion each tick; a
     generator-backed task is advanced once per tick instead and is done
-    when the generator returns (its return value lands in ``result``)."""
+    when the generator returns (its return value lands in ``result``).
+
+    ``wake_us`` is the clock the task next needs a tick at; None means every
+    tick.  A generator sets it by what it yields: a deadline in us promises
+    that until the clock reaches it, resuming the generator does nothing
+    unless a message completes or breaks on its node's endpoint or an event
+    is logged; a bare ``yield`` asks for the next tick."""
 
     def __init__(self, name: str, priority: TaskPriority, step: Callable[[], None]):
         self.name = name
@@ -67,6 +85,7 @@ class Task:
         self.step = step
         self.done = False
         self.result = None
+        self.wake_us: float | None = None
 
     @classmethod
     def from_generator(cls, name: str, priority: TaskPriority, gen) -> "Task":
@@ -74,7 +93,7 @@ class Task:
 
         def advance() -> None:
             try:
-                next(gen)
+                task.wake_us = next(gen)
             except StopIteration as stop:
                 task.result = stop.value
                 task.done = True
@@ -95,6 +114,8 @@ class NodeMode(Enum):
 
 # Tick-loop aliases: EnumType.__getattr__ makes each NodeMode.X read ~10x slower than a global.
 _BOOT, _APPLICATION = NodeMode.BOOT, NodeMode.APPLICATION
+
+_NEVER = math.inf  # the wake-up of a node that only a frame or an event can stir
 
 
 class Node:
@@ -142,8 +163,12 @@ class Node:
         )
         # Steering loop state, live while the node runs as an application.
         self._start_steering(PidGains())
-        self.add_task(Task("serve", TaskPriority.COMM, self._serve_step))
-        self.add_task(Task("steer", TaskPriority.APP, self._app_step))
+        # Serving acts only on received frames and steering only in the
+        # application: _quiet gates on both, so neither task sets a wake-up.
+        for task in (Task("serve", TaskPriority.COMM, self._serve_step),
+                     Task("steer", TaskPriority.APP, self._app_step)):
+            task.wake_us = _NEVER
+            self.add_task(task)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -189,6 +214,31 @@ class Node:
             if task.done:
                 self.tasks = [t for t in tasks if not t.done]
                 break
+
+    def _quiet(self, now_us: int) -> tuple[float, bool] | None:
+        """None when ``run_tick`` at ``now_us`` could act; otherwise
+        ``(wake_us, listens)``: the clock of the first tick at which it
+        could, and whether it reads its endpoint.  A listening node has an
+        empty receive FIFO and acts when a message completes or breaks on
+        it; a deaf one (a stalled ECU, a host with no tasks) lets frames
+        queue until it wakes."""
+        if self.role == "ecu":
+            if self.pending_reset:
+                return None
+            if now_us < self.device.busy_until_us:
+                return self.device.busy_until_us, False
+            if self.mode is _BOOT or self.mode is _APPLICATION:
+                return None
+        elif not self.tasks:
+            return _NEVER, False
+        if self.endpoint.rx:
+            return None
+        wake = _NEVER
+        for task in self.tasks:
+            if task.done or task.wake_us is None or task.wake_us <= now_us:
+                return None
+            wake = min(wake, task.wake_us)
+        return wake, True
 
     def _boot(self) -> None:
         self.world.log(self.name, "Boot")
@@ -272,6 +322,7 @@ class World:
         self._nodes: tuple[Node, ...] = ()  # insertion order, for the tick loop
         self.events: list[dict] = []
         self.last_tick_time = 0
+        self._events_before_tick = 0  # len(events) when the last tick began
 
     # -- construction --------------------------------------------------------
 
@@ -294,25 +345,71 @@ class World:
         self.events.append(entry)
 
     def tick(self) -> None:
+        """One tick: a bus step, then every node's ``run_tick``."""
+        self._events_before_tick = len(self.events)
         self.last_tick_time = self.clock_us
         _, elapsed = self.bus.step(self.clock_us)
         for node in self._nodes:
             node.run_tick()
         self.clock_us += max(elapsed, DEFAULT_TICK_US)
 
+    def _advance(self, budget: int) -> int:
+        """Move time by up to ``budget`` ticks; returns how many it took.
+
+        Takes one :meth:`tick`, or a span of ticks in which no node's
+        ``run_tick`` would act: the bus streams one sender's frames, or,
+        when it is idle, the clock jumps to the earliest wake-up.  No span
+        follows a tick that logged an event, since a node earlier in tick
+        order has not yet seen it."""
+        now = self.clock_us
+        if len(self.events) == self._events_before_tick:
+            wake, listeners = _NEVER, []
+            for node in self._nodes:
+                quiet = node._quiet(now)
+                if quiet is None:
+                    break
+                wake = min(wake, quiet[0])
+                if quiet[1]:
+                    listeners.append(node.endpoint)
+            else:
+                bus = self.bus
+                busy = bus.pending()
+                tick_us = DEFAULT_TICK_US
+                if busy:
+                    tick_us = max(bus.config.frame_time_us, DEFAULT_TICK_US)
+                span = budget
+                if wake != _NEVER:  # the ticks that sample the clock before the wake-up
+                    span = min(span, -int((now - wake) // tick_us))
+                if busy:
+                    span = bus.stream(now, tick_us, span, listeners)
+                if span:
+                    self.last_tick_time = now + (span - 1) * tick_us
+                    self.clock_us = now + span * tick_us
+                    return span
+        self.tick()
+        return 1
+
     def run_ticks(self, count: int) -> None:
-        for _ in range(count):
-            self.tick()
+        """Advance exactly ``count`` ticks."""
+        while count > 0:
+            count -= self._advance(count)
 
     def run_until(self, predicate: Callable[["World"], bool], max_ticks: int) -> RunResult:
-        """Tick until ``predicate(world)`` holds; the reported time is the
-        timestamp the triggering tick's events carry."""
+        """Tick until ``predicate(world)`` holds, at most ``max_ticks`` ticks;
+        the reported time is the timestamp the triggering tick's events
+        carry.
+
+        Spans of ticks in which no node could act pass in one step, so the
+        predicate is re-checked whenever a node could have acted, not at
+        every tick: it should read node or task state, and a time budget
+        belongs in ``max_ticks``, not in a test of the clock."""
         if predicate(self):
             return RunResult(True, self.clock_us, 0)
-        for i in range(1, max_ticks + 1):
-            self.tick()
+        ticks = 0
+        while ticks < max_ticks:
+            ticks += self._advance(max_ticks - ticks)
             if predicate(self):
-                return RunResult(True, self.last_tick_time, i)
+                return RunResult(True, self.last_tick_time, ticks)
         return RunResult(False, self.clock_us, max_ticks)
 
     # -- resets ----------------------------------------------------------------

@@ -10,7 +10,8 @@ from fotasim.delta import DeltaPackage, encode_package
 from fotasim.integrity import crc32
 from fotasim.lka import PidGains, read_gains
 from fotasim.nvstore import APP_CAPACITY
-from fotasim.scenario import generate_image, mutate_blocks
+from fotasim.orchestrator import CampaignMode, run_campaign
+from fotasim.scenario import ScenarioError, generate_image, mutate_blocks, world_from_scenario
 
 KIB = 1024
 
@@ -191,6 +192,15 @@ GOOD_IMAGES = {"old": {"size": 16 * KIB, "seed": 1},
                  "block_size", id="block-size-zero"),
     pytest.param({"images": GOOD_IMAGES, "campaign": {"retry_budget": "x"}},
                  "campaign", id="retry-budget-not-a-number"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"mode": "delta", "block_size": 0x10001}},
+                 "block_size", id="delta-block-size-past-16-bit-offsets"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"mode": "full", "block_size": 65529}},
+                 "block_size", id="full-block-size-past-one-mem-write"),
+    pytest.param({"images": GOOD_IMAGES,
+                  "bus": {"corruption_probability": 0.1, "max_auto_retransmit": "x"}},
+                 "max_auto_retransmit", id="retransmit-budget-a-string"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"max_auto_retransmit": -1}},
+                 "max_auto_retransmit", id="retransmit-budget-negative"),
     pytest.param({"images": {"old": GOOD_IMAGES["old"],
                              "new": {"base": "old", "change_blocks": -1}}},
                  "images.new", id="negative-change-blocks"),
@@ -213,6 +223,25 @@ def test_sim_run_bad_scenario_is_an_operation_error(tmp_path, capsys, spec, need
     code, out, _ = run_cli(capsys, "sim", "run", str(path))
     assert code == 1
     assert needle in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("mode, largest", [("delta", 0x10000), ("full", 65528)])
+def test_block_size_at_the_mode_limit_is_accepted(mode, largest):
+    spec = {"seed": 3,
+            "images": {"old": {"size": 16 * KIB, "seed": 1}, "new": {"size": 16 * KIB, "seed": 2}},
+            "campaign": {"mode": mode, "block_size": largest}}
+    world, plan = world_from_scenario(spec)
+    assert (plan.mode, plan.block_size) == (CampaignMode(mode), largest)
+    assert run_campaign(world, plan).success
+    spec["campaign"]["block_size"] = largest + 1
+    with pytest.raises(ScenarioError, match="block_size"):
+        world_from_scenario(spec)
+
+
+def test_null_retransmit_budget_lifts_it():
+    spec = {"images": GOOD_IMAGES, "bus": {"max_auto_retransmit": None}}
+    world, _ = world_from_scenario(spec)
+    assert world.bus.config.max_auto_retransmit is None
 
 
 def test_sim_run_executes_a_delta_campaign(tmp_path, capsys):

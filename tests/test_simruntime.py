@@ -1,22 +1,26 @@
 """World scheduler: tick clock, task ordering, boot dispatch, resets, logs."""
 
+import dataclasses
 import json
 import math
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fotasim.canbus import BusConfig, send_segmented
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
 from fotasim.lka import MOTOR_RIGHT, PARAM_OFFSET, PidGains
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
-from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
+from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign, start_campaign
 from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
                               world_from_scenario)
 from fotasim.simruntime import (
     DEFAULT_TICK_US,
     NodeMode,
+    RunResult,
     Task,
     TaskPriority,
     World,
@@ -447,3 +451,141 @@ def test_same_seed_replays_to_identical_logs():
     assert errors  # the lottery fired, so the logs exercised the rng
     events_c, frames_c = run(12)
     assert frames_c != frames_a
+
+
+# -- spans: run_ticks / run_until against tick-by-tick stepping -------------------
+
+
+def ticked_run_until(world, predicate, max_ticks):
+    """The reference stepping: ``World.run_until`` one ``tick()`` at a time."""
+    if predicate(world):
+        return RunResult(True, world.clock_us, 0)
+    for i in range(1, max_ticks + 1):
+        world.tick()
+        if predicate(world):
+            return RunResult(True, world.last_tick_time, i)
+    return RunResult(False, world.clock_us, max_ticks)
+
+
+def ticked_run_ticks(world, count):
+    for _ in range(count):
+        world.tick()
+
+
+def observed(world):
+    return (world.clock_us, world.last_tick_time, dataclasses.astuple(world.bus.stats),
+            world.events_jsonl(), world.frames_csv())
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(CampaignMode),
+       corruption=st.sampled_from([0.0, 0.02, 0.2]),
+       drop=st.sampled_from([0.0, 0.05]),
+       budget=st.sampled_from([0, 3, None]),
+       frame_time_us=st.sampled_from([500, 1500]),
+       wrong_secret=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       max_ticks=st.one_of(st.just(200_000), st.integers(1, 3000)),
+       soak=st.integers(0, 1500))
+def test_spans_replay_tick_by_tick_stepping_byte_for_byte(
+        mode, corruption, drop, budget, frame_time_us, wrong_secret, seed, max_ticks, soak):
+    old = generate_image(12 * KIB, seed=seed % 1000, gains=PidGains())
+    new = mutate_blocks(old, count=1 + seed % 4, seed=seed % 997)
+    secret = DEFAULT_SECRET ^ 1 if wrong_secret else DEFAULT_SECRET
+
+    def run(run_until, run_ticks):
+        config = BusConfig(frame_time_us=frame_time_us, corruption_probability=corruption,
+                           drop_probability=drop, rng_seed=seed, max_auto_retransmit=budget)
+        world, _, _ = build_world(old_image=old, seed=seed, bus=config)
+        world.bus.trace_enabled = True
+        task = start_campaign(world, CampaignPlan(mode=mode, old_image=old, new_image=new,
+                                                  shared_secret=secret))
+        result = run_until(world, lambda w: task.done, max_ticks)
+        run_ticks(world, soak)
+        return observed(world) + (result, task.done, task.result.to_json())
+
+    spans = run(World.run_until, World.run_ticks)
+    ticks = run(ticked_run_until, ticked_run_ticks)
+    assert spans == ticks
+
+
+def talking_worlds():
+    """Two identical worlds: a host queues a 700-byte message (101 frames)
+    for an erased ECU, which has booted into its bootloader and listens."""
+    worlds = []
+    for _ in range(2):
+        world = World()
+        world.bus.trace_enabled = True
+        host = world.add_node("host", 1, role="host")
+        ecu = world.add_node("ecu", 2, role="ecu")
+        world.tick()
+        send_segmented(world.bus, host.endpoint, 0x101, bytes(range(100)) * 7)
+        worlds.append((world, ecu))
+    return worlds
+
+
+def test_run_ticks_lands_on_the_tick_mid_message():
+    (spans, _), (ticks, _) = talking_worlds()
+    one_at_a_time = []
+    spans.tick = lambda: (one_at_a_time.append(spans.clock_us), World.tick(spans))
+    spans.run_ticks(37)
+    ticked_run_ticks(ticks, 37)
+    # The boot logged events, so one tick runs alone; the other 36 frames stream.
+    assert one_at_a_time == [DEFAULT_TICK_US]
+    assert spans.clock_us == 38 * DEFAULT_TICK_US
+    assert spans.bus.stats.frames_sent == 37
+    assert observed(spans) == observed(ticks)
+    spans.run_ticks(64)  # the message's last frame, then the ECU serves it
+    ticked_run_ticks(ticks, 64)
+    assert observed(spans) == observed(ticks)
+    assert [e["command"] for e in events_named(spans, "CommandServed")] == ["unknown"]
+
+
+def test_run_ticks_lands_on_the_tick_mid_stall():
+    world, node = booted_ecu()
+    hits = []
+    node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
+    node.device.busy_until_us = 10_500
+    world.run_ticks(5)  # clock samples 1000..5000, all stalled
+    assert (world.clock_us, world.last_tick_time, hits) == (6000, 5000, [])
+    world.run_ticks(10)  # 6000..15000; the stall ends at the tick sampling 11000
+    assert world.clock_us == 16_000
+    assert hits == [11_000, 12_000, 13_000, 14_000, 15_000]
+
+
+def test_every_tick_host_task_keeps_ticking_one_at_a_time():
+    world, node = host_world()
+    world.bus.trace_enabled = True
+    stepped, resumed = [], []
+
+    def bare_yields():
+        while True:
+            resumed.append(world.clock_us)
+            yield
+
+    node.add_task(Task("count", TaskPriority.APP, lambda: stepped.append(world.clock_us)))
+    node.add_task(Task.from_generator("poll", TaskPriority.COMM, bare_yields()))
+    send_segmented(world.bus, node.endpoint, 0x100, bytes(70))  # 11 frames, nobody hears
+    world.run_ticks(15)
+    every_tick = [t * DEFAULT_TICK_US for t in range(15)]
+    assert stepped == resumed == every_tick
+    sent_at = [int(row.split(",")[0]) for row in world.frames_csv().splitlines()[1:]]
+    assert sent_at == every_tick[:11]
+
+
+def test_deadline_yield_sleeps_until_its_deadline():
+    world, node = host_world()
+    resumed = []
+
+    def sleeper():
+        while world.clock_us < 7000:
+            resumed.append(world.clock_us)
+            yield 7000
+        resumed.append(world.clock_us)
+
+    task = Task.from_generator("sleep", TaskPriority.COMM, sleeper())
+    node.add_task(task)
+    result = world.run_until(lambda w: task.done, max_ticks=50)
+    assert resumed == [0, 7000]
+    assert result == RunResult(True, 7000, 8)
+    assert world.clock_us == 8000

@@ -12,14 +12,16 @@ Command protocol (first payload byte selects the handler):
     0x20..0x23  updater commands (version, bootloader write/erase, leave)
     0x31        application command: drop to the bootloader
 
-Replies are ``[0x79, code, ...]`` for ACK and ``[0x1F, code, reason]`` for
-NACK.  The updater answers no security service and silently ignores
-unknown commands; both facts are modelled weaknesses of the chain being
-reproduced, not oversights.
+A MEM_WRITE request is the code, a u32 address and a u16 length (both
+little-endian), then the data.  Replies are ``[0x79, code, ...]`` for ACK
+and ``[0x1F, code, reason]`` for NACK.  The updater answers no security
+service and silently ignores unknown commands; both facts are modelled
+weaknesses of the chain being reproduced, not oversights.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
@@ -74,6 +76,8 @@ class UpdaterCommand(IntEnum):
 
 
 APP_ENTER_BOOTLOADER = 0x31
+
+MEM_WRITE_HEADER = struct.Struct("<BIH")  # code, address, length
 
 
 class BootDecision(Enum):
@@ -169,6 +173,23 @@ def _nack(code: int, reason: int) -> bytes:
     return bytes([NACK, code, reason])
 
 
+def is_ack_or_nack(payload: bytes) -> bool:
+    return bool(payload) and payload[0] in (ACK, NACK)
+
+
+def is_ack(reply: bytes | None, code: int) -> bool:
+    return reply is not None and reply[:2] == bytes([ACK, code])
+
+
+def is_nack(reply: bytes | None, reason: int) -> bool:
+    """Whether ``reply`` is a NACK giving ``reason``, for whatever command."""
+    return reply is not None and len(reply) >= 3 and reply[0] == NACK and reply[2] == reason
+
+
+def mem_write_request(address: int, data: bytes) -> bytes:
+    return MEM_WRITE_HEADER.pack(BootloaderCommand.MEM_WRITE, address, len(data)) + data
+
+
 def _sectors_in(sectors: tuple[Sector, ...], start: int, count: int) -> bool:
     """Whether sectors [start, start + count) are all among ``sectors``."""
     return count >= 1 and sectors[0].index <= start and start + count <= sectors[-1].index + 1
@@ -176,13 +197,10 @@ def _sectors_in(sectors: tuple[Sector, ...], start: int, count: int) -> bool:
 
 def _mem_write(ctx: EcuContext, payload: bytes, region: Region,
                malformed: bytes | None) -> bytes | None:
-    """Program a MEM_WRITE payload (code, address u32 LE, length u16 LE,
-    data; the caller has checked its 7-byte header is there) into
-    ``region``.  A length that disagrees with the data draws ``malformed``."""
-    code = payload[0]
-    address = int.from_bytes(payload[1:5], "little")
-    length = int.from_bytes(payload[5:7], "little")
-    data = payload[7:]
+    """Program a MEM_WRITE payload, its header already checked, into
+    ``region``; a length that disagrees with the data draws ``malformed``."""
+    code, address, length = MEM_WRITE_HEADER.unpack_from(payload)
+    data = payload[MEM_WRITE_HEADER.size:]
     if len(data) != length:
         return malformed
     if not region.contains(address, length):
@@ -234,7 +252,7 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         return _ack(code)
 
     if code == BootloaderCommand.MEM_WRITE:
-        if len(payload) < 7:
+        if len(payload) < MEM_WRITE_HEADER.size:
             return _nack(code, NACK_MALFORMED)
         if not ctx.session.unlocked:
             return _nack(code, NACK_SECURITY)
@@ -327,7 +345,7 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         return _ack(code)
 
     if code == UpdaterCommand.MEM_WRITE_BOOTLOADER:
-        if len(payload) < 7:
+        if len(payload) < MEM_WRITE_HEADER.size:
             return None
         return _mem_write(ctx, payload, BOOTLOADER_REGION, None)
 

@@ -371,24 +371,36 @@ def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
     return None
 
 
-def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
-    """Wait for a reply as a coroutine that yields its deadline.
+def wait_for(now, deadline_us: int, poll):
+    """Wait as a coroutine: returns the first result of ``poll()`` that is
+    not None, or None once ``now()`` reaches ``deadline_us``.
 
-    Returns the first reassembled payload for which ``accept(payload)``
-    holds, or None once ``now()`` reaches ``deadline_us``.  Payloads that
-    ``accept`` refuses are drained as stray traffic; a mangled message is
-    dropped and the deadline decides.  Each yield hands ``deadline_us`` to
-    the scheduler: until then the waiter has nothing to do unless a message
-    completes or breaks on ``endpoint``, so a world may skip those ticks.
+    Each yield hands ``deadline_us`` to the scheduler, with one promise:
+    until the clock reaches it, polling again finds nothing new unless a
+    message completes or breaks on the waiting node's endpoint or an event
+    is logged, so a world may pass the ticks in between in one span.
     """
     while now() < deadline_us:
-        try:
-            msg = recv_segmented(endpoint) if endpoint.rx else None
-        except CanError:
-            msg = None
-        if msg is not None:
-            if accept(msg.payload):
-                return msg.payload
-            continue
+        result = poll()
+        if result is not None:
+            return result
         yield deadline_us
     return None
+
+
+def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
+    """Wait, via :func:`wait_for`, for the first reassembled payload for
+    which ``accept(payload)`` holds.  Payloads that ``accept`` refuses are
+    drained as stray traffic; a mangled message is dropped and the deadline
+    decides."""
+    def poll():
+        while endpoint.rx:
+            try:
+                msg = recv_segmented(endpoint)
+            except CanError:
+                return None
+            if msg is not None and accept(msg.payload):
+                return msg.payload
+        return None
+
+    return wait_for(now, deadline_us, poll)

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .delta import DEFAULT_GAP_MERGE, DeltaError, apply_delta, build_delta, decode_package, encode_package
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
-from .lka import PidGains, pack_image
+from .lka import PidGains, pack_image, parse_gains
 from .nvstore import APP_CAPACITY
 from .orchestrator import run_campaign
 from .scenario import (
@@ -53,14 +53,10 @@ def _cmd_crc(args) -> int:
 
 
 def _parse_gains(raw: str) -> PidGains:
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise CliError("gains must be three comma-separated numbers: kp,ki,kd")
     try:
-        kp, ki, kd = (float(p) for p in parts)
+        return parse_gains(raw.split(","))
     except ValueError as exc:
         raise CliError(f"bad gains: {exc}") from exc
-    return PidGains(kp, ki, kd)
 
 
 def _cmd_image_pack(args) -> int:
@@ -134,23 +130,16 @@ def _cmd_uds_demo(args) -> int:
     target.regs.clear()
     world.bus.trace_enabled = True
 
-    result = None
-
-    def demo():
-        nonlocal result
-        result = yield from client_unlock(
-            world.bus, master.endpoint, DEFAULT_REQUEST_ID, secret,
-            now=lambda: world.clock_us,
-        )
-
-    master.add_task(Task.from_generator("demo", TaskPriority.APP, demo()))
-    world.run_until(lambda w: result is not None, max_ticks=20_000)
+    # The handshake's own deadline ends it well inside the tick budget.
+    task = Task.from_generator("demo", TaskPriority.APP, client_unlock(
+        world.bus, master.endpoint, DEFAULT_REQUEST_ID, secret, now=lambda: world.clock_us))
+    master.add_task(task)
+    world.run_until(lambda w: task.done, max_ticks=20_000)
+    result = task.result
 
     for frame in world.bus.trace:
         print(f"{frame['time_us']:>10} us  id={frame['id']}  "
               f"[{frame['data']}]  {frame['kind']}", file=sys.stderr)
-    if result is None:
-        raise CliError("handshake never completed")
     print(json.dumps({
         "outcome": result.outcome.value,
         "nrc": result.nrc,

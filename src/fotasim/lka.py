@@ -67,6 +67,14 @@ class PidGains:
         return cls(*_GAINS.unpack(blob[: _GAINS.size]))
 
 
+def parse_gains(values) -> PidGains:
+    """Gains from exactly three finite numbers, kp, ki, kd; else ValueError."""
+    gains = [float(v) for v in values]
+    if len(gains) != 3 or not all(map(math.isfinite, gains)):
+        raise ValueError("gains must be three finite numbers: kp, ki, kd")
+    return PidGains(*gains)
+
+
 @dataclass(frozen=True)
 class SteeringState:
     position: float = 0.0

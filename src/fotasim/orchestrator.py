@@ -14,17 +14,22 @@ booting a torn image.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 
 from .bootflow import (
-    ACK,
     APP_ENTER_BOOTLOADER,
-    NACK,
+    MEM_WRITE_HEADER,
     NACK_DELTA,
     BootloaderCommand,
+    is_ack,
+    is_ack_or_nack,
+    is_nack,
+    mem_write_request,
 )
-from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented
+from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented, wait_for
 from .delta import DEFAULT_GAP_MERGE, build_delta, encode_package
 from .flashmodel import APP_REGION
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
@@ -39,9 +44,8 @@ DEFAULT_RESPONSE_ID = 0x201
 MASTER_NODE = "master"
 TARGET_NODE = "target"
 
-# A full campaign's block rides in one MEM_WRITE after its command byte,
-# 4-byte address and 2-byte length.
-MAX_FULL_BLOCK_SIZE = MAX_SEGMENTED_PAYLOAD - 7
+# A full campaign's block rides in one MEM_WRITE, after its header.
+MAX_FULL_BLOCK_SIZE = MAX_SEGMENTED_PAYLOAD - MEM_WRITE_HEADER.size
 
 DEFAULT_COMMAND_DEADLINE_US = 5_000_000
 DEFAULT_BOOT_DEADLINE_US = 10_000_000
@@ -97,183 +101,131 @@ class CampaignReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-def _is_ack(reply: bytes | None, code: int) -> bool:
-    return reply is not None and len(reply) >= 2 and reply[0] == ACK and reply[1] == code
+def _campaign(world: World, plan: CampaignPlan, report: CampaignReport):
+    """The master's side of a campaign, as a generator that yields its
+    deadlines and fills in ``report``."""
+    bus = world.bus
+    endpoint = world.node(MASTER_NODE).endpoint
+    target = world.node(TARGET_NODE)
 
+    def now() -> int:
+        return world.clock_us
 
-def _nack_reason(reply: bytes | None) -> int | None:
-    if reply is not None and len(reply) >= 3 and reply[0] == NACK:
-        return reply[2]
-    return None
+    start_clock = now()
+    stats0 = replace(bus.stats)
+    flash0 = target.device.busy_total_us
+    erased0 = target.ctx.sectors_erased
+    command_retries = 0
 
+    def finish(reason: str | None = None) -> CampaignReport:
+        report.outcome = "failed" if reason else "success"
+        report.reason = reason
+        stats = bus.stats
+        report.frames_sent = stats.frames_sent - stats0.frames_sent
+        report.bytes_on_bus = stats.payload_bytes - stats0.payload_bytes
+        report.retransmissions = stats.retransmissions - stats0.retransmissions + command_retries
+        report.transfer_duration_us = stats.busy_time_us - stats0.busy_time_us
+        report.flash_duration_us = target.device.busy_total_us - flash0
+        report.total_duration_us = now() - start_clock
+        report.sectors_erased = target.ctx.sectors_erased - erased0
+        world.log(MASTER_NODE, "CampaignDone",
+                  outcome=report.outcome, reason=reason, mode=plan.mode.value)
+        return report
 
-def _is_ack_or_nack(payload: bytes) -> bool:
-    return bool(payload) and payload[0] in (ACK, NACK)
+    def unlock():
+        return client_unlock(bus, endpoint, DEFAULT_REQUEST_ID, plan.shared_secret,
+                             now, plan.command_deadline_us)
 
-
-def _mem_write_payload(address: int, data: bytes) -> bytes:
-    return (bytes([BootloaderCommand.MEM_WRITE]) + address.to_bytes(4, "little")
-            + len(data).to_bytes(2, "little") + data)
-
-
-class _Campaign:
-    """Generator-backed master-side state machine."""
-
-    def __init__(self, world: World, plan: CampaignPlan):
-        self.world = world
-        self.master = world.node(MASTER_NODE)
-        self.plan = plan
-        self.target = world.node(TARGET_NODE)
-        self.report = CampaignReport(
-            mode=plan.mode.value,
-            old_image_crc=crc32(plan.old_image),
-            new_image_crc=crc32(plan.new_image),
-            old_image_length=len(plan.old_image),
-            new_image_length=len(plan.new_image),
-        )
-        self.command_retries = 0
-
-    # -- low-level helpers, all generators that yield their deadline ---------
-
-    def _now(self) -> int:
-        return self.world.clock_us
-
-    def _command(self, payload: bytes):
+    def command(payload: bytes, refusal: str):
         """Send ``payload`` and wait for its ACK/NACK, resending on silence
-        until the retry budget is spent; a NACK is an answer, not a loss.
-        Anything else on the master endpoint (e.g. a late security reply)
-        is stray traffic."""
-        retries_left = self.plan.retry_budget
+        until the retry budget is spent; a NACK is an answer, not a loss,
+        and other traffic is stray.  Returns None once the target ACKs the
+        command, else ``refusal`` (a delta NACKed for its blocks: a CRC
+        mismatch)."""
+        nonlocal command_retries
+        retries_left = plan.retry_budget
         while True:
-            send_segmented(self.world.bus, self.master.endpoint, DEFAULT_REQUEST_ID, payload)
-            reply = yield from await_reply(self.master.endpoint, self._now,
-                                           self._now() + self.plan.command_deadline_us,
-                                           _is_ack_or_nack)
+            send_segmented(bus, endpoint, DEFAULT_REQUEST_ID, payload)
+            reply = yield from await_reply(endpoint, now, now() + plan.command_deadline_us,
+                                           is_ack_or_nack)
             if reply is not None or retries_left <= 0:
-                return reply
+                break
             retries_left -= 1
-            self.command_retries += 1
+            command_retries += 1
+        if is_ack(reply, payload[0]):
+            return None
+        if payload[0] == BootloaderCommand.DELTA_APPLY and is_nack(reply, NACK_DELTA):
+            return "block_crc_mismatch"
+        return refusal
 
-    def _wait_decision(self, decision: str, from_index: int, deadline_us: int):
-        """Wait for the target to log ``decision`` at or after event
-        ``from_index``; yields its deadline, so only a new event or the
-        deadline needs a tick."""
-        index = from_index
-        while self._now() < deadline_us:
-            events = self.world.events
-            while index < len(events):
-                e = events[index]
-                index += 1
-                if (e["node"] == TARGET_NODE and e["event"] == "Decision"
-                        and e.get("decision") == decision):
-                    return True
-            yield deadline_us
-        return False
+    def decided(decision: str, mark: int):
+        """Wait for the target to log ``decision`` at or after event ``mark``."""
+        def poll():
+            return any(e["node"] == TARGET_NODE and e["event"] == "Decision"
+                       and e.get("decision") == decision
+                       for e in islice(world.events, mark, None)) or None
 
-    def _unlock(self):
-        result = yield from client_unlock(
-            self.world.bus, self.master.endpoint, DEFAULT_REQUEST_ID,
-            self.plan.shared_secret, self._now, self.plan.command_deadline_us,
-        )
-        return result
+        return wait_for(now, now() + plan.boot_deadline_us, poll)
 
-    # -- the campaign itself --------------------------------------------------
+    total_blocks = block_count(len(plan.new_image), plan.block_size)
+    if len(plan.new_image) > APP_CAPACITY or total_blocks > MAX_TABLE_BLOCKS:
+        return finish("image_too_large")
 
-    def run(self):
-        plan = self.plan
-        report = self.report
-        bus = self.world.bus
+    # 1. Authenticate against the running application.
+    mark = len(world.events)
+    unlocked = yield from unlock()
+    report.handshake_duration_us = unlocked.duration_us
+    if not unlocked.granted:
+        return finish(f"security_{unlocked.outcome.value}")
 
-        start_clock = self._now()
-        stats0 = (bus.stats.frames_sent, bus.stats.payload_bytes,
-                  bus.stats.retransmissions, bus.stats.busy_time_us)
-        flash0 = self.target.device.busy_total_us
-        erased0 = self.target.ctx.sectors_erased
-        event_mark = len(self.world.events)
+    # 2. Ask the application to drop to the bootloader.
+    if refused := (yield from command(bytes([APP_ENTER_BOOTLOADER]), "enter_bootloader_refused")):
+        return finish(refused)
+    if not (yield from decided("jump_bootloader", mark)):
+        return finish("bootloader_not_reached")
 
-        def finish(outcome: str, reason: str | None = None) -> CampaignReport:
-            report.outcome = outcome
-            report.reason = reason
-            report.frames_sent = bus.stats.frames_sent - stats0[0]
-            report.bytes_on_bus = bus.stats.payload_bytes - stats0[1]
-            report.retransmissions = (bus.stats.retransmissions - stats0[2]) + self.command_retries
-            report.transfer_duration_us = bus.stats.busy_time_us - stats0[3]
-            report.flash_duration_us = self.target.device.busy_total_us - flash0
-            report.total_duration_us = self._now() - start_clock
-            report.sectors_erased = self.target.ctx.sectors_erased - erased0
-            self.world.log(self.master.name, "CampaignDone",
-                           outcome=outcome, reason=reason, mode=plan.mode.value)
-            return report
+    # 3. The reset dropped security access; authenticate again.
+    unlocked = yield from unlock()
+    if not unlocked.granted:
+        return finish(f"security_{unlocked.outcome.value}")
 
-        total_blocks = block_count(len(plan.new_image), plan.block_size)
-        if len(plan.new_image) > APP_CAPACITY or total_blocks > MAX_TABLE_BLOCKS:
-            return finish("failed", "image_too_large")
+    # 4. Move the image.
+    if plan.mode is CampaignMode.FULL:
+        if refused := (yield from command(bytes([BootloaderCommand.FLASH_ERASE, 0xFF, 0]),
+                                          "erase_refused")):
+            return finish(refused)
+        for lo in range(0, len(plan.new_image), plan.block_size):
+            chunk = plan.new_image[lo : lo + plan.block_size]
+            if refused := (yield from command(mem_write_request(APP_REGION.start + lo, chunk),
+                                              "block_write_refused")):
+                return finish(refused)
+            report.blocks_transferred += 1
+        # Metadata last: this write is the commit point.
+        meta = AppMetadata.for_image(plan.new_image, plan.block_size)
+        if refused := (yield from command(mem_write_request(METADATA_OFFSET, meta.encode()),
+                                          "metadata_write_refused")):
+            return finish(refused)
+    else:
+        pkg = build_delta(plan.old_image, plan.new_image, plan.block_size, plan.gap_merge)
+        report.blocks_transferred = len(pkg.entries)
+        report.blocks_skipped = total_blocks - len(pkg.entries)
+        blob = bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg)
+        if len(blob) > MAX_SEGMENTED_PAYLOAD:
+            return finish("package_too_large")
+        if refused := (yield from command(blob, "delta_refused")):
+            return finish(refused)
 
-        # 1. Authenticate against the running application.
-        unlock = yield from self._unlock()
-        report.handshake_duration_us = unlock.duration_us
-        if not unlock.granted:
-            return finish("failed", f"security_{unlock.outcome.value}")
+    # 5. Arm the application flag and reset.
+    mark = len(world.events)
+    if refused := (yield from command(
+            bytes([BootloaderCommand.GO_TO_ADDR, BootFlag.ENTER, BootFlag.NOT_ENTER]),
+            "go_to_addr_refused")):
+        return finish(refused)
 
-        # 2. Ask the application to drop to the bootloader.
-        reply = yield from self._command(bytes([APP_ENTER_BOOTLOADER]))
-        if not _is_ack(reply, APP_ENTER_BOOTLOADER):
-            return finish("failed", "enter_bootloader_refused")
-        ok = yield from self._wait_decision(
-            "jump_bootloader", event_mark, self._now() + plan.boot_deadline_us)
-        if not ok:
-            return finish("failed", "bootloader_not_reached")
-
-        # 3. The reset dropped security access; authenticate again.
-        unlock = yield from self._unlock()
-        if not unlock.granted:
-            return finish("failed", f"security_{unlock.outcome.value}")
-
-        # 4. Move the image.
-        if plan.mode is CampaignMode.FULL:
-            reply = yield from self._command(
-                bytes([BootloaderCommand.FLASH_ERASE, 0xFF, 0]))
-            if not _is_ack(reply, BootloaderCommand.FLASH_ERASE):
-                return finish("failed", "erase_refused")
-            for index in range(total_blocks):
-                lo = index * plan.block_size
-                chunk = plan.new_image[lo : lo + plan.block_size]
-                reply = yield from self._command(_mem_write_payload(APP_REGION.start + lo, chunk))
-                if not _is_ack(reply, BootloaderCommand.MEM_WRITE):
-                    return finish("failed", "block_write_refused")
-                report.blocks_transferred += 1
-            # Metadata last: this write is the commit point.
-            meta = AppMetadata.for_image(plan.new_image, plan.block_size)
-            reply = yield from self._command(_mem_write_payload(METADATA_OFFSET, meta.encode()))
-            if not _is_ack(reply, BootloaderCommand.MEM_WRITE):
-                return finish("failed", "metadata_write_refused")
-        else:
-            pkg = build_delta(plan.old_image, plan.new_image,
-                              plan.block_size, plan.gap_merge)
-            report.blocks_transferred = len(pkg.entries)
-            report.blocks_skipped = total_blocks - len(pkg.entries)
-            blob = bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg)
-            if len(blob) > MAX_SEGMENTED_PAYLOAD:
-                return finish("failed", "package_too_large")
-            reply = yield from self._command(blob)
-            if not _is_ack(reply, BootloaderCommand.DELTA_APPLY):
-                if _nack_reason(reply) == NACK_DELTA:
-                    return finish("failed", "block_crc_mismatch")
-                return finish("failed", "delta_refused")
-
-        # 5. Arm the application flag and reset.
-        event_mark = len(self.world.events)
-        reply = yield from self._command(
-            bytes([BootloaderCommand.GO_TO_ADDR, BootFlag.ENTER, BootFlag.NOT_ENTER]))
-        if not _is_ack(reply, BootloaderCommand.GO_TO_ADDR):
-            return finish("failed", "go_to_addr_refused")
-
-        # 6. The target must decide for the application on its own.
-        ok = yield from self._wait_decision(
-            "jump_application", event_mark, self._now() + plan.boot_deadline_us)
-        if not ok:
-            return finish("failed", "application_not_reached")
-        return finish("success")
+    # 6. The target must decide for the application on its own.
+    if not (yield from decided("jump_application", mark)):
+        return finish("application_not_reached")
+    return finish()
 
 
 def start_campaign(world: World, plan: CampaignPlan) -> Task:
@@ -281,27 +233,26 @@ def start_campaign(world: World, plan: CampaignPlan) -> Task:
     ``result`` is the campaign's report from the start and fills in as the
     campaign runs; ``cancel()`` abandons it mid-flight (the target is not
     told)."""
-    campaign = _Campaign(world, plan)
-    task = Task.from_generator("campaign", TaskPriority.COMM, campaign.run())
-    task.result = campaign.report
-    campaign.master.add_task(task)
+    report = CampaignReport(
+        mode=plan.mode.value,
+        old_image_crc=crc32(plan.old_image),
+        new_image_crc=crc32(plan.new_image),
+        old_image_length=len(plan.old_image),
+        new_image_length=len(plan.new_image),
+    )
+    task = Task.from_generator("campaign", TaskPriority.COMM, _campaign(world, plan, report))
+    task.result = report
+    world.node(MASTER_NODE).add_task(task)
     return task
 
 
-def run_campaign(world: World, plan: CampaignPlan,
-                 max_ticks: int | None = None) -> CampaignReport:
-    """Run a campaign to completion; returns its report."""
+def run_campaign(world: World, plan: CampaignPlan) -> CampaignReport:
+    """Run a campaign to its end; returns its report.  No tick budget is
+    needed: every wait in a campaign has a deadline, every command a finite
+    number of retries, and the world passes idle time in spans."""
     task = start_campaign(world, plan)
-    if max_ticks is None:
-        # Worst case: every payload byte twice (retries), plus flash stalls.
-        max_ticks = 120_000 + 4 * (len(plan.new_image) // 7 + 1)
-    result = world.run_until(lambda w: task.done, max_ticks)
-    report = task.result
-    if not result.met:
-        task.cancel()
-        report.outcome = "failed"
-        report.reason = "campaign_stalled"
-    return report
+    world.run_until(lambda w: task.done, sys.maxsize)
+    return task.result
 
 
 def reduction_ratio(delta_report: CampaignReport, full_report: CampaignReport) -> float:

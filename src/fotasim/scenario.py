@@ -36,7 +36,7 @@ from .canbus import BusConfig
 from .delta import MAX_BLOCK_SIZE
 from .flashmodel import APP_REGION, DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, block_count
-from .lka import PidGains, pack_image
+from .lka import PidGains, pack_image, parse_gains
 from .nvstore import (
     APP_CAPACITY,
     APP_ENTER_REG,
@@ -200,7 +200,7 @@ def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes
         elif "size" in entry:
             gains = entry.get("gains")
             data = generate_image(int(entry["size"]), int(entry.get("seed", 0)),
-                                  PidGains(*map(float, gains)) if gains else None)
+                                  None if gains is None else parse_gains(gains))
         else:
             raise ScenarioError("needs a path, a size or a base")
     except (IndexError, OSError, TypeError, ValueError) as exc:
@@ -230,8 +230,13 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
         gap_merge = int(campaign.get("gap_merge", CampaignPlan.gap_merge))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad number in the seed, bus or campaign section: {exc}") from exc
-    if block_size < 1 or gap_merge < 0:
-        raise ScenarioError("campaign.block_size must be positive, gap_merge not negative")
+    if block_size < 1 or gap_merge < 0 or retry_budget < 0:
+        raise ScenarioError("campaign.block_size must be positive, gap_merge and retry_budget >= 0")
+    # One roll decides both faults, so their probabilities share [0, 1].
+    corrupt, drop = config.corruption_probability, config.drop_probability
+    if not (config.frame_time_us >= 1 and corrupt >= 0 and drop >= 0 and corrupt + drop <= 1):
+        raise ScenarioError("bus.frame_time_us must be at least 1, and the corruption and drop "
+                            "probabilities not negative and their sum at most 1")
     mode_raw = campaign.get("mode", "delta")
     try:
         mode = CampaignMode(mode_raw)

@@ -74,10 +74,9 @@ class Task:
     when the generator returns (its return value lands in ``result``).
 
     ``wake_us`` is the clock the task next needs a tick at; None means every
-    tick.  A generator sets it by what it yields: a deadline in us promises
-    that until the clock reaches it, resuming the generator does nothing
-    unless a message completes or breaks on its node's endpoint or an event
-    is logged; a bare ``yield`` asks for the next tick."""
+    tick.  A generator sets it by what it yields: a deadline in us, under
+    the promise :func:`~fotasim.canbus.wait_for` states, or a bare
+    ``yield`` for the next tick."""
 
     def __init__(self, name: str, priority: TaskPriority, step: Callable[[], None]):
         self.name = name

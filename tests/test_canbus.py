@@ -19,6 +19,7 @@ from fotasim.canbus import (
     SequenceGap,
     recv_segmented,
     send_segmented,
+    wait_for,
 )
 from fotasim.integrity import crc32
 
@@ -371,3 +372,28 @@ def test_stats_accumulate():
     assert bus.stats.payload_bytes == 8 + 8 + 8  # header + two full body frames
     assert bus.stats.deliveries == 3
     assert bus.stats.busy_time_us == 3 * 500
+
+
+def test_wait_for_returns_the_first_poll_result_or_none_at_its_deadline():
+    clock = [0]
+    answers = iter([None, 0, "later"])
+    polls = []
+
+    def poll():
+        polls.append(clock[0])
+        return next(answers)
+
+    waiter = wait_for(lambda: clock[0], 5000, poll)
+    assert next(waiter) == 5000  # waiting yields the deadline
+    clock[0] = 1000
+    with pytest.raises(StopIteration) as stop:
+        next(waiter)
+    assert stop.value.value == 0  # falsy, but not None: an answer
+    assert polls == [0, 1000]
+
+    waiter = wait_for(lambda: clock[0], 3000, lambda: None)
+    assert next(waiter) == 3000
+    clock[0] = 3000
+    with pytest.raises(StopIteration) as stop:
+        next(waiter)
+    assert stop.value.value is None

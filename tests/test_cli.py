@@ -75,6 +75,16 @@ def test_image_pack_rejects_malformed_gains(tmp_path, capsys):
     assert "gains" in json.loads(out)["error"]
 
 
+def test_image_pack_rejects_non_finite_gains(tmp_path, capsys):
+    raw = tmp_path / "payload.bin"
+    raw.write_bytes(b"\x00" * 4 * KIB)
+    code, out, _ = run_cli(capsys, "image", "pack", str(raw),
+                           "-o", str(tmp_path / "image.bin"), "--gains", "1,2,nan")
+    assert code == 1
+    assert "finite" in json.loads(out)["error"]
+    assert not (tmp_path / "image.bin").exists()
+
+
 def test_delta_build_then_apply_round_trips(tmp_path, capsys):
     old = generate_image(16 * KIB, seed=4)
     new = mutate_blocks(old, count=3, seed=5)
@@ -215,6 +225,28 @@ GOOD_IMAGES = {"old": {"size": 16 * KIB, "seed": 1},
                  "lka.deviations", id="deviations-a-number"),
     pytest.param({"images": GOOD_IMAGES, "lka": {"deviations": [5]}},
                  "lka.deviations", id="deviations-of-numbers"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"frame_time_us": -500}},
+                 "frame_time_us", id="frame-time-negative"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"frame_time_us": 0}},
+                 "frame_time_us", id="frame-time-zero"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"corruption_probability": 2}},
+                 "probabilities", id="corruption-above-one"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"corruption_probability": -1}},
+                 "probabilities", id="corruption-negative"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"corruption_probability": "nan"}},
+                 "probabilities", id="corruption-nan"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"drop_probability": 1.5}},
+                 "probabilities", id="drop-above-one"),
+    pytest.param({"images": GOOD_IMAGES,
+                  "bus": {"corruption_probability": 0.6, "drop_probability": 0.5}},
+                 "sum", id="fault-probabilities-sum-past-one"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"retry_budget": -3}},
+                 "retry_budget", id="retry-budget-negative"),
+    pytest.param({"images": {"old": {"size": KIB, "gains": [1, 2]}, "new": {"size": KIB}}},
+                 "images.old", id="gains-two-numbers"),
+    pytest.param({"images": {"old": {"size": KIB, "gains": [1, 2, "nan"]},
+                             "new": {"size": KIB}}},
+                 "images.old", id="gains-nan"),
 ])
 def test_sim_run_bad_scenario_is_an_operation_error(tmp_path, capsys, spec, needle):
     (tmp_path / "empty.bin").write_bytes(b"")

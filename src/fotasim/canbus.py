@@ -125,16 +125,8 @@ class Endpoint:
         self.bus_off_count = 0
         self._assembly: dict[int, _Assembly] = {}
 
-    def _set_filters(self, filters) -> None:
-        self._filters = tuple(filters)
-        self._accepted: dict[int, bool] = {}  # accepts() memo, reset with the filters
-
-    filters = property(lambda self: self._filters, _set_filters)
-
     def accepts(self, can_id: int) -> bool:
-        if can_id not in self._accepted:
-            self._accepted[can_id] = any((can_id & mask) == match for mask, match in self._filters)
-        return self._accepted[can_id]
+        return any((can_id & mask) == match for mask, match in self.filters)
 
     def clear(self) -> None:
         """Controller reset: drops FIFOs and any half-assembled payloads."""

@@ -66,11 +66,15 @@ class PidGains:
     def decode(cls, blob: bytes) -> "PidGains":
         return cls(*_GAINS.unpack(blob[: _GAINS.size]))
 
+    def finite(self) -> bool:
+        """True when kp, ki and kd are all finite: the only gains a controller runs."""
+        return all(map(math.isfinite, (self.kp, self.ki, self.kd)))
+
 
 def parse_gains(values) -> PidGains:
     """Gains from exactly three finite numbers, kp, ki, kd; else ValueError."""
     gains = [float(v) for v in values]
-    if len(gains) != 3 or not all(map(math.isfinite, gains)):
+    if len(gains) != 3 or not PidGains(*gains).finite():
         raise ValueError("gains must be three finite numbers: kp, ki, kd")
     return PidGains(*gains)
 

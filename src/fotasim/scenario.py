@@ -16,9 +16,11 @@ A scenario file is JSON with four optional sections::
       "lka": {"deviations": ["0.10\\n", "-0.02\\n"]}
     }
 
-``max_auto_retransmit`` is a non-negative integer, or ``null`` for no
-budget.  ``block_size`` is at most 0x10000 in delta mode and 65,528 in full
-mode, where a block rides in one MEM_WRITE.
+Counts are JSON integers and probabilities JSON numbers: a fraction, bool
+or string in their place is an error.  ``max_auto_retransmit`` is a
+non-negative integer, or ``null`` for no budget.  ``block_size`` is at most
+0x10000 in delta mode and 65,528 in full mode, where a block rides in one
+MEM_WRITE.
 
 Images come either from disk (``{"path": "old.bin"}``, relative to the
 scenario file) or from a seeded generator, so a scenario can be entirely
@@ -174,6 +176,14 @@ def _section(spec: dict, name: str) -> dict:
     return section
 
 
+def _count(section: dict, key: str, default: int | None, where: str = "") -> int:
+    """``section[key]`` (``default`` if absent), which must be a JSON integer."""
+    value = section.get(key, default)
+    if type(value) is not int:
+        raise ScenarioError(f"{where}{key} must be an integer, got {value!r}")
+    return value
+
+
 def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes],
                    block_size: int, deriving: tuple = ()) -> bytes:
     if name in deriving:
@@ -191,15 +201,15 @@ def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes
         elif "base" in entry:
             base = _resolve_image(images, entry["base"], base_dir, resolved, block_size,
                                   deriving + (name,))
-            rng_seed = int(entry.get("seed", 0))
-            count = int(entry.get("change_blocks", 1))
-            block_range = entry.get("block_range")
-            if block_range is not None:
-                block_range = (int(block_range[0]), int(block_range[1]))
-            data = mutate_blocks(base, count, rng_seed, block_size, block_range)
+            bounds = entry.get("block_range")
+            if bounds is not None and not (type(bounds) is list and len(bounds) == 2
+                                           and all(type(bound) is int for bound in bounds)):
+                raise ScenarioError(f"block_range must be two integers, got {bounds!r}")
+            data = mutate_blocks(base, _count(entry, "change_blocks", 1), _count(entry, "seed", 0),
+                                 block_size, bounds)
         elif "size" in entry:
             gains = entry.get("gains")
-            data = generate_image(int(entry["size"]), int(entry.get("seed", 0)),
+            data = generate_image(_count(entry, "size", None), _count(entry, "seed", 0),
                                   None if gains is None else parse_gains(gains))
         else:
             raise ScenarioError("needs a path, a size or a base")
@@ -216,27 +226,20 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
     retransmit = bus_spec.get("max_auto_retransmit", BusConfig.max_auto_retransmit)
     if retransmit is not None and not (type(retransmit) is int and retransmit >= 0):
         raise ScenarioError("bus.max_auto_retransmit must be a non-negative integer or null")
-    try:
-        seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
-        config = BusConfig(
-            frame_time_us=int(bus_spec.get("frame_time_us", BusConfig.frame_time_us)),
-            corruption_probability=float(bus_spec.get("corruption_probability", 0.0)),
-            drop_probability=float(bus_spec.get("drop_probability", 0.0)),
-            rng_seed=seed,
-            max_auto_retransmit=retransmit,
-        )
-        block_size = int(campaign.get("block_size", DEFAULT_BLOCK_SIZE))
-        retry_budget = int(campaign.get("retry_budget", CampaignPlan.retry_budget))
-        gap_merge = int(campaign.get("gap_merge", CampaignPlan.gap_merge))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad number in the seed, bus or campaign section: {exc}") from exc
+    seed = _count(spec, "seed", 0) if seed_override is None else seed_override
+    frame_time_us = _count(bus_spec, "frame_time_us", BusConfig.frame_time_us, "bus.")
+    block_size = _count(campaign, "block_size", DEFAULT_BLOCK_SIZE, "campaign.")
+    retry_budget = _count(campaign, "retry_budget", CampaignPlan.retry_budget, "campaign.")
+    gap_merge = _count(campaign, "gap_merge", CampaignPlan.gap_merge, "campaign.")
     if block_size < 1 or gap_merge < 0 or retry_budget < 0:
         raise ScenarioError("campaign.block_size must be positive, gap_merge and retry_budget >= 0")
     # One roll decides both faults, so their probabilities share [0, 1].
-    corrupt, drop = config.corruption_probability, config.drop_probability
-    if not (config.frame_time_us >= 1 and corrupt >= 0 and drop >= 0 and corrupt + drop <= 1):
+    corrupt, drop = (bus_spec.get(k, 0.0) for k in ("corruption_probability", "drop_probability"))
+    if not (frame_time_us >= 1 and all(type(p) in (int, float) and p >= 0 for p in (corrupt, drop))
+            and corrupt + drop <= 1):
         raise ScenarioError("bus.frame_time_us must be at least 1, and the corruption and drop "
-                            "probabilities not negative and their sum at most 1")
+                            "probabilities JSON numbers, not negative, summing to at most 1")
+    config = BusConfig(frame_time_us, float(corrupt), float(drop), seed, retransmit)
     mode_raw = campaign.get("mode", "delta")
     try:
         mode = CampaignMode(mode_raw)

@@ -34,15 +34,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
 
-from .bootflow import (
-    BootDecision,
-    EcuContext,
-    app_serve,
-    boot_decide,
-    bootloader_serve,
-    updater_serve,
-    updater_silent,
-)
+from .bootflow import (BootDecision, EcuContext, app_serve, boot_decide, bootloader_serve,
+                       updater_serve, updater_silent)
 from .canbus import ACCEPT_ALL, Bus, BusConfig, CanError, recv_segmented, send_segmented
 from .flashmodel import APP_REGION, new_device
 from .lka import (
@@ -113,6 +106,11 @@ class NodeMode(Enum):
 
 # Tick-loop aliases: EnumType.__getattr__ makes each NodeMode.X read ~10x slower than a global.
 _BOOT, _APPLICATION = NodeMode.BOOT, NodeMode.APPLICATION
+_RESET, _STALL = "reset", "stall"  # the gates before a boot (see Node._gate)
+
+_MODE_OF = {BootDecision.JUMP_APPLICATION: _APPLICATION,
+            BootDecision.JUMP_BOOTLOADER: NodeMode.BOOTLOADER,
+            BootDecision.JUMP_UPDATER: NodeMode.UPDATER}
 
 _NEVER = math.inf  # the wake-up of a node that only a frame or an event can stir
 
@@ -162,12 +160,6 @@ class Node:
         )
         # Steering loop state, live while the node runs as an application.
         self._start_steering(PidGains())
-        # Serving acts only on received frames and steering only in the
-        # application: _quiet gates on both, so neither task sets a wake-up.
-        for task in (Task("serve", TaskPriority.COMM, self._serve_step),
-                     Task("steer", TaskPriority.APP, self._app_step)):
-            task.wake_us = _NEVER
-            self.add_task(task)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -194,17 +186,31 @@ class Node:
 
     # -- per-tick behaviour --------------------------------------------------
 
+    def _gate(self, now_us: int):
+        """The first gate an ECU meets at ``now_us``: a pending reset, a
+        stall on its busy flash, a boot after a reset, or None when it runs."""
+        if self.pending_reset:
+            return _RESET
+        if now_us < self.device.busy_until_us:
+            return _STALL
+        return _BOOT if self.mode is _BOOT else None
+
     def run_tick(self) -> None:
+        """An ECU acts on its first gate (:meth:`_gate`), or else serves in
+        its mode, steers if in the application, then runs its tasks: a task
+        added to an ECU runs after both, whatever its priority.  A host
+        runs its tasks."""
         if self.role == "ecu":
-            if self.pending_reset:
-                if not self.endpoint.tx:  # flush queued replies, then go down
+            gate = self._gate(self.world.clock_us)
+            if gate is not None:
+                if gate is _BOOT:
+                    self._boot()
+                elif gate is _RESET and not self.endpoint.tx:  # replies flushed: go down
                     self._reset("software")
                 return
-            if self.world.clock_us < self.device.busy_until_us:
-                return  # stalled on a flash operation
-            if self.mode is _BOOT:
-                self._boot()
-                return
+            self._serve()
+            if self.mode is _APPLICATION:
+                self._steer()
         tasks = self.tasks
         for task in tasks:
             if not task.done:
@@ -217,16 +223,16 @@ class Node:
     def _quiet(self, now_us: int) -> tuple[float, bool] | None:
         """None when ``run_tick`` at ``now_us`` could act; otherwise
         ``(wake_us, listens)``: the clock of the first tick at which it
-        could, and whether it reads its endpoint.  A listening node has an
-        empty receive FIFO and acts when a message completes or breaks on
-        it; a deaf one (a stalled ECU, a host with no tasks) lets frames
-        queue until it wakes."""
+        could, and whether it reads its endpoint.  Of an ECU's gates
+        (:meth:`_gate`) only a stall is quiet, and an application steers
+        every tick.  A listening node has an empty receive FIFO and acts
+        when a message completes or breaks on it; a deaf one (a stalled ECU,
+        a host with no tasks) lets frames queue until it wakes."""
         if self.role == "ecu":
-            if self.pending_reset:
-                return None
-            if now_us < self.device.busy_until_us:
+            gate = self._gate(now_us)
+            if gate is _STALL:
                 return self.device.busy_until_us, False
-            if self.mode is _BOOT or self.mode is _APPLICATION:
+            if gate is not None or self.mode is _APPLICATION:
                 return None
         elif not self.tasks:
             return _NEVER, False
@@ -244,25 +250,19 @@ class Node:
         decision = boot_decide(self.device, self.regs)
         self.boot_count += 1
         self.world.log(self.name, "Decision", decision=decision.value)
-        if decision is BootDecision.JUMP_APPLICATION:
-            self.mode = NodeMode.APPLICATION
+        self.mode = _MODE_OF[decision]
+        if self.mode is _APPLICATION:
             self._enter_application()
-        elif decision is BootDecision.JUMP_UPDATER:
-            self.mode = NodeMode.UPDATER
-            if self.updater_style == "silent":
-                updater_silent(self.ctx)
-        else:
-            self.mode = NodeMode.BOOTLOADER
+        elif self.mode is NodeMode.UPDATER and self.updater_style == "silent":
+            updater_silent(self.ctx)
 
     def _enter_application(self) -> None:
         # The application region always spans the gains; a short image
         # leaves them erased, and erased bytes decode as NaN.
         params, _ = self.device.read(APP_REGION.start, PARAM_END)
         gains = read_gains(params)
-        # NaN-laden parameter blocks fall back to the builtin tuning.
-        if not all(g == g for g in (gains.kp, gains.ki, gains.kd)):
-            gains = PidGains()
-        self._start_steering(gains)
+        # Gains that are not all finite fall back to the builtin tuning.
+        self._start_steering(gains if gains.finite() else PidGains())
 
     def _start_steering(self, gains: PidGains) -> None:
         self.gains = gains
@@ -270,9 +270,7 @@ class Node:
         self.steering_target = 0.0
         self.motor = 0
 
-    def _serve_step(self) -> None:
-        if self.mode is _BOOT:
-            return
+    def _serve(self) -> None:
         while self.endpoint.rx and not self.pending_reset:
             try:
                 msg = recv_segmented(self.endpoint)
@@ -281,7 +279,8 @@ class Node:
                 continue
             if msg is None:
                 return
-            if self.mode is NodeMode.APPLICATION:
+            # Looked up as module globals per call: perfbench's tracer rebinds these names.
+            if self.mode is _APPLICATION:
                 reply = app_serve(self.ctx, msg.payload)
             elif self.mode is NodeMode.BOOTLOADER:
                 reply = bootloader_serve(self.ctx, msg.payload)
@@ -290,9 +289,7 @@ class Node:
             if reply is not None and self.reply_id is not None:
                 send_segmented(self.world.bus, self.endpoint, self.reply_id, reply)
 
-    def _app_step(self) -> None:
-        if self.mode is not _APPLICATION:
-            return
+    def _steer(self) -> None:
         if self.deviation_feed is not None:
             line = next(self.deviation_feed, None)
             if line is not None:

@@ -247,6 +247,46 @@ GOOD_IMAGES = {"old": {"size": 16 * KIB, "seed": 1},
     pytest.param({"images": {"old": {"size": KIB, "gains": [1, 2, "nan"]},
                              "new": {"size": KIB}}},
                  "images.old", id="gains-nan"),
+    # Every count is a JSON integer: no fraction is rounded, no bool or string read as one.
+    pytest.param({"images": GOOD_IMAGES, "bus": {"frame_time_us": 1.9}},
+                 "bus.frame_time_us", id="frame-time-a-fraction"),
+    pytest.param({"images": {"old": {"size": 8192.5}, "new": {"size": KIB}}},
+                 "images.old", id="size-a-fraction"),
+    pytest.param({"images": {"old": {"size": 8192, "seed": 1.7}, "new": {"size": KIB}}},
+                 "images.old", id="image-seed-a-fraction"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "change_blocks": 2.9}}},
+                 "images.new", id="change-blocks-a-fraction"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "seed": 2.5}}},
+                 "images.new", id="derived-image-seed-a-fraction"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "block_range": [0.5, 4]}}},
+                 "images.new", id="block-range-a-fraction"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "block_range": [True, 4]}}},
+                 "images.new", id="block-range-a-bool"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"block_size": 1024.7}},
+                 "campaign.block_size", id="block-size-a-fraction"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"retry_budget": 2.9}},
+                 "campaign.retry_budget", id="retry-budget-a-fraction"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"gap_merge": 8.5}},
+                 "campaign.gap_merge", id="gap-merge-a-fraction"),
+    pytest.param({"images": GOOD_IMAGES, "seed": 1.5}, "seed", id="seed-a-fraction"),
+    pytest.param({"images": GOOD_IMAGES, "seed": True}, "seed", id="seed-a-bool"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "change_blocks": True}}},
+                 "images.new", id="change-blocks-a-bool"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"frame_time_us": "500"}},
+                 "bus.frame_time_us", id="frame-time-a-string"),
+    pytest.param({"images": {"old": {"size": "8192"}, "new": {"size": KIB}}},
+                 "images.old", id="size-a-string"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"block_size": "1024"}},
+                 "campaign.block_size", id="block-size-a-string"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"corruption_probability": False}},
+                 "probabilities", id="corruption-a-bool"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"drop_probability": "0"}},
+                 "probabilities", id="drop-a-string"),
 ])
 def test_sim_run_bad_scenario_is_an_operation_error(tmp_path, capsys, spec, needle):
     (tmp_path / "empty.bin").write_bytes(b"")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fotasim.canbus import BusConfig, send_segmented
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
-from fotasim.lka import MOTOR_RIGHT, PARAM_OFFSET, PidGains
+from fotasim.lka import MOTOR_RIGHT, PARAM_OFFSET, PidGains, pack_image
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign, start_campaign
 from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
@@ -174,6 +174,11 @@ def test_a_host_node_is_its_endpoint_and_its_tasks():
     assert held < 768 * KIB
 
 
+def test_an_ecu_serves_and_steers_without_tasks():
+    # Serving and steering are the mode's own work; a fresh ECU carries no task.
+    assert World().add_node("ecu", 2).tasks == []
+
+
 def test_duplicate_node_name_is_rejected():
     world = World()
     world.add_node("ecu", 2, role="host")
@@ -234,6 +239,17 @@ def test_image_ending_before_the_gains_boots_with_builtin_gains():
     world.tick()
     assert target.mode is NodeMode.APPLICATION
     assert target.gains == PidGains()
+
+
+def test_infinite_gain_boots_with_builtin_gains():
+    # Like NaN, an infinite gain would drive the plant (kp=inf swings 0.0, 0.1,
+    # 0.0, ... on a zero-deviation feed), so the gains block must be all finite.
+    image = pack_image(bytes(4 * KIB), PidGains(math.inf, 0.1, 0.5))
+    world, _, target = build_world(old_image=image, seed=6, deviation_lines=[b"0.00\n"] * 8)
+    world.run_ticks(6)
+    assert target.mode is NodeMode.APPLICATION
+    assert target.gains == PidGains()
+    assert target.steering.position == 0.0
 
 
 def test_image_ending_with_the_gains_boots_with_them():
@@ -486,9 +502,11 @@ def observed(world):
        wrong_secret=st.booleans(),
        seed=st.integers(0, 2**32 - 1),
        max_ticks=st.one_of(st.just(200_000), st.integers(1, 3000)),
-       soak=st.integers(0, 1500))
+       soak=st.integers(0, 1500),
+       feed=st.one_of(st.none(), st.lists(st.sampled_from(
+           ["0.10\n", "-0.02\n", "bad\n", "1.5\n"]), max_size=60)))
 def test_spans_replay_tick_by_tick_stepping_byte_for_byte(
-        mode, corruption, drop, budget, frame_time_us, wrong_secret, seed, max_ticks, soak):
+        mode, corruption, drop, budget, frame_time_us, wrong_secret, seed, max_ticks, soak, feed):
     old = generate_image(12 * KIB, seed=seed % 1000, gains=PidGains())
     new = mutate_blocks(old, count=1 + seed % 4, seed=seed % 997)
     secret = DEFAULT_SECRET ^ 1 if wrong_secret else DEFAULT_SECRET
@@ -496,7 +514,7 @@ def test_spans_replay_tick_by_tick_stepping_byte_for_byte(
     def run(run_until, run_ticks):
         config = BusConfig(frame_time_us=frame_time_us, corruption_probability=corruption,
                            drop_probability=drop, rng_seed=seed, max_auto_retransmit=budget)
-        world, _, _ = build_world(old_image=old, seed=seed, bus=config)
+        world, _, _ = build_world(old_image=old, seed=seed, bus=config, deviation_lines=feed)
         world.bus.trace_enabled = True
         task = start_campaign(world, CampaignPlan(mode=mode, old_image=old, new_image=new,
                                                   shared_secret=secret))
@@ -539,6 +557,25 @@ def test_run_ticks_lands_on_the_tick_mid_message():
     ticked_run_ticks(ticks, 64)
     assert observed(spans) == observed(ticks)
     assert [e["command"] for e in events_named(spans, "CommandServed")] == ["unknown"]
+
+
+def test_reset_during_a_stall_boots_once_the_flash_is_free():
+    # The gates in order: the pending reset goes first, then the stall holds
+    # the boot back until the flash leaves its busy window.
+    def run(run_ticks):
+        world, _, target = build_world(old_image=generate_image(8 * KIB, seed=5), seed=5)
+        world.tick()
+        target.device.busy_until_us = 50_000
+        target.pending_reset = True
+        run_ticks(world, 60)
+        return observed(world) + (target.mode, target.boot_count)
+
+    spans = run(World.run_ticks)
+    assert spans == run(ticked_run_ticks)
+    events = [json.loads(line) for line in spans[3].splitlines()]
+    assert [(e["time_us"], e["event"]) for e in events[2:]] == \
+        [(1000, "Reset"), (50_000, "Boot"), (50_000, "Decision")]
+    assert spans[-2:] == (NodeMode.APPLICATION, 2)
 
 
 def test_run_ticks_lands_on_the_tick_mid_stall():

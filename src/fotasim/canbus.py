@@ -6,13 +6,14 @@ Transport wire format (all frames dlc <= 8, payload <= 65535 bytes):
     body frame:    seq (mod 256, from 0) | up to 7 payload bytes
 
 The CRC in the header is CRC-32/MPEG-2 over the whole payload and is what
-receivers check after reassembly.  One bus step transmits exactly one
+receivers check after reassembly.  A queued message is one entry, and its
+frames are cut as they land (:func:`_frame`).  One bus step transmits one
 frame: the pending frame with the lowest id wins arbitration (FIFO order
 breaks ties).  Fault injection corrupts or drops the frame under
 transmission; a corrupted frame is signalled as an error frame and never
-reaches a receive FIFO, and the sender re-queues it until its retransmit
-budget runs out, at which point the node counts a bus-off.  A stream is
-that step repeated for one sender's frame train, one frame per tick.
+reaches a receive FIFO, and the sender retries it until its retransmit
+budget runs out; then the node counts a bus-off and skips the frame.  A
+stream is that step repeated for one sender's frame train, one per tick.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class CanFrame:
         if type(self.data) is not bytes:
             object.__setattr__(self, "data", bytes(self.data))
 
-    @property
-    def dlc(self) -> int:
-        return len(self.data)
-
 
 @dataclass(frozen=True)
 class SegmentedMessage:
@@ -98,9 +95,15 @@ class BusConfig:
 
 @dataclass(slots=True)
 class _TxEntry:
+    """A queued message or raw frame: frame ``index`` of ``count`` goes next,
+    in arbitration slot ``order``; the later frames hold the slots after it."""
+    can_id: int
     order: int
-    frame: CanFrame
-    attempts: int = 0
+    head: bytes  # frame 0: a message's header, or a raw frame's data
+    payload: bytes  # cut into the body frames
+    count: int
+    index: int = 0
+    attempts: int = 0  # retransmits of frame ``index`` so far
 
 
 class _Assembly:
@@ -167,8 +170,12 @@ class Bus:
         return endpoint
 
     def transmit(self, endpoint: Endpoint, frame: CanFrame) -> None:
-        self._order += 1
-        endpoint.tx.append(_TxEntry(self._order, frame))
+        self._enqueue(endpoint, frame.can_id, frame.data, b"", 1)
+
+    def _enqueue(self, endpoint: Endpoint, can_id: int, head: bytes, payload: bytes,
+                 count: int) -> None:
+        endpoint.tx.append(_TxEntry(can_id, self._order + 1, head, payload, count))
+        self._order += count
 
     def pending(self) -> bool:
         return any(ep.tx for ep in self._endpoints)
@@ -179,7 +186,7 @@ class Bus:
         for ep in self._endpoints:
             if ep.tx:
                 head = ep.tx[0]
-                if sender is None or (head.frame.can_id, head.order) < (best.frame.can_id, best.order):
+                if sender is None or (head.can_id, head.order) < (best.can_id, best.order):
                     sender, best = ep, head
         return sender
 
@@ -192,9 +199,11 @@ class Bus:
         sender = self._winner()
         if sender is None:
             return [], 0
-        frame = self._land(sender, now_us)
+        entry = sender.tx[0]
+        data = self._land(sender, entry, self.rng.random(), now_us)
         delivered = []
-        if frame is not None:
+        if data is not None:
+            frame = CanFrame(entry.can_id, data)
             for ep in self._endpoints:
                 if ep is not sender and ep.accepts(frame.can_id):
                     ep.rx.append(frame)
@@ -215,16 +224,18 @@ class Bus:
         completing or breaking a message.  A delivered frame goes straight
         into each listener's reassembly and onto the receive FIFO of every
         other accepting endpoint.  Draws, statistics, trace rows,
-        retransmits and bus-offs are exactly those of the same steps.
+        retransmits and bus-offs are exactly those of the same steps.  The
+        clean body frames of one message before a fault go as one run: they
+        are counted at once and reach each listener as one payload slice.
         """
         sender = self._winner()
         if sender is None:
             return 0
         tx = sender.tx
-        can_id = tx[0].frame.can_id
+        can_id = tx[0].can_id
         # The sender keeps the bus until its next frame would lose to another
         # sender's queued frame: one with a lower id, or the same id queued earlier.
-        rival = min(((ep.tx[0].frame.can_id, ep.tx[0].order)
+        rival = min(((ep.tx[0].can_id, ep.tx[0].order)
                      for ep in self._endpoints if ep.tx and ep is not sender),
                     default=(MAX_STANDARD_ID + 1, 0))
         last_order = rival[1] if rival[0] == can_id else math.inf
@@ -232,67 +243,95 @@ class Bus:
         for ep in self._endpoints:
             if ep is not sender and ep.accepts(can_id):
                 (hear if ep in listeners else deaf).append(ep)
-        receivers = len(deaf) + len(hear)
-        land, stats = self._land, self.stats
+        stats, random, trace = self.stats, self.rng.random, self.trace_enabled
+        faulty_below = self.config.corruption_probability + self.config.drop_probability
         sent = 0
         while sent < max_frames and tx:
             entry = tx[0]
-            frame = entry.frame
-            if frame.can_id != can_id or entry.order > last_order:
+            index = entry.index
+            if entry.can_id != can_id or entry.order > last_order:
                 break
-            for ep in hear:
-                if not _is_quiet(ep._assembly.get(can_id), frame):
-                    return sent
-            if land(sender, now_us) is not None:
-                for ep in deaf:
-                    ep.rx.append(frame)
-                for ep in hear:
-                    _take_quiet(ep, ep._assembly.get(can_id), frame)
-                stats.deliveries += receivers
-            now_us += tick_us
-            sent += 1
+            run = min(entry.count - index, max_frames - sent)
+            states = [ep._assembly.get(can_id) for ep in hear]
+            single = index == 0 or None in states
+            if single:  # a header, a raw frame, or a listener with no open message
+                data = _frame(entry, index)
+                run = 1 if all(_is_quiet(state, data) for state in states) else 0
+            else:
+                start = (index - 1) * BODY_CHUNK
+                for state in states:
+                    size = min(start + run * BODY_CHUNK, len(entry.payload)) - start
+                    run = _quiet_run(state, (index - 1) & 0xFF, run, size)
+            if not run:
+                return sent
+            clean = 0  # frames before the first fault, one draw each
+            while clean < run and (roll := random()) >= faulty_below:
+                clean += 1
+            if clean:
+                if single:
+                    stats.payload_bytes += len(data)
+                    for ep in hear:
+                        _take(ep, can_id, data)
+                else:
+                    end = min(start + clean * BODY_CHUNK, len(entry.payload))
+                    stats.payload_bytes += clean + end - start
+                    for state in states:
+                        state.buf += entry.payload[start:end]
+                        state.seq += clean
+                stats.frames_sent += clean
+                stats.busy_time_us += clean * self.config.frame_time_us
+                stats.deliveries += clean * (len(deaf) + len(hear))
+                if trace or deaf:
+                    for k in range(clean):
+                        data = _frame(entry, index + k)
+                        if trace:
+                            self._trace(now_us + k * tick_us, can_id, data, "data")
+                        frame = CanFrame(can_id, data)
+                        for ep in deaf:
+                            ep.rx.append(frame)
+                _pass(tx, entry, clean)
+                now_us += clean * tick_us
+                sent += clean
+            if clean < run:  # the next frame drew a fault
+                self._land(sender, entry, roll, now_us)
+                now_us += tick_us
+                sent += 1
         return sent
 
-    def _land(self, sender: Endpoint, now_us: int) -> CanFrame | None:
-        """Put the sender's head frame on the bus: count it, draw the fault
-        lottery, trace it, and re-queue or drop it when it is corrupted or
-        lost.  Returns the frame when it reaches the receivers."""
-        entry = sender.tx.popleft()
-        frame = entry.frame
-        dlc = len(frame.data)
-
+    def _land(self, sender: Endpoint, entry: _TxEntry, roll: float, now_us: int) -> bytes | None:
+        """Put the sender's head frame on the bus: count it, settle the fault
+        lottery by ``roll``, trace it, and retry it, or move the entry past
+        it.  Returns the frame's data when it reaches the receivers."""
+        data = _frame(entry, entry.index)
+        dlc = len(data)
         stats = self.stats
         stats.frames_sent += 1
         stats.payload_bytes += dlc
         stats.busy_time_us += self.config.frame_time_us
 
-        roll = self.rng.random()
         if roll < self.config.corruption_probability and dlc > 0:
-            mangled = bytearray(frame.data)
+            mangled = bytearray(data)
             mangled[self.rng.randrange(dlc)] ^= 1 << self.rng.randrange(8)
             stats.corrupted += 1
             if self.trace_enabled:
-                self._trace(now_us, frame.can_id, mangled, "error")
-            self._retransmit(sender, entry)
-            return None
-        if roll < self.config.corruption_probability + self.config.drop_probability:
+                self._trace(now_us, entry.can_id, mangled, "error")
+        elif roll < self.config.corruption_probability + self.config.drop_probability:
             stats.dropped += 1
-            self._retransmit(sender, entry)
-            return None
-        if self.trace_enabled:
-            self._trace(now_us, frame.can_id, frame.data, "data")
-        return frame
-
-    def _retransmit(self, sender: Endpoint, entry: _TxEntry) -> None:
+        else:
+            if self.trace_enabled:
+                self._trace(now_us, entry.can_id, data, "data")
+            _pass(sender.tx, entry, 1)
+            return data
         budget = self.config.max_auto_retransmit
         if budget is None or entry.attempts < budget:
-            entry.attempts += 1
+            entry.attempts += 1  # the frame keeps its arbitration slot
             sender.retransmissions += 1
-            self.stats.retransmissions += 1
-            sender.tx.appendleft(entry)  # keeps its original arbitration slot
+            stats.retransmissions += 1
         else:
             sender.bus_off_count += 1
-            self.stats.bus_off_events += 1
+            stats.bus_off_events += 1
+            _pass(sender.tx, entry, 1)
+        return None
 
     def _trace(self, now_us: int, can_id: int, data: bytes, kind: str) -> None:
         self.trace.append({"time_us": now_us, "id": can_id, "dlc": len(data),
@@ -300,39 +339,84 @@ class Bus:
 
 
 def send_segmented(bus: Bus, endpoint: Endpoint, can_id: int, payload: bytes) -> int:
-    """Queue one payload as a header frame plus 7-byte body frames; returns
-    the number of frames queued."""
+    """Queue one payload as one entry, a header frame plus 7-byte body
+    frames that are cut as they land; returns the number of frames."""
     if len(payload) == 0:
         raise ValueError("refusing to send an empty payload")
     if len(payload) > MAX_SEGMENTED_PAYLOAD:
         raise PayloadTooLarge(f"{len(payload)} bytes exceeds the 16-bit length field")
-    bus.transmit(endpoint, CanFrame(can_id, _HEADER.pack(HEADER_MARKER, len(payload), crc32(payload), 0)))
-    for seq, start in enumerate(range(0, len(payload), BODY_CHUNK)):
-        bus.transmit(endpoint, CanFrame(can_id, _SEQ_BYTES[seq & 0xFF] + payload[start : start + BODY_CHUNK]))
-    return 2 + seq  # the header plus seq + 1 body frames
+    if not 0 <= can_id <= MAX_STANDARD_ID:
+        raise MalformedFrame(f"id 0x{can_id:X} exceeds the 11-bit range")
+    payload = bytes(payload)
+    count = 2 + (len(payload) - 1) // BODY_CHUNK  # the header plus the body frames
+    bus._enqueue(endpoint, can_id, _HEADER.pack(HEADER_MARKER, len(payload), crc32(payload), 0),
+                 payload, count)
+    return count
 
 
-def _is_quiet(state: _Assembly | None, frame: CanFrame) -> bool:
-    """The reassembly rule :func:`recv_segmented` and :meth:`Bus.stream`
-    share: whether taking ``frame`` into ``state`` (the open assembly on its
-    id, if any) neither completes nor breaks a message.  That holds for a
-    header where no assembly is open and for the next body frame short of
-    the payload's end."""
-    data = frame.data
+def _frame(entry: _TxEntry, index: int) -> bytes:
+    """Frame ``index`` of a queued entry: its head (a header or a raw frame),
+    or body frame ``index - 1``: the sequence byte and a 7-byte chunk."""
+    if index == 0:
+        return entry.head
+    start = (index - 1) * BODY_CHUNK
+    return _SEQ_BYTES[(index - 1) & 0xFF] + entry.payload[start : start + BODY_CHUNK]
+
+
+def _pass(tx: deque[_TxEntry], entry: _TxEntry, frames: int) -> None:
+    """Move ``entry``, the head of ``tx``, past its next ``frames`` frames."""
+    entry.index += frames
+    entry.order += frames
+    entry.attempts = 0
+    if entry.index == entry.count:
+        tx.popleft()
+
+
+def _quiet_run(state: _Assembly, seq: int, count: int, size: int) -> int:
+    """The reassembly rule for body frames: how many of ``count`` in a row,
+    the first with sequence byte ``seq``, each but the last a full chunk,
+    ``size`` payload bytes in all, the open message ``state`` takes in
+    phase and short of its announced length, so neither breaks nor ends."""
+    if seq != state.seq & 0xFF:
+        return 0
+    room = state.expected - len(state.buf)  # the message completes once this many bytes land
+    full = (room - 1) // BODY_CHUNK  # full chunks that leave it open
+    if full >= count - 1 and size < room:
+        return count
+    return max(0, min(full, count - 1))
+
+
+def _is_quiet(state: _Assembly | None, data: bytes) -> bool:
+    """Whether taking the frame ``data`` into ``state`` (the open assembly
+    on its id, if any) neither completes nor breaks a message: a header
+    where no assembly is open, or a body frame by :func:`_quiet_run`."""
     if state is None:
         return len(data) == _HEADER.size and data[0] == HEADER_MARKER
-    return (bool(data) and data[0] == state.seq & 0xFF
-            and len(state.buf) + len(data) - 1 < state.expected)
+    return bool(data) and _quiet_run(state, data[0], 1, len(data) - 1) == 1
 
 
-def _take_quiet(endpoint: Endpoint, state: _Assembly | None, frame: CanFrame) -> None:
-    """Take a frame for which :func:`_is_quiet` holds."""
+def _take(endpoint: Endpoint, can_id: int, data: bytes) -> SegmentedMessage | None:
+    """Feed one frame into reassembly on ``can_id``, as
+    :func:`recv_segmented` does; None while its message is still open."""
+    state = endpoint._assembly.get(can_id)
+    if _is_quiet(state, data):
+        if state is None:
+            _, length, crc, _ = _HEADER.unpack(data)
+            endpoint._assembly[can_id] = _Assembly(length, crc)
+        else:
+            state.buf += data[1:]
+            state.seq += 1
+        return None
     if state is None:
-        _, length, crc, _ = _HEADER.unpack(frame.data)
-        endpoint._assembly[frame.can_id] = _Assembly(length, crc)
-    else:
-        state.buf += frame.data[1:]
-        state.seq += 1
+        raise SequenceGap(f"body frame on id 0x{can_id:X} without a header")
+    del endpoint._assembly[can_id]
+    if not data or data[0] != state.seq & 0xFF:
+        raise SequenceGap(f"expected seq {state.seq & 0xFF}, got {data[0] if data else None}")
+    state.buf += data[1:]
+    payload = bytes(state.buf[: state.expected])
+    if len(state.buf) != state.expected or crc32(payload) != state.crc:
+        raise ChecksumMismatch(f"payload on id 0x{can_id:X} failed its checksum")
+    return SegmentedMessage(can_id, payload)
 
 
 def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
@@ -345,21 +429,9 @@ def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
     """
     while endpoint.rx:
         frame = endpoint.rx.popleft()
-        state = endpoint._assembly.get(frame.can_id)
-        if _is_quiet(state, frame):
-            _take_quiet(endpoint, state, frame)
-            continue
-        if state is None:
-            raise SequenceGap(f"body frame on id 0x{frame.can_id:X} without a header")
-        del endpoint._assembly[frame.can_id]
-        if frame.dlc < 1 or frame.data[0] != state.seq & 0xFF:
-            got = frame.data[0] if frame.dlc else None
-            raise SequenceGap(f"expected seq {state.seq & 0xFF}, got {got}")
-        state.buf += frame.data[1:]
-        payload = bytes(state.buf[: state.expected])
-        if len(state.buf) != state.expected or crc32(payload) != state.crc:
-            raise ChecksumMismatch(f"payload on id 0x{frame.can_id:X} failed its checksum")
-        return SegmentedMessage(frame.can_id, payload)
+        msg = _take(endpoint, frame.can_id, frame.data)
+        if msg is not None:
+            return msg
     return None
 
 

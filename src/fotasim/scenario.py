@@ -143,7 +143,7 @@ def build_world(*, old_image: bytes, seed: int = 0,
 
 
 def parse_secret(raw) -> int:
-    if isinstance(raw, int):
+    if type(raw) is int:
         return raw
     if isinstance(raw, str):
         try:
@@ -209,6 +209,9 @@ def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes
                                  block_size, bounds)
         elif "size" in entry:
             gains = entry.get("gains")
+            if gains is not None and not (type(gains) is list and all(
+                    type(gain) in (int, float) for gain in gains)):
+                raise ScenarioError(f"gains must be a list of numbers, got {gains!r}")
             data = generate_image(_count(entry, "size", None), _count(entry, "seed", 0),
                                   None if gains is None else parse_gains(gains))
         else:

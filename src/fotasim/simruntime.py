@@ -15,8 +15,8 @@ busy horizon, an ECU serving as bootloader or updater until a message
 completes or breaks on its endpoint, a host until every task's yielded
 deadline or such a message.  During a span the bus streams one sender's
 frames (:meth:`Bus.stream <fotasim.canbus.Bus.stream>`), or, when it is
-idle, the clock jumps to the earliest wake-up.  Steering in the application
-runs every tick, and so does any task without a deadline.
+idle, the clock jumps to the earliest wake-up or an application ECU steers
+alone, one plant step a tick.  A task without a deadline runs every tick.
 
 A node's ``role`` says what it is.  An ECU owns a flash device, backup
 registers and a security session and lives the boot-chain life: reset,
@@ -211,6 +211,9 @@ class Node:
             self._serve()
             if self.mode is _APPLICATION:
                 self._steer()
+        self._run_tasks()
+
+    def _run_tasks(self) -> None:
         tasks = self.tasks
         for task in tasks:
             if not task.done:
@@ -220,22 +223,22 @@ class Node:
                 self.tasks = [t for t in tasks if not t.done]
                 break
 
-    def _quiet(self, now_us: int) -> tuple[float, bool] | None:
-        """None when ``run_tick`` at ``now_us`` could act; otherwise
-        ``(wake_us, listens)``: the clock of the first tick at which it
-        could, and whether it reads its endpoint.  Of an ECU's gates
-        (:meth:`_gate`) only a stall is quiet, and an application steers
-        every tick.  A listening node has an empty receive FIFO and acts
-        when a message completes or breaks on it; a deaf one (a stalled ECU,
-        a host with no tasks) lets frames queue until it wakes."""
+    def _quiet(self, now_us: int) -> tuple[float, bool, bool] | None:
+        """None when ``run_tick`` at ``now_us`` could act but steer; else
+        ``(wake_us, listens, steers)``: the clock of the first tick at which
+        it could, whether it reads its endpoint and whether it steers.  Of
+        an ECU's gates (:meth:`_gate`) only a stall is quiet; past them an
+        application steers.  A listening node has an empty receive FIFO and
+        acts when a message completes or breaks on it; a deaf one (a stalled
+        ECU, a host with no tasks) lets frames queue until it wakes."""
         if self.role == "ecu":
             gate = self._gate(now_us)
             if gate is _STALL:
-                return self.device.busy_until_us, False
-            if gate is not None or self.mode is _APPLICATION:
+                return self.device.busy_until_us, False, False
+            if gate is not None:
                 return None
         elif not self.tasks:
-            return _NEVER, False
+            return _NEVER, False, False
         if self.endpoint.rx:
             return None
         wake = _NEVER
@@ -243,7 +246,7 @@ class Node:
             if task.done or task.wake_us is None or task.wake_us <= now_us:
                 return None
             wake = min(wake, task.wake_us)
-        return wake, True
+        return wake, True, self.role == "ecu" and self.mode is _APPLICATION
 
     def _boot(self) -> None:
         self.world.log(self.name, "Boot")
@@ -353,13 +356,13 @@ class World:
         """Move time by up to ``budget`` ticks; returns how many it took.
 
         Takes one :meth:`tick`, or a span of ticks in which no node's
-        ``run_tick`` would act: the bus streams one sender's frames, or,
-        when it is idle, the clock jumps to the earliest wake-up.  No span
-        follows a tick that logged an event, since a node earlier in tick
-        order has not yet seen it."""
+        ``run_tick`` would act but steer: the bus streams one sender's frames,
+        or, when it is idle, the clock jumps to the earliest wake-up or
+        steering runs alone (:meth:`_steer_span`).  No span follows a tick
+        that logged an event: a node earlier in tick order has not seen it."""
         now = self.clock_us
         if len(self.events) == self._events_before_tick:
-            wake, listeners = _NEVER, []
+            wake, listeners, steering = _NEVER, [], []
             for node in self._nodes:
                 quiet = node._quiet(now)
                 if quiet is None:
@@ -367,6 +370,8 @@ class World:
                 wake = min(wake, quiet[0])
                 if quiet[1]:
                     listeners.append(node.endpoint)
+                if quiet[2]:
+                    steering.append(node)
             else:
                 bus = self.bus
                 busy = bus.pending()
@@ -376,7 +381,9 @@ class World:
                 span = budget
                 if wake != _NEVER:  # the ticks that sample the clock before the wake-up
                     span = min(span, -int((now - wake) // tick_us))
-                if busy:
+                if steering:
+                    span = 0 if busy else self._steer_span(steering, span)
+                elif busy:
                     span = bus.stream(now, tick_us, span, listeners)
                 if span:
                     self.last_tick_time = now + (span - 1) * tick_us
@@ -384,6 +391,24 @@ class World:
                     return span
         self.tick()
         return 1
+
+    def _steer_span(self, steering: list[Node], ticks: int) -> int:
+        """Run up to ``ticks`` ticks in which only the ``steering`` nodes act;
+        returns how many ran.  A tick whose steering logs an event ends as in
+        :meth:`tick`: that node runs its tasks, every later node ``run_tick``."""
+        now, events = self.clock_us, self.events
+        for done in range(ticks):
+            self.clock_us = now + done * DEFAULT_TICK_US
+            logged = len(events)
+            for node in steering:
+                node._steer()
+                if len(events) != logged:
+                    node._run_tasks()
+                    for later in self._nodes[self._nodes.index(node) + 1:]:
+                        later.run_tick()
+                    self._events_before_tick = logged
+                    return done + 1
+        return ticks
 
     def run_ticks(self, count: int) -> None:
         """Advance exactly ``count`` ticks."""
@@ -395,10 +420,10 @@ class World:
         the reported time is the timestamp the triggering tick's events
         carry.
 
-        Spans of ticks in which no node could act pass in one step, so the
-        predicate is re-checked whenever a node could have acted, not at
-        every tick: it should read node or task state, and a time budget
-        belongs in ``max_ticks``, not in a test of the clock."""
+        Spans of ticks in which no node could act but steer pass in one
+        step, so the predicate is re-checked whenever a node could have
+        acted, not at every tick: it should read node or task state, not
+        steering, and a time budget belongs in ``max_ticks``."""
         if predicate(self):
             return RunResult(True, self.clock_us, 0)
         ticks = 0

@@ -1,5 +1,6 @@
 """Bus arbitration, fault injection and the segmented transport."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -11,6 +12,7 @@ from fotasim.canbus import (
     HEADER_MARKER,
     Bus,
     BusConfig,
+    CanError,
     CanFrame,
     ChecksumMismatch,
     DuplicateNode,
@@ -223,7 +225,10 @@ def test_fifteen_byte_payload_frame_shape():
     frames = send_segmented(bus, a, 0x123, payload)
     assert frames == 4  # header + 7 + 7 + 1
 
-    sent = [e.frame for e in a.tx]
+    sent = []
+    while bus.pending():
+        delivered, _ = bus.step()
+        sent += [frame for _, frame in delivered]
     header = sent[0].data
     marker, length, crc, pad = struct.unpack("<BHIB", header)
     assert (marker, length, pad) == (HEADER_MARKER, 15, 0)
@@ -264,6 +269,13 @@ def test_payload_cap_is_16_bit():
     send_segmented(bus, a, 0x101, bytes(0xFFFF))
     with pytest.raises(PayloadTooLarge):
         send_segmented(bus, a, 0x102, bytes(0x10000))
+
+
+def test_segmented_id_past_11_bits_is_malformed_and_queues_nothing():
+    bus, a, _ = two_node_bus()
+    with pytest.raises(MalformedFrame):
+        send_segmented(bus, a, 0x800, b"payload")
+    assert not a.tx and not bus.pending()
 
 
 def test_body_without_header_is_a_sequence_gap():
@@ -372,6 +384,96 @@ def test_stats_accumulate():
     assert bus.stats.payload_bytes == 8 + 8 + 8  # header + two full body frames
     assert bus.stats.deliveries == 3
     assert bus.stats.busy_time_us == 3 * 500
+
+
+# -- streams against steps ---------------------------------------------------------
+
+_IDS = (0x100, 0x101, 0x200)
+_RAW = st.one_of(
+    st.binary(max_size=8),
+    st.builds(lambda length, crc: struct.pack("<BHIB", HEADER_MARKER, length, crc, 0),
+              st.integers(0, 20), st.integers(0, 2**32 - 1)),  # a header, perhaps a lying one
+    st.builds(lambda seq, body: bytes([seq]) + body, st.integers(0, 3), st.binary(max_size=7)))
+_QUEUE = st.one_of(
+    st.tuples(st.just("message"), st.integers(0, 2), st.sampled_from(_IDS),
+              st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just("frame"), st.integers(0, 2), st.sampled_from(_IDS), _RAW))
+_DRAIN = st.tuples(st.just("drain"), st.integers(1, 60))
+_TICK_US = 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(senders=st.integers(2, 3),
+       listening=st.lists(st.booleans(), min_size=4, max_size=4),
+       filtered=st.lists(st.booleans(), min_size=4, max_size=4),
+       corruption=st.sampled_from([0.0, 0.2]),
+       drop=st.sampled_from([0.0, 0.05]),
+       budget=st.sampled_from([0, 3, None]),
+       trace=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       program=st.lists(st.one_of(_QUEUE, _DRAIN), max_size=40))
+def test_streams_replay_step_by_step_byte_for_byte(
+        senders, listening, filtered, corruption, drop, budget, trace, seed, program):
+    """Two identical buses take the same queued messages and raw frames.  One
+    drains by ``step()`` alone, the other by ``stream()``, with a ``step()``
+    whenever the stream sends nothing, as the world does.  Listening
+    endpoints are drained by ``recv_segmented`` after every call, deaf ones
+    at the end."""
+    class Side:
+        def __init__(self):
+            self.bus = Bus(BusConfig(corruption_probability=corruption, drop_probability=drop,
+                                     rng_seed=seed, max_auto_retransmit=budget))
+            self.bus.trace_enabled = trace
+            # The senders, then one endpoint that only receives; a filtered one hears one id.
+            self.endpoints = [
+                self.bus.attach(i + 1, ((0x7FF, _IDS[i % 3]),) if filtered[i] else ACCEPT_ALL)
+                for i in range(senders + 1)]
+            self.listeners = [ep for ep, on in zip(self.endpoints, listening) if on]
+            self.log = {ep.node_id: [] for ep in self.endpoints}
+
+        def drain(self, endpoints):
+            for ep in endpoints:
+                while ep.rx:
+                    try:
+                        msg = recv_segmented(ep)
+                    except CanError as exc:
+                        self.log[ep.node_id].append(type(exc).__name__)
+                    else:
+                        if msg is not None:
+                            self.log[ep.node_id].append((msg.can_id, msg.payload))
+
+        def observed(self):
+            return (dataclasses.astuple(self.bus.stats), self.bus.rng.getstate(), self.bus.trace,
+                    [(ep.retransmissions, ep.bus_off_count) for ep in self.endpoints], self.log)
+
+    stepped, streamed = Side(), Side()
+    now = 0
+    for op in program + [("drain", 10**6)]:
+        if op[0] != "drain":
+            kind, sender, can_id, data = op
+            for side in (stepped, streamed):
+                if kind == "message":
+                    send_segmented(side.bus, side.endpoints[sender % senders], can_id, data)
+                else:
+                    side.bus.transmit(side.endpoints[sender % senders], CanFrame(can_id, data))
+            continue
+        ticks = op[1]
+        while ticks and streamed.bus.pending():
+            sent = streamed.bus.stream(now, _TICK_US, ticks, streamed.listeners)
+            if not sent:
+                streamed.bus.step(now)
+                sent = 1
+            streamed.drain(streamed.listeners)
+            for _ in range(sent):
+                stepped.bus.step(now)
+                now += _TICK_US
+                stepped.drain(stepped.listeners)
+            ticks -= sent
+            assert streamed.observed() == stepped.observed()
+    assert not stepped.bus.pending()
+    for side in (stepped, streamed):
+        side.drain(side.endpoints)
+    assert streamed.observed() == stepped.observed()
 
 
 def test_wait_for_returns_the_first_poll_result_or_none_at_its_deadline():

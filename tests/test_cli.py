@@ -247,6 +247,11 @@ GOOD_IMAGES = {"old": {"size": 16 * KIB, "seed": 1},
     pytest.param({"images": {"old": {"size": KIB, "gains": [1, 2, "nan"]},
                              "new": {"size": KIB}}},
                  "images.old", id="gains-nan"),
+    pytest.param({"images": {"old": {"size": KIB, "gains": ["2", True, 0.5]},
+                             "new": {"size": KIB}}},
+                 "images.old", id="gains-a-string-and-a-bool"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"secret": True}},
+                 "secret", id="secret-a-bool"),
     # Every count is a JSON integer: no fraction is rounded, no bool or string read as one.
     pytest.param({"images": GOOD_IMAGES, "bus": {"frame_time_us": 1.9}},
                  "bus.frame_time_us", id="frame-time-a-fraction"),

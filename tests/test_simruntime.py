@@ -504,9 +504,11 @@ def observed(world):
        max_ticks=st.one_of(st.just(200_000), st.integers(1, 3000)),
        soak=st.integers(0, 1500),
        feed=st.one_of(st.none(), st.lists(st.sampled_from(
-           ["0.10\n", "-0.02\n", "bad\n", "1.5\n"]), max_size=60)))
+           ["0.10\n", "-0.02\n", "bad\n", "1.5\n"]), max_size=60)),
+       trace=st.booleans())
 def test_spans_replay_tick_by_tick_stepping_byte_for_byte(
-        mode, corruption, drop, budget, frame_time_us, wrong_secret, seed, max_ticks, soak, feed):
+        mode, corruption, drop, budget, frame_time_us, wrong_secret, seed, max_ticks, soak, feed,
+        trace):
     old = generate_image(12 * KIB, seed=seed % 1000, gains=PidGains())
     new = mutate_blocks(old, count=1 + seed % 4, seed=seed % 997)
     secret = DEFAULT_SECRET ^ 1 if wrong_secret else DEFAULT_SECRET
@@ -515,7 +517,7 @@ def test_spans_replay_tick_by_tick_stepping_byte_for_byte(
         config = BusConfig(frame_time_us=frame_time_us, corruption_probability=corruption,
                            drop_probability=drop, rng_seed=seed, max_auto_retransmit=budget)
         world, _, _ = build_world(old_image=old, seed=seed, bus=config, deviation_lines=feed)
-        world.bus.trace_enabled = True
+        world.bus.trace_enabled = trace
         task = start_campaign(world, CampaignPlan(mode=mode, old_image=old, new_image=new,
                                                   shared_secret=secret))
         result = run_until(world, lambda w: task.done, max_ticks)
@@ -576,6 +578,34 @@ def test_reset_during_a_stall_boots_once_the_flash_is_free():
     assert [(e["time_us"], e["event"]) for e in events[2:]] == \
         [(1000, "Reset"), (50_000, "Boot"), (50_000, "Decision")]
     assert spans[-2:] == (NodeMode.APPLICATION, 2)
+
+
+def test_a_steering_span_ends_on_its_event_tick_as_a_tick_would():
+    # The application's own waiting task and the nodes after it in tick order
+    # see the BadDeviation in the tick that logs it, as World.tick has them.
+    def run(run_ticks):
+        image = generate_image(8 * KIB, seed=4, gains=PidGains())
+        world, master, target = build_world(old_image=image, seed=4,
+                                            deviation_lines=["0.10\n"] * 5 + ["bad\n"])
+        world.tick()  # boots into the application
+        seen = []
+
+        def watch(node):
+            logged = len(world.events)
+            while True:
+                if len(world.events) != logged:  # new only when an event lands
+                    logged = len(world.events)
+                    seen.append((node.name, world.clock_us, logged))
+                yield 10**9
+
+        for node in (target, master):
+            node.add_task(Task.from_generator("watch", TaskPriority.APP, watch(node)))
+        run_ticks(world, 20)
+        return observed(world) + (seen,)
+
+    spans = run(World.run_ticks)
+    assert spans == run(ticked_run_ticks)
+    assert [name for name, _, _ in spans[-1]] == ["target", "master"]
 
 
 def test_run_ticks_lands_on_the_tick_mid_stall():

@@ -14,6 +14,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .integrity import DEFAULT_BLOCK_SIZE
 
@@ -79,8 +80,7 @@ def parse_gains(values) -> PidGains:
     return PidGains(*gains)
 
 
-@dataclass(frozen=True)
-class SteeringState:
+class SteeringState(NamedTuple):
     position: float = 0.0
     integral: float = 0.0
     previous_error: float = 0.0
@@ -107,7 +107,10 @@ def parse_deviation_line(line: str | bytes) -> float:
             raise MalformedDeviation(repr(line)) from exc
     if not _DEVIATION_RE.fullmatch(line):
         raise MalformedDeviation(repr(line))
-    return float(line)
+    value = float(line)
+    if not math.isfinite(value):  # enough digits parse as infinity
+        raise MalformedDeviation(repr(line))
+    return value
 
 
 def format_deviation(value: float) -> str:
@@ -120,8 +123,25 @@ def deviation_to_target(deviation_m: float) -> float:
     """Steering-angle target (degrees) for a lateral deviation (metres)."""
     if not math.isfinite(deviation_m):
         raise NonFiniteInput(repr(deviation_m))
-    raw = deviation_m * TARGET_GAIN_DEG_PER_M
-    return max(-TARGET_LIMIT_DEG, min(TARGET_LIMIT_DEG, raw))
+    return _clamp(deviation_m * TARGET_GAIN_DEG_PER_M, TARGET_LIMIT_DEG)
+
+
+def _clamp(x: float, limit: float) -> float:
+    """``max(-limit, min(limit, x))`` bit for bit: NaN gives ``limit``."""
+    return x if -limit < x < limit else -limit if x <= -limit else limit
+
+
+def _pid(state: SteeringState, gains: PidGains, error: float, dt: float) -> tuple[float, float]:
+    """``(command, integral)`` of one controller step: the one statement
+    of the formula that :func:`pid_step` and :func:`plant_step` run."""
+    if dt <= 0 or not math.isfinite(dt):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not math.isfinite(error):
+        raise NonFiniteInput(repr(error))
+    integral = _clamp(state.integral + error * dt, INTEGRAL_LIMIT)
+    derivative = (error - state.previous_error) / dt
+    command = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    return _clamp(command, COMMAND_LIMIT), integral
 
 
 def pid_step(state: SteeringState, gains: PidGains, error: float, dt: float) -> tuple[float, SteeringState]:
@@ -131,30 +151,24 @@ def pid_step(state: SteeringState, gains: PidGains, error: float, dt: float) -> 
     (rectangular) clamped to +/-100 before use and the command clamped to
     +/-100.  The plant position is not touched here.
     """
-    if dt <= 0 or not math.isfinite(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not math.isfinite(error):
-        raise NonFiniteInput(repr(error))
-    integral = state.integral + error * dt
-    integral = max(-INTEGRAL_LIMIT, min(INTEGRAL_LIMIT, integral))
-    derivative = (error - state.previous_error) / dt
-    command = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    command = max(-COMMAND_LIMIT, min(COMMAND_LIMIT, command))
+    command, integral = _pid(state, gains, error, dt)
     return command, SteeringState(state.position, integral, error)
 
 
 def plant_step(state: SteeringState, gains: PidGains, target_deg: float, dt: float) -> SteeringState:
     """One controller step driving the first-order plant (1 deg/s per
     command unit) towards ``target_deg``; returns the new state."""
-    command, state = pid_step(state, gains, target_deg - state.position, dt)
-    position = state.position + dt * PLANT_GAIN_DEG_PER_S * command
-    return SteeringState(position, state.integral, state.previous_error)
+    error = target_deg - state.position
+    command, integral = _pid(state, gains, error, dt)
+    return SteeringState(state.position + dt * PLANT_GAIN_DEG_PER_S * command, integral, error)
 
 
 def simulate(gains: PidGains, target_deg: float, initial_deg: float,
              duration_s: float) -> list[tuple[float, float]]:
     """Run the loop against the first-order plant (1 deg/s per command unit)
     in 10 ms steps; returns ``(time_s, |target - position|)`` per step."""
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration_s must be finite and non-negative, got {duration_s!r}")
     state = SteeringState(position=initial_deg)
     trace = []
     steps = round(duration_s / SIMULATE_DT_S)

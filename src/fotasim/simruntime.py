@@ -272,6 +272,7 @@ class Node:
         self.steering = SteeringState()
         self.steering_target = 0.0
         self.motor = 0
+        self._steered_by = None  # the feed line that set steering_target
 
     def _serve(self) -> None:
         while self.endpoint.rx and not self.pending_reset:
@@ -295,7 +296,8 @@ class Node:
     def _steer(self) -> None:
         if self.deviation_feed is not None:
             line = next(self.deviation_feed, None)
-            if line is not None:
+            # A line equal to the last one that set the target would set the same again.
+            if line is not None and line != self._steered_by:
                 try:
                     deviation = parse_deviation_line(line)
                 except ValueError:
@@ -303,6 +305,7 @@ class Node:
                 else:
                     self.steering_target = deviation_to_target(deviation)
                     self.motor = motor_order(deviation)
+                    self._steered_by = line
         self.steering = plant_step(self.steering, self.gains, self.steering_target, _TICK_S)
 
 

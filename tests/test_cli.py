@@ -332,6 +332,17 @@ def test_sim_run_executes_a_delta_campaign(tmp_path, capsys):
     assert "delta campaign: success" in err
 
 
+def test_sim_run_logs_a_deviation_that_overflows_as_bad(tmp_path, capsys):
+    huge = "9" * 400 + ".00\n"
+    path = write_scenario(tmp_path, lka={"deviations": [huge, "0.10\n", huge]})
+    trace = tmp_path / "trace"
+    code, out, _ = run_cli(capsys, "sim", "run", str(path), "--trace", str(trace))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "success"
+    events = [json.loads(line) for line in (trace / "events.jsonl").read_text().splitlines()]
+    assert [e["line"] for e in events if e["event"] == "BadDeviation"] == [repr(huge)] * 2
+
+
 def test_sim_run_failure_exits_one_with_the_report(tmp_path, capsys):
     # 300 KiB needs more 1 KiB block slots than the metadata record holds.
     path = write_scenario(tmp_path, images={

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fotasim.lka import (
@@ -21,6 +21,7 @@ from fotasim.lka import (
     pack_image,
     parse_deviation_line,
     pid_step,
+    plant_step,
     read_gains,
     simulate,
 )
@@ -60,6 +61,16 @@ def test_parse_rejects_malformed_lines():
                 "0.10\n\n", "", "nan\n", b"\xff\xff"):
         with pytest.raises(MalformedDeviation):
             parse_deviation_line(bad)
+
+
+def test_parse_rejects_a_reading_that_overflows_to_infinity():
+    # The format allows any number of integer digits; enough of them parse as inf.
+    huge = "9" * 400 + ".00\n"
+    for bad in (huge, "-" + huge, huge.encode()):
+        with pytest.raises(MalformedDeviation):
+            parse_deviation_line(bad)
+    largest = "9" * 308 + ".00\n"
+    assert parse_deviation_line(largest) == float(largest)
 
 
 def test_format_parse_roundtrip():
@@ -158,6 +169,76 @@ def test_convergence_shrinks_the_error_envelope():
 def test_zero_initial_error_stays_zero():
     trace = simulate(PidGains(), 0.0, 0.0, 1.0)
     assert all(err == 0.0 for _, err in trace)
+
+
+def test_simulate_rejects_a_bad_duration():
+    for bad in (math.nan, math.inf, -math.inf, -0.01, -5.0):
+        with pytest.raises(ValueError, match="duration_s"):
+            simulate(PidGains(), 0.0, 10.0, bad)
+    assert simulate(PidGains(), 0.0, 10.0, 0.0) == []
+    assert simulate(PidGains(), 0.0, 10.0, 0.004) == []  # rounds to no step
+
+
+def reference_pid_step(state, gains, error, dt):
+    """The controller step as first written, with max/min clamps."""
+    integral = state.integral + error * dt
+    integral = max(-100.0, min(100.0, integral))
+    derivative = (error - state.previous_error) / dt
+    command = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    command = max(-100.0, min(100.0, command))
+    return command, SteeringState(state.position, integral, error)
+
+
+def reference_plant_step(state, gains, target_deg, dt):
+    command, state = reference_pid_step(state, gains, target_deg - state.position, dt)
+    position = state.position + dt * 1.0 * command
+    return SteeringState(position, state.integral, state.previous_error)
+
+
+def state_bits(state):
+    return [float.hex(v) for v in (state.position, state.integral, state.previous_error)]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+STATES = st.builds(SteeringState, FINITE, FINITE, FINITE)
+GAIN = st.floats(-1e308, 1e308)
+WIDE_GAINS = st.builds(PidGains, GAIN, GAIN, GAIN)
+DTS = st.one_of(st.sampled_from([0.001, 0.01]),
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+@given(STATES, WIDE_GAINS, FINITE, FINITE, DTS)
+@settings(max_examples=300, deadline=None)
+# Commands that overflow to NaN, +inf and -inf, and an all -0.0 step.
+@example(SteeringState(), PidGains(1e308, 0.0, -1e308), 10.0, 10.0, 0.01)
+@example(SteeringState(), PidGains(1e308, 0.0, 1e308), 10.0, 10.0, 0.01)
+@example(SteeringState(), PidGains(-1e308, 0.0, -1e308), 10.0, 10.0, 0.01)
+@example(SteeringState(0.0, -0.0, 0.0), PidGains(), -0.0, -0.0, 0.01)
+def test_plant_step_matches_the_clamped_formula_bit_for_bit(state, gains, error, target, dt):
+    command, new = pid_step(state, gains, error, dt)
+    reference_command, reference_new = reference_pid_step(state, gains, error, dt)
+    assert float.hex(command) == float.hex(reference_command)
+    assert state_bits(new) == state_bits(reference_new)
+    if not math.isfinite(target - state.position):
+        with pytest.raises(NonFiniteInput):
+            plant_step(state, gains, target, dt)
+        return
+    assert state_bits(plant_step(state, gains, target, dt)) == \
+        state_bits(reference_plant_step(state, gains, target, dt))
+
+
+@given(STATES, WIDE_GAINS, FINITE,
+       st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+@settings(max_examples=60, deadline=None)
+def test_steps_still_reject_a_bad_dt_or_a_non_finite_error(state, gains, value, bad_dt, bad):
+    for step in (pid_step, plant_step):
+        with pytest.raises(ValueError, match="dt"):
+            step(state, gains, value, bad_dt)
+    with pytest.raises(NonFiniteInput):
+        pid_step(state, gains, bad, 0.01)
+    with pytest.raises(NonFiniteInput):
+        plant_step(state, gains, bad, 0.01)
 
 
 # -- gains embedded in the image ------------------------------------------------------

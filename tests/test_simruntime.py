@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fotasim.canbus import BusConfig, send_segmented
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
-from fotasim.lka import MOTOR_RIGHT, PARAM_OFFSET, PidGains, pack_image
+from fotasim.lka import MOTOR_LEFT, MOTOR_RIGHT, PARAM_OFFSET, PidGains, pack_image
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign, start_campaign
 from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
@@ -391,6 +391,56 @@ def test_feed_exhaustion_keeps_the_last_target():
     world.run_ticks(6)
     assert target.steering_target == pytest.approx(-6.0)
     assert target.steering.position < 0.0
+
+
+class Unequal(str):
+    """A feed line equal to nothing, so the node parses it however it repeats."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = str.__hash__
+
+
+class UnequalBytes(bytes):
+    """The bytes form of :class:`Unequal`."""
+
+    __eq__, __ne__, __hash__ = Unequal.__eq__, Unequal.__ne__, bytes.__hash__
+
+
+def test_a_repeated_line_steers_as_a_freshly_parsed_one():
+    # A line repeated as str, then as equal bytes; a malformed line, once and
+    # twice, between two equal lines; and a software reset into the
+    # application between two equal lines, after which it steers from zero.
+    lines = (["0.25\n"] * 3 + [b"0.25\n"] * 2 + ["0.25\n", "bad\n", "0.25\n", "bad\n",
+             "bad\n", "0.25\n", "9" * 400 + ".00\n", "0.25\n"] + ["-0.10\n"] * 4)
+    reset_after = 15
+    assert lines[reset_after - 1] == lines[reset_after]
+    fresh = [UnequalBytes(line) if isinstance(line, bytes) else Unequal(line) for line in lines]
+    image = generate_image(8 * KIB, seed=2, gains=PidGains())
+    (memo, _, a), (parsed, _, b) = runs = [
+        build_world(old_image=image, seed=2, deviation_lines=feed) for feed in (lines, fresh)]
+
+    def tick(count):
+        for _ in range(count):
+            for world, _, _ in runs:
+                world.tick()
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr((a.steering_target, a.motor, a.steering)) == \
+                repr((b.steering_target, b.motor, b.steering))
+            assert memo.events == parsed.events
+
+    tick(1 + reset_after)  # a boot, then one line a tick
+    memo.software_reset("target")
+    parsed.software_reset("target")
+    tick(1 + len(lines) - reset_after)  # a boot, then the rest of the feed
+    assert next(a.deviation_feed, None) is None
+    assert [e["kind"] for e in events_named(memo, "Reset")] == ["software"]
+    assert len(events_named(memo, "BadDeviation")) == 4
+    assert (a.mode, a.steering_target, a.motor) == (NodeMode.APPLICATION, -6.0, MOTOR_LEFT)
 
 
 # -- exports ---------------------------------------------------------------

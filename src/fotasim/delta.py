@@ -14,9 +14,9 @@ contents as one big integer, and ``bytes.translate`` turns the XOR into a
 0/1 map of where the bytes differ.  ``bytes.find`` then steps from one run
 of difference to the next gap of ``gap_merge`` equal bytes and on to the
 next run, so equal bytes are skipped in C.  Block and image CRCs are read
-from one bit-reversed copy of each image
+from one bit-reversed copy of the new or staged image
 (:func:`~fotasim.integrity.reflect`), so checking a block is one zlib call
-on a memoryview slice.
+on a memoryview slice; of the old image only blocks that differ are reversed.
 
 Wire format, all little-endian:
 
@@ -39,7 +39,7 @@ import struct
 from dataclasses import dataclass
 
 from .flashmodel import APP_REGION, LAYOUT, FlashDevice
-from .integrity import DEFAULT_BLOCK_SIZE, EmptyImage, block_count, reflect, reflected_crc32
+from .integrity import DEFAULT_BLOCK_SIZE, EmptyImage, block_count, crc32, reflect, reflected_crc32
 from .nvstore import APP_CAPACITY, METADATA_OFFSET, AppMetadata, write_app_metadata
 
 MAGIC = b"FDP1"
@@ -181,7 +181,6 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         raise ValueError("gap_merge cannot be negative")
     n = len(new)
     old = bytes(old[:n]).ljust(n, b"\xff")
-    old_reflected = memoryview(reflect(old))
     new_reflected = memoryview(reflect(new))
     entries = []
     for index in range(block_count(n, block_size)):
@@ -192,7 +191,7 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         if old_block == new_block:
             continue
         new_crc = reflected_crc32(new_reflected[lo:hi])
-        if reflected_crc32(old_reflected[lo:hi]) == new_crc:
+        if crc32(old_block) == new_crc:
             continue
         runs = _diff_runs(old_block, new_block, gap_merge)
         if block_size > 0xFFFF:  # a whole changed 64 KiB block overflows a u16 length

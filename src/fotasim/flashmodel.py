@@ -258,7 +258,7 @@ class FlashDevice:
                 f"read of {length} bytes at 0x{address:06X} leaves the device"
             )
         stall = max(0, self.busy_until_us - now_us)
-        return bytes(self.cells[address : address + length]), stall
+        return bytes(memoryview(self.cells)[address : address + length]), stall
 
     def _occupy(self, now_us: int, duration: int) -> None:
         self.busy_until_us = max(self.busy_until_us, now_us) + duration

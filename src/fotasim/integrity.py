@@ -10,6 +10,7 @@ Bit-reversing the input is a ``bytes.translate`` pass, the larger part of a
 CRC's cost.  Code that checks many blocks of one image reverses the image
 once with :func:`reflect` and hands memoryview slices of the copy to
 :func:`reflected_crc32`, which then costs one zlib call per block.
+:func:`image_crcs` reads an image's CRC and block table from one copy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from enum import Enum
 DEFAULT_BLOCK_SIZE = 1024
 
 _U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 
 
 class IntegrityError(ValueError):
@@ -49,11 +49,14 @@ def _bitrev8(x: int) -> int:
 
 
 _BITREV_BYTES = bytes(_bitrev8(i) for i in range(256))
+_BITREV_NOT_BYTES = bytes(_bitrev8(i) ^ 0xFF for i in range(256))
 
 
-def _bitrev32(x: int) -> int:
-    # Reverse the byte order, then the bits inside each byte.
-    return int.from_bytes(x.to_bytes(4, "little").translate(_BITREV_BYTES), "big")
+def _unreflect(registers: list[int]) -> tuple[int, ...]:
+    """The CRC-32/MPEG-2 values of zlib's reflected ``registers``: packed
+    little-endian, each byte inverted and bit-reversed, read back big-endian."""
+    n = len(registers)
+    return struct.unpack(f">{n}I", struct.pack(f"<{n}I", *registers).translate(_BITREV_NOT_BYTES))
 
 
 def crc32(data: bytes) -> int:
@@ -71,7 +74,8 @@ def reflect(data: bytes) -> bytes:
 def reflected_crc32(reflected: bytes | memoryview) -> int:
     """CRC-32/MPEG-2 of the bytes whose :func:`reflect` copy is
     ``reflected``: ``reflected_crc32(reflect(d)[i:j]) == crc32(d[i:j])``."""
-    return _bitrev32(zlib.crc32(reflected) ^ 0xFFFFFFFF)
+    register = zlib.crc32(reflected).to_bytes(4, "little")  # _unreflect for one register
+    return int.from_bytes(register.translate(_BITREV_NOT_BYTES), "big")
 
 
 def crc_compare(computed: int, stored: int) -> CompareResult:
@@ -92,13 +96,20 @@ def block_crcs(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> list[int]:
     The final block may be shorter than ``block_size``; its CRC covers the
     actual bytes present, not a padded block.
     """
+    return list(image_crcs(image, block_size)[1])
+
+
+def image_crcs(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, tuple[int, ...]]:
+    """``(crc32(image), tuple(block_crcs(image, block_size)))`` from one
+    reflected copy of ``image``."""
     if len(image) == 0:
         raise EmptyImage("cannot build a block CRC table for an empty image")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
     reflected = memoryview(reflect(image))
-    return [reflected_crc32(reflected[i : i + block_size])
-            for i in range(0, len(reflected), block_size)]
+    crcs = _unreflect([zlib.crc32(reflected[i : i + block_size])
+                       for i in range(0, len(reflected), block_size)] + [zlib.crc32(reflected)])
+    return crcs[-1], crcs[:-1]
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,7 @@ class BlockCrcTable:
                 raise MalformedTable("entries must be 32-bit values")
 
     def encode(self) -> bytes:
-        out = bytearray(_U16.pack(len(self.entries)))
-        for value in self.entries:
-            out += _U32.pack(value)
-        return bytes(out)
+        return struct.pack(f"<H{len(self.entries)}I", len(self.entries), *self.entries)
 
     @classmethod
     def decode(cls, blob: bytes) -> "BlockCrcTable":
@@ -132,8 +140,7 @@ class BlockCrcTable:
         need = 2 + 4 * count
         if len(blob) < need:
             raise MalformedTable(f"table claims {count} entries but blob holds fewer")
-        entries = tuple(_U32.unpack_from(blob, 2 + 4 * i)[0] for i in range(count))
-        return cls(entries)
+        return cls(struct.unpack_from(f"<{count}I", blob, 2))
 
     def encoded_length(self) -> int:
         return 2 + 4 * len(self.entries)

@@ -99,13 +99,13 @@ def motor_order(deviation: float) -> int:
 
 def parse_deviation_line(line: str | bytes) -> float:
     """Parse one newline-terminated deviation reading with exactly two
-    fractional digits, e.g. ``"-0.12\\n"``."""
+    fractional digits, e.g. ``"-0.12\\n"``.  Anything but text is malformed."""
     if isinstance(line, bytes):
         try:
             line = line.decode("ascii")
         except UnicodeDecodeError as exc:
             raise MalformedDeviation(repr(line)) from exc
-    if not _DEVIATION_RE.fullmatch(line):
+    if not isinstance(line, str) or not _DEVIATION_RE.fullmatch(line):
         raise MalformedDeviation(repr(line))
     value = float(line)
     if not math.isfinite(value):  # enough digits parse as infinity

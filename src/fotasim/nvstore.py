@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .flashmodel import APP_REGION, FlashDevice
-from .integrity import DEFAULT_BLOCK_SIZE, BlockCrcTable, MalformedTable, block_crcs, crc32
+from .integrity import DEFAULT_BLOCK_SIZE, BlockCrcTable, MalformedTable, image_crcs
 
 BACKUP_REGISTER_COUNT = 20
 
@@ -91,7 +91,8 @@ class AppMetadata:
 
     @classmethod
     def for_image(cls, image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> "AppMetadata":
-        return cls(len(image), crc32(image), BlockCrcTable(tuple(block_crcs(image, block_size))))
+        image_crc, blocks = image_crcs(image, block_size)
+        return cls(len(image), image_crc, BlockCrcTable(blocks))
 
     def encode(self) -> bytes:
         """Layout: 16-byte ASCII decimal byte count (NUL padded), u32 LE

@@ -228,13 +228,14 @@ class Node:
         ``(wake_us, listens, steers)``: the clock of the first tick at which
         it could, whether it reads its endpoint and whether it steers.  Of
         an ECU's gates (:meth:`_gate`) only a stall is quiet; past them an
-        application steers.  A listening node has an empty receive FIFO and
-        acts when a message completes or breaks on it; a deaf one (a stalled
-        ECU, a host with no tasks) lets frames queue until it wakes."""
+        application steers.  A listening node has an empty receive FIFO:
+        frames reassemble on it as they land, and a tick lands the one that
+        completes or breaks a message.  A stalled ECU listens until then, a
+        host with no tasks never; a deaf node lets frames queue until it wakes."""
         if self.role == "ecu":
             gate = self._gate(now_us)
             if gate is _STALL:
-                return self.device.busy_until_us, False, False
+                return self.device.busy_until_us, not self.endpoint.rx, False
             if gate is not None:
                 return None
         elif not self.tasks:

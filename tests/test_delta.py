@@ -146,6 +146,28 @@ def test_identical_images_empty_package():
     assert len(encode_package(pkg)) == HEADER_SIZE  # 19 bytes, header only
 
 
+# CRC-32/MPEG-2's generator, x^32 + x^26 + ... + 1, as bytes.  XORed into a
+# block at any offset it adds a multiple of the generator, so the CRC stays.
+GENERATOR = bytes.fromhex("0104C11DB7")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, KIB - len(GENERATOR)),
+       st.integers(0, 8 * KIB - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_block_whose_crc_collides_gets_no_entry(seed, block, offset, bit):
+    # Blocks are compared by CRC: one whose bytes differ but whose CRC matches
+    # produces no entry, while one bit changed anywhere does.
+    old, new = make_pair(seed=seed)
+    lo, hi = block * KIB, (block + 1) * KIB
+    new[lo + offset : lo + offset + len(GENERATOR)] = \
+        bytes(a ^ g for a, g in zip(new[lo + offset :], GENERATOR))
+    assert new[lo:hi] != old[lo:hi] and crc32(bytes(new[lo:hi])) == crc32(old[lo:hi])
+    assert build_delta(old, bytes(new)).entries == ()
+    flipped = bytearray(old)
+    flipped[lo + bit // 8] ^= 1 << bit % 8
+    assert build_delta(old, bytes(flipped)).changed_blocks() == [block]
+
+
 def test_growth_pads_old_with_erased_bytes():
     old = Random(5).randbytes(1024)
     new = old + Random(6).randbytes(1024)

@@ -135,6 +135,47 @@ def test_table_decode_ignores_padding():
     assert BlockCrcTable.decode(table.encode() + b"\xff" * 100) == table
 
 
+def encode_reference(table):
+    """``BlockCrcTable.encode`` as a per-entry loop, kept as an oracle."""
+    out = bytearray(struct.pack("<H", len(table.entries)))
+    for value in table.entries:
+        out += struct.pack("<I", value)
+    return bytes(out)
+
+
+def decode_reference(blob):
+    """``BlockCrcTable.decode`` as a per-entry loop, kept as an oracle."""
+    if len(blob) < 2:
+        raise MalformedTable("table blob shorter than its count field")
+    (count,) = struct.unpack_from("<H", blob, 0)
+    if len(blob) < 2 + 4 * count:
+        raise MalformedTable(f"table claims {count} entries but blob holds fewer")
+    return BlockCrcTable(tuple(struct.unpack_from("<I", blob, 2 + 4 * i)[0] for i in range(count)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MalformedTable, struct.error) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.one_of(st.integers(0, 0xFFFFFFFF), st.floats(0, 0xFFFFFFFF)), max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_table_encode_matches_the_per_entry_loop(entries):
+    # A float in range passes the table's check, and both encoders refuse it.
+    table = BlockCrcTable(tuple(entries))
+    assert outcome(table.encode) == outcome(encode_reference, table)
+
+
+@given(st.integers(0, 300), st.binary(max_size=1300), st.sampled_from([None, 0, 1]))
+@settings(max_examples=300, deadline=None)
+def test_table_decode_matches_the_per_entry_loop(count, body, cut):
+    # A blob that holds its entries or fewer, or one cut inside its count field.
+    blob = (struct.pack("<H", count) + body)[:cut]
+    assert outcome(BlockCrcTable.decode, blob) == outcome(decode_reference, blob)
+
+
 @given(st.binary(min_size=1, max_size=4096),
        st.sampled_from([64, 256, 1024]))
 @settings(max_examples=100, deadline=None)

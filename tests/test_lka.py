@@ -1,6 +1,7 @@
 """Lane-keep assist: motor orders, deviation wire format, PID behaviour."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -60,6 +61,12 @@ def test_parse_rejects_malformed_lines():
     for bad in ("0.1\n", "0.123\n", "0.10", ".10\n", "abc\n", "0,10\n",
                 "0.10\n\n", "", "nan\n", b"\xff\xff"):
         with pytest.raises(MalformedDeviation):
+            parse_deviation_line(bad)
+
+
+def test_parse_rejects_an_item_that_is_not_text():
+    for bad in (0.1, 25, None, bytearray(b"0.10\n"), memoryview(b"0.10\n"), ["0.10\n"]):
+        with pytest.raises(MalformedDeviation, match=re.escape(repr(bad))):
             parse_deviation_line(bad)
 
 

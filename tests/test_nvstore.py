@@ -1,10 +1,13 @@
 """Backup registers and the flash metadata record."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS, KIB, new_device
+from fotasim.integrity import BlockCrcTable, crc32
 from fotasim.nvstore import (
     APP_ENTER_REG,
     BACKUP_REGISTER_COUNT,
@@ -73,6 +76,18 @@ def test_metadata_roundtrip():
     decoded = AppMetadata.decode(meta.encode())
     assert decoded == meta
     assert decoded.byte_count == len(image)
+
+
+@given(st.integers(0, 4000), st.integers(1, 4096), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_for_image_reads_the_crc_and_every_block_crc_of_the_image(half, block_size, seed):
+    # An odd length, so the final block is short whenever block_size is even.
+    image = Random(seed).randbytes(2 * half + 1)
+    chunks = [image[i : i + block_size] for i in range(0, len(image), block_size)]
+    expected = AppMetadata(len(image), crc32(image),
+                           BlockCrcTable(tuple(crc32(chunk) for chunk in chunks)))
+    for form in (bytes, bytearray, memoryview):
+        assert AppMetadata.for_image(form(image), block_size) == expected
 
 
 def test_metadata_encoding_layout():

@@ -384,6 +384,28 @@ def test_deviation_feed_steers_the_application():
     assert 0.0 < target.steering.position <= 15.5
 
 
+@pytest.mark.parametrize("item", [0.1, 25, bytearray(b"0.10\n")])
+def test_a_feed_item_that_is_not_text_is_a_bad_deviation(item):
+    # Tick by tick and in a steering span alike, the item is logged and
+    # steering goes on to the next line.
+    image = generate_image(8 * KIB, seed=2)
+    lines = ["0.25\n", item, "-0.10\n"]
+    (ticked, _, a), (spanned, _, b) = [
+        build_world(old_image=image, seed=2, deviation_lines=lines) for _ in range(2)]
+    for _ in range(4):  # a boot, then one line a tick
+        ticked.tick()
+    one_at_a_time = []
+    spanned.tick = lambda: (one_at_a_time.append(spanned.clock_us), World.tick(spanned))
+    spanned.tick()
+    spanned.run_ticks(3)
+    (bad,) = events_named(ticked, "BadDeviation")
+    assert bad["line"] == repr(item)
+    assert bad["time_us"] not in one_at_a_time  # the span, not a tick, read the item
+    assert spanned.events == ticked.events
+    assert a.steering_target == b.steering_target == pytest.approx(-6.0)
+    assert repr(a.steering) == repr(b.steering)
+
+
 def test_feed_exhaustion_keeps_the_last_target():
     image = generate_image(8 * KIB, seed=2)
     world, _, target = build_world(old_image=image, seed=2,

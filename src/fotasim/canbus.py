@@ -9,9 +9,11 @@ The CRC in the header is CRC-32/MPEG-2 over the whole payload and is what
 receivers check after reassembly.  A queued message is one entry, and its
 frames are cut as they land (:func:`_frame`).  One bus step transmits one
 frame: the pending frame with the lowest id wins arbitration (FIFO order
-breaks ties).  Fault injection corrupts or drops the frame under
+breaks ties).  A frame that lands goes straight into each accepting
+receiver's reassembly (:func:`_take`), which queues what completes or
+breaks a message.  Fault injection corrupts or drops the frame under
 transmission; a corrupted frame is signalled as an error frame and never
-reaches a receive FIFO, and the sender retries it until its retransmit
+reaches a receiver, and the sender retries it until its retransmit
 budget runs out; then the node counts a bus-off and skips the frame.  A
 stream is that step repeated for one sender's frame train, one per tick.
 """
@@ -117,12 +119,15 @@ class _Assembly:
 
 
 class Endpoint:
-    """One attached node: its acceptance filters, FIFOs and link statistics."""
+    """One attached node: its acceptance filters, its open reassemblies, its
+    receive queue of what they produced (each complete message, or the
+    :class:`SequenceGap` or :class:`ChecksumMismatch` that broke one, in
+    landing order), its transmit queue and its link statistics."""
 
     def __init__(self, node_id: int, filters: tuple[tuple[int, int], ...]):
         self.node_id = node_id
         self.filters = filters
-        self.rx: deque[CanFrame] = deque()
+        self.rx: deque[SegmentedMessage | CanError] = deque()
         self.tx: deque[_TxEntry] = deque()
         self.retransmissions = 0
         self.bus_off_count = 0
@@ -132,7 +137,7 @@ class Endpoint:
         return any((can_id & mask) == match for mask, match in self.filters)
 
     def clear(self) -> None:
-        """Controller reset: drops FIFOs and any half-assembled payloads."""
+        """Controller reset: drops both queues and any half-assembled payloads."""
         self.rx.clear()
         self.tx.clear()
         self._assembly.clear()
@@ -206,27 +211,24 @@ class Bus:
             frame = CanFrame(entry.can_id, data)
             for ep in self._endpoints:
                 if ep is not sender and ep.accepts(frame.can_id):
-                    ep.rx.append(frame)
+                    _take(ep, frame.can_id, data)
                     delivered.append((ep.node_id, frame))
             self.stats.deliveries += len(delivered)
         return delivered, self.config.frame_time_us
 
-    def stream(self, now_us: int, tick_us: int, max_frames: int,
-               listeners: list[Endpoint]) -> int:
+    def stream(self, now_us: int, tick_us: int, max_frames: int) -> int:
         """Transmit the winning sender's frames back to back, one per tick of
         ``tick_us`` starting at ``now_us``; returns how many were sent.
 
         This is :meth:`step` repeated while the outcome of each step is
         already known: the stream carries one sender and one id, and stops
         after ``max_frames``, at a frame with another id, at one that
-        another sender's queued frame would beat, and at one that a
-        ``listeners`` endpoint could not take into reassembly without
-        completing or breaking a message.  A delivered frame goes straight
-        into each listener's reassembly and onto the receive FIFO of every
-        other accepting endpoint.  Draws, statistics, trace rows,
-        retransmits and bus-offs are exactly those of the same steps.  The
-        clean body frames of one message before a fault go as one run: they
-        are counted at once and reach each listener as one payload slice.
+        another sender's queued frame would beat, and at one that would
+        complete or break a message on any receiver, so a stream never
+        adds to a receive queue.  Draws, statistics, trace rows, retransmits
+        and bus-offs are exactly those of the same steps.  The clean body
+        frames of one message before a fault go as one run: they are
+        counted at once and reach each receiver as one payload slice.
         """
         sender = self._winner()
         if sender is None:
@@ -239,10 +241,7 @@ class Bus:
                      for ep in self._endpoints if ep.tx and ep is not sender),
                     default=(MAX_STANDARD_ID + 1, 0))
         last_order = rival[1] if rival[0] == can_id else math.inf
-        deaf, hear = [], []
-        for ep in self._endpoints:
-            if ep is not sender and ep.accepts(can_id):
-                (hear if ep in listeners else deaf).append(ep)
+        receivers = [ep for ep in self._endpoints if ep is not sender and ep.accepts(can_id)]
         stats, random, trace = self.stats, self.rng.random, self.trace_enabled
         faulty_below = self.config.corruption_probability + self.config.drop_probability
         sent = 0
@@ -252,9 +251,9 @@ class Bus:
             if entry.can_id != can_id or entry.order > last_order:
                 break
             run = min(entry.count - index, max_frames - sent)
-            states = [ep._assembly.get(can_id) for ep in hear]
+            states = [ep._assembly.get(can_id) for ep in receivers]
             single = index == 0 or None in states
-            if single:  # a header, a raw frame, or a listener with no open message
+            if single:  # a header, a raw frame, or a receiver with no open message
                 data = _frame(entry, index)
                 run = 1 if all(_is_quiet(state, data) for state in states) else 0
             else:
@@ -270,7 +269,7 @@ class Bus:
             if clean:
                 if single:
                     stats.payload_bytes += len(data)
-                    for ep in hear:
+                    for ep in receivers:
                         _take(ep, can_id, data)
                 else:
                     end = min(start + clean * BODY_CHUNK, len(entry.payload))
@@ -280,15 +279,10 @@ class Bus:
                         state.seq += clean
                 stats.frames_sent += clean
                 stats.busy_time_us += clean * self.config.frame_time_us
-                stats.deliveries += clean * (len(deaf) + len(hear))
-                if trace or deaf:
+                stats.deliveries += clean * len(receivers)
+                if trace:
                     for k in range(clean):
-                        data = _frame(entry, index + k)
-                        if trace:
-                            self._trace(now_us + k * tick_us, can_id, data, "data")
-                        frame = CanFrame(can_id, data)
-                        for ep in deaf:
-                            ep.rx.append(frame)
+                        self._trace(now_us + k * tick_us, can_id, _frame(entry, index + k), "data")
                 _pass(tx, entry, clean)
                 now_us += clean * tick_us
                 sent += clean
@@ -395,9 +389,12 @@ def _is_quiet(state: _Assembly | None, data: bytes) -> bool:
     return bool(data) and _quiet_run(state, data[0], 1, len(data) - 1) == 1
 
 
-def _take(endpoint: Endpoint, can_id: int, data: bytes) -> SegmentedMessage | None:
-    """Feed one frame into reassembly on ``can_id``, as
-    :func:`recv_segmented` does; None while its message is still open."""
+def _take(endpoint: Endpoint, can_id: int, data: bytes) -> None:
+    """Feed one landed frame into the endpoint's reassembly on ``can_id``.
+    A frame that completes a message queues it on ``endpoint.rx``; one that
+    breaks a message queues the :class:`SequenceGap` (a body frame missing,
+    out of phase or without a header) or :class:`ChecksumMismatch` (a
+    payload that fails its CRC), and the partial payload is discarded."""
     state = endpoint._assembly.get(can_id)
     if _is_quiet(state, data):
         if state is None:
@@ -406,33 +403,33 @@ def _take(endpoint: Endpoint, can_id: int, data: bytes) -> SegmentedMessage | No
         else:
             state.buf += data[1:]
             state.seq += 1
-        return None
+        return
     if state is None:
-        raise SequenceGap(f"body frame on id 0x{can_id:X} without a header")
-    del endpoint._assembly[can_id]
-    if not data or data[0] != state.seq & 0xFF:
-        raise SequenceGap(f"expected seq {state.seq & 0xFF}, got {data[0] if data else None}")
-    state.buf += data[1:]
-    payload = bytes(state.buf[: state.expected])
-    if len(state.buf) != state.expected or crc32(payload) != state.crc:
-        raise ChecksumMismatch(f"payload on id 0x{can_id:X} failed its checksum")
-    return SegmentedMessage(can_id, payload)
+        outcome = SequenceGap(f"body frame on id 0x{can_id:X} without a header")
+    elif not data or data[0] != state.seq & 0xFF:
+        outcome = SequenceGap(f"expected seq {state.seq & 0xFF}, got {data[0] if data else None}")
+    else:
+        state.buf += data[1:]
+        payload = bytes(state.buf[: state.expected])
+        if len(state.buf) != state.expected or crc32(payload) != state.crc:
+            outcome = ChecksumMismatch(f"payload on id 0x{can_id:X} failed its checksum")
+        else:
+            outcome = SegmentedMessage(can_id, payload)
+    endpoint._assembly.pop(can_id, None)
+    endpoint.rx.append(outcome)
 
 
 def recv_segmented(endpoint: Endpoint) -> SegmentedMessage | None:
-    """Feed queued frames into reassembly; returns the next complete message,
-    or None while one is still pending.
-
-    Raises :class:`SequenceGap` when a body frame is missing or out of phase
-    and :class:`ChecksumMismatch` when a reassembled payload fails its CRC;
-    either way the partial payload is discarded and later frames start fresh.
-    """
-    while endpoint.rx:
-        frame = endpoint.rx.popleft()
-        msg = _take(endpoint, frame.can_id, frame.data)
-        if msg is not None:
-            return msg
-    return None
+    """Take the next outcome off the endpoint's receive queue: returns a
+    complete message, raises the :class:`SequenceGap` or
+    :class:`ChecksumMismatch` that broke one, or returns None when the
+    queue is empty."""
+    if not endpoint.rx:
+        return None
+    outcome = endpoint.rx.popleft()
+    if isinstance(outcome, CanError):
+        raise outcome
+    return outcome
 
 
 def wait_for(now, deadline_us: int, poll):
@@ -463,7 +460,7 @@ def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
                 msg = recv_segmented(endpoint)
             except CanError:
                 return None
-            if msg is not None and accept(msg.payload):
+            if accept(msg.payload):
                 return msg.payload
         return None
 

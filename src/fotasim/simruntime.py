@@ -11,12 +11,14 @@ identical event log, byte for byte.
 :meth:`World.run_until` give the same result, tick count and clock, but pass
 a span of ticks in one step when no node's ``run_tick`` would act in any of
 them.  A node is quiet while it waits: an ECU stalled on flash until its
-busy horizon, an ECU serving as bootloader or updater until a message
-completes or breaks on its endpoint, a host until every task's yielded
-deadline or such a message.  During a span the bus streams one sender's
-frames (:meth:`Bus.stream <fotasim.canbus.Bus.stream>`), or, when it is
-idle, the clock jumps to the earliest wake-up or an application ECU steers
-alone, one plant step a tick.  A task without a deadline runs every tick.
+busy horizon, an ECU serving as bootloader or updater until its endpoint
+queues a message or a transport error, a host until every task's yielded
+deadline or such an arrival.  Frames reassemble where they land, so during
+a span the bus streams one sender's frames up to the one that would
+complete or break a message on any receiver (:meth:`Bus.stream
+<fotasim.canbus.Bus.stream>`), or, when it is idle, the clock jumps to the
+earliest wake-up or an application ECU steers alone, one plant step a
+tick.  A task without a deadline runs every tick.
 
 A node's ``role`` says what it is.  An ECU owns a flash device, backup
 registers and a security session and lives the boot-chain life: reset,
@@ -223,23 +225,21 @@ class Node:
                 self.tasks = [t for t in tasks if not t.done]
                 break
 
-    def _quiet(self, now_us: int) -> tuple[float, bool, bool] | None:
+    def _quiet(self, now_us: int) -> tuple[float, bool] | None:
         """None when ``run_tick`` at ``now_us`` could act but steer; else
-        ``(wake_us, listens, steers)``: the clock of the first tick at which
-        it could, whether it reads its endpoint and whether it steers.  Of
-        an ECU's gates (:meth:`_gate`) only a stall is quiet; past them an
-        application steers.  A listening node has an empty receive FIFO:
-        frames reassemble on it as they land, and a tick lands the one that
-        completes or breaks a message.  A stalled ECU listens until then, a
-        host with no tasks never; a deaf node lets frames queue until it wakes."""
+        ``(wake_us, steers)``: the clock of the first tick at which it
+        could, and whether it steers.  Of an ECU's gates (:meth:`_gate`)
+        only a stall is quiet, whatever its receive queue holds; past them
+        a node with a queued message or error acts, and an application
+        steers.  A host with no tasks never acts."""
         if self.role == "ecu":
             gate = self._gate(now_us)
             if gate is _STALL:
-                return self.device.busy_until_us, not self.endpoint.rx, False
+                return self.device.busy_until_us, False
             if gate is not None:
                 return None
         elif not self.tasks:
-            return _NEVER, False, False
+            return _NEVER, False
         if self.endpoint.rx:
             return None
         wake = _NEVER
@@ -247,7 +247,7 @@ class Node:
             if task.done or task.wake_us is None or task.wake_us <= now_us:
                 return None
             wake = min(wake, task.wake_us)
-        return wake, True, self.role == "ecu" and self.mode is _APPLICATION
+        return wake, self.role == "ecu" and self.mode is _APPLICATION
 
     def _boot(self) -> None:
         self.world.log(self.name, "Boot")
@@ -282,8 +282,6 @@ class Node:
             except CanError as exc:
                 self.world.log(self.name, "TransportError", error=type(exc).__name__)
                 continue
-            if msg is None:
-                return
             # Looked up as module globals per call: perfbench's tracer rebinds these names.
             if self.mode is _APPLICATION:
                 reply = app_serve(self.ctx, msg.payload)
@@ -366,15 +364,13 @@ class World:
         that logged an event: a node earlier in tick order has not seen it."""
         now = self.clock_us
         if len(self.events) == self._events_before_tick:
-            wake, listeners, steering = _NEVER, [], []
+            wake, steering = _NEVER, []
             for node in self._nodes:
                 quiet = node._quiet(now)
                 if quiet is None:
                     break
                 wake = min(wake, quiet[0])
                 if quiet[1]:
-                    listeners.append(node.endpoint)
-                if quiet[2]:
                     steering.append(node)
             else:
                 bus = self.bus
@@ -388,7 +384,7 @@ class World:
                 if steering:
                     span = 0 if busy else self._steer_span(steering, span)
                 elif busy:
-                    span = bus.stream(now, tick_us, span, listeners)
+                    span = bus.stream(now, tick_us, span)
                 if span:
                     self.last_tick_time = now + (span - 1) * tick_us
                     self.clock_us = now + span * tick_us

@@ -138,9 +138,11 @@ def test_idle_bus_step_is_free():
 def test_sender_does_not_hear_itself():
     bus, a, b = two_node_bus()
     bus.transmit(a, CanFrame(0x100, b"out"))
-    bus.step()
-    assert not a.rx
-    assert b.rx and b.rx[0].data == b"out"
+    delivered, _ = bus.step()
+    assert [(nid, f.data) for nid, f in delivered] == [(2, b"out")]
+    assert recv_segmented(a) is None
+    with pytest.raises(SequenceGap):  # b"out" is not a header, so b's reassembly refuses it
+        recv_segmented(b)
 
 
 def test_acceptance_filters():
@@ -288,10 +290,13 @@ def test_body_without_header_is_a_sequence_gap():
 
 def test_missing_body_frame_is_a_sequence_gap():
     bus, a, b = two_node_bus()
-    send_segmented(bus, a, 0x101, bytes(21))  # header + seq 0,1,2
+    payload = bytes(21)  # header + seq 0,1,2
+    header = struct.pack("<BHIB", HEADER_MARKER, len(payload), crc32(payload), 0)
+    bus.transmit(a, CanFrame(0x101, header))
+    bus.transmit(a, CanFrame(0x101, b"\x00" + payload[:7]))
+    bus.transmit(a, CanFrame(0x101, b"\x02" + payload[14:]))  # seq 1 is lost
     while bus.pending():
         bus.step()
-    del b.rx[2]  # lose seq 1
     with pytest.raises(SequenceGap):
         recv_segmented(b)
     # State is discarded: a fresh send reassembles cleanly afterwards.
@@ -416,9 +421,10 @@ def test_streams_replay_step_by_step_byte_for_byte(
         senders, listening, filtered, corruption, drop, budget, trace, seed, program):
     """Two identical buses take the same queued messages and raw frames.  One
     drains by ``step()`` alone, the other by ``stream()``, with a ``step()``
-    whenever the stream sends nothing, as the world does.  Listening
-    endpoints are drained by ``recv_segmented`` after every call, deaf ones
-    at the end."""
+    whenever the stream sends nothing, as the world does.  After every call
+    both sides hold the same receive queues and open reassemblies, and a
+    stream has added to no queue; then the ``listening`` endpoints are
+    drained by ``recv_segmented``, the others only at the end."""
     class Side:
         def __init__(self):
             self.bus = Bus(BusConfig(corruption_probability=corruption, drop_probability=drop,
@@ -428,7 +434,7 @@ def test_streams_replay_step_by_step_byte_for_byte(
             self.endpoints = [
                 self.bus.attach(i + 1, ((0x7FF, _IDS[i % 3]),) if filtered[i] else ACCEPT_ALL)
                 for i in range(senders + 1)]
-            self.listeners = [ep for ep, on in zip(self.endpoints, listening) if on]
+            self.listening = [ep for ep, on in zip(self.endpoints, listening) if on]
             self.log = {ep.node_id: [] for ep in self.endpoints}
 
         def drain(self, endpoints):
@@ -439,12 +445,19 @@ def test_streams_replay_step_by_step_byte_for_byte(
                     except CanError as exc:
                         self.log[ep.node_id].append(type(exc).__name__)
                     else:
-                        if msg is not None:
-                            self.log[ep.node_id].append((msg.can_id, msg.payload))
+                        self.log[ep.node_id].append((msg.can_id, msg.payload))
+
+        def queues(self):
+            return [([(type(o).__name__, str(o)) if isinstance(o, CanError)
+                      else (o.can_id, o.payload) for o in ep.rx],
+                     {can_id: (a.expected, a.crc, bytes(a.buf), a.seq)
+                      for can_id, a in ep._assembly.items()})
+                    for ep in self.endpoints]
 
         def observed(self):
             return (dataclasses.astuple(self.bus.stats), self.bus.rng.getstate(), self.bus.trace,
-                    [(ep.retransmissions, ep.bus_off_count) for ep in self.endpoints], self.log)
+                    [(ep.retransmissions, ep.bus_off_count) for ep in self.endpoints],
+                    self.queues(), self.log)
 
     stepped, streamed = Side(), Side()
     now = 0
@@ -459,17 +472,20 @@ def test_streams_replay_step_by_step_byte_for_byte(
             continue
         ticks = op[1]
         while ticks and streamed.bus.pending():
-            sent = streamed.bus.stream(now, _TICK_US, ticks, streamed.listeners)
-            if not sent:
+            queued = [len(ep.rx) for ep in streamed.endpoints]
+            sent = streamed.bus.stream(now, _TICK_US, ticks)
+            if sent:
+                assert [len(ep.rx) for ep in streamed.endpoints] == queued
+            else:
                 streamed.bus.step(now)
                 sent = 1
-            streamed.drain(streamed.listeners)
             for _ in range(sent):
                 stepped.bus.step(now)
                 now += _TICK_US
-                stepped.drain(stepped.listeners)
             ticks -= sent
             assert streamed.observed() == stepped.observed()
+            for side in (stepped, streamed):
+                side.drain(side.listening)
     assert not stepped.bus.pending()
     for side in (stepped, streamed):
         side.drain(side.endpoints)

@@ -633,6 +633,38 @@ def test_run_ticks_lands_on_the_tick_mid_message():
     assert [e["command"] for e in events_named(spans, "CommandServed")] == ["unknown"]
 
 
+def test_a_stalled_ecu_queues_whole_messages_and_serves_them_once_the_flash_frees():
+    # Frames reassemble as they land, stall or not: the stalled bootloader's
+    # receive queue holds the two messages, not their 202 frames.
+    worlds = []
+    for _ in range(2):
+        world = World()
+        world.bus.trace_enabled = True
+        host = world.add_node("host", 1, role="host")
+        ecu = world.add_node("ecu", 2, role="ecu")
+        world.tick()  # erased: the ECU boots into its bootloader
+        ecu.device.busy_until_us = 400_000
+        for first in (0x40, 0x41):
+            send_segmented(world.bus, host.endpoint, 0x101, bytes([first]) + bytes(699))
+        worlds.append((world, ecu))
+    (spans, ecu), (ticks, _) = worlds
+    spans.run_ticks(300)
+    ticked_run_ticks(ticks, 300)
+    assert observed(spans) == observed(ticks)
+    assert [(type(m).__name__, m.payload[0]) for m in ecu.endpoint.rx] == \
+        [("SegmentedMessage", 0x40), ("SegmentedMessage", 0x41)]
+    assert events_named(spans, "CommandServed") == []
+
+    def served(world):
+        return bool(events_named(world, "CommandServed"))
+
+    assert spans.run_until(served, 200) == ticked_run_until(ticks, served, 200)
+    assert observed(spans) == observed(ticks)
+    assert [(e["time_us"], e["command"], e["code"]) for e in events_named(spans, "CommandServed")] \
+        == [(400_000, "unknown", 0x40), (400_000, "unknown", 0x41)]
+    assert not ecu.endpoint.rx
+
+
 def test_reset_during_a_stall_boots_once_the_flash_is_free():
     # The gates in order: the pending reset goes first, then the stall holds
     # the boot back until the flash leaves its busy window.

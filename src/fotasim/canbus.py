@@ -195,26 +195,24 @@ class Bus:
                     sender, best = ep, head
         return sender
 
-    def step(self, now_us: int = 0) -> tuple[list[tuple[int, CanFrame]], int]:
-        """Transmit at most one frame; returns ``(delivered, elapsed_us)``.
+    def step(self, now_us: int = 0) -> tuple[bytes | None, int]:
+        """Transmit at most one frame; returns ``(landed, elapsed_us)``.
 
-        ``delivered`` lists ``(receiver node_id, frame)`` pairs.  ``elapsed``
-        is the frame time when a frame occupied the bus, zero when idle.
+        ``landed`` is the frame's data when it reached the receivers, None
+        when it faulted or the bus was idle.  ``elapsed`` is the frame time
+        when a frame occupied the bus, zero when idle.
         """
         sender = self._winner()
         if sender is None:
-            return [], 0
+            return None, 0
         entry = sender.tx[0]
         data = self._land(sender, entry, self.rng.random(), now_us)
-        delivered = []
         if data is not None:
-            frame = CanFrame(entry.can_id, data)
             for ep in self._endpoints:
-                if ep is not sender and ep.accepts(frame.can_id):
-                    _take(ep, frame.can_id, data)
-                    delivered.append((ep.node_id, frame))
-            self.stats.deliveries += len(delivered)
-        return delivered, self.config.frame_time_us
+                if ep is not sender and ep.accepts(entry.can_id):
+                    _take(ep, entry.can_id, data)
+                    self.stats.deliveries += 1
+        return data, self.config.frame_time_us
 
     def stream(self, now_us: int, tick_us: int, max_frames: int) -> int:
         """Transmit the winning sender's frames back to back, one per tick of

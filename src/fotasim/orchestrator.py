@@ -1,13 +1,13 @@
 """Update campaigns: drive one target from old image to new over the bus.
 
-A campaign authenticates against whatever is running, drops the target
-into its bootloader, authenticates again (access does not survive the
-reset), moves the image across in full or as a delta package, and finally
-commands the jump back into the application.  The full path erases the
-whole application region and streams every block; the delta path ships one
-package and lets the target reconcile sectors itself.  The metadata record
-is always the last thing written, so a campaign killed anywhere in the
-middle leaves a target that falls back to its bootloader instead of
+A campaign is a list of steps, and one loop runs them and ends the campaign
+in ``finish`` at the first that fails: authenticate against whatever is
+running, drop the target into its bootloader, authenticate again (access
+does not survive the reset), erase and stream every block or ship one delta
+package, then command the jump back into the application.  What a campaign
+ships, the metadata record or the package, is built before it starts.  The
+record is always the last thing written, so a campaign killed anywhere in
+the middle leaves a target that falls back to its bootloader instead of
 booting a torn image.
 """
 
@@ -30,7 +30,7 @@ from .bootflow import (
     mem_write_request,
 )
 from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented, wait_for
-from .delta import DEFAULT_GAP_MERGE, build_delta, encode_package
+from .delta import DEFAULT_GAP_MERGE, DeltaPackage, build_delta, encode_package
 from .flashmodel import APP_REGION
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
 from .nvstore import APP_CAPACITY, MAX_TABLE_BLOCKS, METADATA_OFFSET, AppMetadata, BootFlag
@@ -101,9 +101,10 @@ class CampaignReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-def _campaign(world: World, plan: CampaignPlan, report: CampaignReport):
-    """The master's side of a campaign, as a generator that yields its
-    deadlines and fills in ``report``."""
+def _campaign(world: World, plan: CampaignPlan, report: CampaignReport,
+              shipped: AppMetadata | DeltaPackage):
+    """The master's side of a campaign that ships ``shipped``, as a generator
+    that yields its deadlines and fills in ``report``."""
     bus = world.bus
     endpoint = world.node(MASTER_NODE).endpoint
     target = world.node(TARGET_NODE)
@@ -117,7 +118,7 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport):
     erased0 = target.ctx.sectors_erased
     command_retries = 0
 
-    def finish(reason: str | None = None) -> CampaignReport:
+    def finish(reason: str | None) -> CampaignReport:
         report.outcome = "failed" if reason else "success"
         report.reason = reason
         stats = bus.stats
@@ -132,9 +133,18 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport):
                   outcome=report.outcome, reason=reason, mode=plan.mode.value)
         return report
 
-    def unlock():
-        return client_unlock(bus, endpoint, DEFAULT_REQUEST_ID, plan.shared_secret,
-                             now, plan.command_deadline_us)
+    def refuse(reason: str):
+        """A step that fails at once, without waiting."""
+        yield from ()
+        return reason
+
+    def unlock(first: bool = False):
+        """Authenticate; the first handshake's duration goes in the report."""
+        unlocked = yield from client_unlock(bus, endpoint, DEFAULT_REQUEST_ID, plan.shared_secret,
+                                            now, plan.command_deadline_us)
+        if first:
+            report.handshake_duration_us = unlocked.duration_us
+        return None if unlocked.granted else f"security_{unlocked.outcome.value}"
 
     def command(payload: bytes, refusal: str):
         """Send ``payload`` and wait for its ACK/NACK, resending on silence
@@ -158,89 +168,80 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport):
             return "block_crc_mismatch"
         return refusal
 
-    def decided(decision: str, mark: int):
+    def decided(decision: str, mark: int, refusal: str):
         """Wait for the target to log ``decision`` at or after event ``mark``."""
         def poll():
             return any(e["node"] == TARGET_NODE and e["event"] == "Decision"
                        and e.get("decision") == decision
                        for e in islice(world.events, mark, None)) or None
 
-        return wait_for(now, now() + plan.boot_deadline_us, poll)
+        seen = yield from wait_for(now, now() + plan.boot_deadline_us, poll)
+        return None if seen else refusal
 
-    total_blocks = block_count(len(plan.new_image), plan.block_size)
-    if len(plan.new_image) > APP_CAPACITY or total_blocks > MAX_TABLE_BLOCKS:
-        return finish("image_too_large")
+    def steps():
+        """The campaign's steps in order, each a generator that yields
+        deadlines and returns None or the reason the campaign failed.  A
+        step is made only once the one before it has succeeded."""
+        total_blocks = block_count(len(plan.new_image), plan.block_size)
+        if len(plan.new_image) > APP_CAPACITY or total_blocks > MAX_TABLE_BLOCKS:
+            yield refuse("image_too_large")
+        mark = len(world.events)
+        yield unlock(first=True)
+        yield command(bytes([APP_ENTER_BOOTLOADER]), "enter_bootloader_refused")
+        yield decided("jump_bootloader", mark, "bootloader_not_reached")
+        # The reset dropped security access.
+        yield unlock()
+        if plan.mode is CampaignMode.FULL:
+            yield command(bytes([BootloaderCommand.FLASH_ERASE, 0xFF, 0]), "erase_refused")
+            for lo in range(0, len(plan.new_image), plan.block_size):
+                chunk = plan.new_image[lo : lo + plan.block_size]
+                yield command(mem_write_request(APP_REGION.start + lo, chunk),
+                              "block_write_refused")
+                report.blocks_transferred += 1
+            # Metadata last: this write is the commit point.
+            yield command(mem_write_request(METADATA_OFFSET, shipped.encode()),
+                          "metadata_write_refused")
+        else:
+            report.blocks_transferred = len(shipped.entries)
+            report.blocks_skipped = total_blocks - len(shipped.entries)
+            blob = bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(shipped)
+            if len(blob) > MAX_SEGMENTED_PAYLOAD:
+                yield refuse("package_too_large")
+            yield command(blob, "delta_refused")
+        # Arm the application flag and reset; the target must boot it on its own.
+        mark = len(world.events)
+        yield command(bytes([BootloaderCommand.GO_TO_ADDR, BootFlag.ENTER, BootFlag.NOT_ENTER]),
+                      "go_to_addr_refused")
+        yield decided("jump_application", mark, "application_not_reached")
 
-    # 1. Authenticate against the running application.
-    mark = len(world.events)
-    unlocked = yield from unlock()
-    report.handshake_duration_us = unlocked.duration_us
-    if not unlocked.granted:
-        return finish(f"security_{unlocked.outcome.value}")
-
-    # 2. Ask the application to drop to the bootloader.
-    if refused := (yield from command(bytes([APP_ENTER_BOOTLOADER]), "enter_bootloader_refused")):
-        return finish(refused)
-    if not (yield from decided("jump_bootloader", mark)):
-        return finish("bootloader_not_reached")
-
-    # 3. The reset dropped security access; authenticate again.
-    unlocked = yield from unlock()
-    if not unlocked.granted:
-        return finish(f"security_{unlocked.outcome.value}")
-
-    # 4. Move the image.
-    if plan.mode is CampaignMode.FULL:
-        if refused := (yield from command(bytes([BootloaderCommand.FLASH_ERASE, 0xFF, 0]),
-                                          "erase_refused")):
-            return finish(refused)
-        for lo in range(0, len(plan.new_image), plan.block_size):
-            chunk = plan.new_image[lo : lo + plan.block_size]
-            if refused := (yield from command(mem_write_request(APP_REGION.start + lo, chunk),
-                                              "block_write_refused")):
-                return finish(refused)
-            report.blocks_transferred += 1
-        # Metadata last: this write is the commit point.
-        meta = AppMetadata.for_image(plan.new_image, plan.block_size)
-        if refused := (yield from command(mem_write_request(METADATA_OFFSET, meta.encode()),
-                                          "metadata_write_refused")):
-            return finish(refused)
-    else:
-        pkg = build_delta(plan.old_image, plan.new_image, plan.block_size, plan.gap_merge)
-        report.blocks_transferred = len(pkg.entries)
-        report.blocks_skipped = total_blocks - len(pkg.entries)
-        blob = bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg)
-        if len(blob) > MAX_SEGMENTED_PAYLOAD:
-            return finish("package_too_large")
-        if refused := (yield from command(blob, "delta_refused")):
-            return finish(refused)
-
-    # 5. Arm the application flag and reset.
-    mark = len(world.events)
-    if refused := (yield from command(
-            bytes([BootloaderCommand.GO_TO_ADDR, BootFlag.ENTER, BootFlag.NOT_ENTER]),
-            "go_to_addr_refused")):
-        return finish(refused)
-
-    # 6. The target must decide for the application on its own.
-    if not (yield from decided("jump_application", mark)):
-        return finish("application_not_reached")
-    return finish()
+    reason = None
+    for step in steps():
+        if reason := (yield from step):
+            break
+    return finish(reason)
 
 
 def start_campaign(world: World, plan: CampaignPlan) -> Task:
     """Install a campaign on the master; returns its task.  The task's
     ``result`` is the campaign's report from the start and fills in as the
     campaign runs; ``cancel()`` abandons it mid-flight (the target is not
-    told)."""
+    told).  What the campaign ships is built here, so a plan that cannot
+    be built raises before any traffic."""
+    if plan.mode is CampaignMode.FULL:
+        shipped = AppMetadata.for_image(plan.new_image, plan.block_size)
+        new_image_crc = shipped.image_crc
+    else:
+        shipped = build_delta(plan.old_image, plan.new_image, plan.block_size, plan.gap_merge)
+        new_image_crc = shipped.new_image_crc
     report = CampaignReport(
         mode=plan.mode.value,
         old_image_crc=crc32(plan.old_image),
-        new_image_crc=crc32(plan.new_image),
+        new_image_crc=new_image_crc,
         old_image_length=len(plan.old_image),
         new_image_length=len(plan.new_image),
     )
-    task = Task.from_generator("campaign", TaskPriority.COMM, _campaign(world, plan, report))
+    task = Task.from_generator("campaign", TaskPriority.COMM,
+                               _campaign(world, plan, report, shipped))
     task.result = report
     world.node(MASTER_NODE).add_task(task)
     return task

@@ -60,19 +60,21 @@ def test_lowest_id_wins_arbitration():
     bus, a, b = two_node_bus()
     bus.transmit(a, CanFrame(0x200, b"late"))
     bus.transmit(b, CanFrame(0x100, b"early"))
-    delivered, elapsed = bus.step()
-    assert [(nid, f.data) for nid, f in delivered] == [(1, b"early")]
+    landed, elapsed = bus.step()
+    assert landed == b"early"
     assert elapsed == bus.config.frame_time_us
-    delivered, _ = bus.step()
-    assert [(nid, f.data) for nid, f in delivered] == [(2, b"late")]
+    assert (len(a.rx), len(b.rx)) == (1, 0)  # only node 1 took it
+    landed, _ = bus.step()
+    assert landed == b"late"
+    assert (len(a.rx), len(b.rx)) == (1, 1)
 
 
 def test_equal_ids_resolve_in_enqueue_order():
     bus, a, b = two_node_bus()
     bus.transmit(b, CanFrame(0x100, b"first"))
     bus.transmit(a, CanFrame(0x100, b"second"))
-    assert bus.step()[0][0][1].data == b"first"
-    assert bus.step()[0][0][1].data == b"second"
+    assert bus.step()[0] == b"first"
+    assert bus.step()[0] == b"second"
 
 
 _SEND = st.tuples(st.just("send"), st.integers(0, 3), st.integers(0, 0x7FF))
@@ -99,21 +101,24 @@ def test_arbitration_picks_the_lowest_id_then_the_oldest_entry(n_endpoints, prog
         heads = sorted((q[0], i) for i, q in enumerate(queues) if q)
         bus.config = BusConfig(drop_probability=1.0 if op[1] else 0.0, max_auto_retransmit=None)
         retransmissions = [ep.retransmissions for ep in endpoints]
-        delivered, _ = bus.step()
+        queued = [len(ep.rx) for ep in endpoints]
+        landed, _ = bus.step()
         if not heads:
-            assert delivered == []
+            assert landed is None
             continue
         (can_id, expected), winner = heads[0]
         if op[1]:
-            assert delivered == []
+            assert landed is None
             assert [ep.retransmissions - r for ep, r in zip(endpoints, retransmissions)] == \
                 [int(i == winner) for i in range(n_endpoints)]
         else:
             queues[winner].pop(0)
-            frames = {f for _, f in delivered}
-            assert frames == {CanFrame(can_id, expected.to_bytes(2, "little"))}
-            assert sorted(nid for nid, _ in delivered) == \
-                [i + 1 for i in range(n_endpoints) if i != winner]
+            assert landed == expected.to_bytes(2, "little")
+            # A 2-byte frame is never a header: each receiver queues one gap naming its id.
+            assert [len(ep.rx) - n for ep, n in zip(endpoints, queued)] == \
+                [int(i != winner) for i in range(n_endpoints)]
+            assert all(f"on id 0x{can_id:X} " in str(ep.rx[-1])
+                       for i, ep in enumerate(endpoints) if i != winner)
 
 
 _FILTERS = st.lists(st.tuples(st.integers(0, 0x7FF), st.integers(0, 0x7FF)), max_size=3)
@@ -131,15 +136,16 @@ def test_memoised_acceptance_matches_the_filter_list(filters, refilters, ids):
 
 def test_idle_bus_step_is_free():
     bus, _, _ = two_node_bus()
-    assert bus.step() == ([], 0)
+    assert bus.step() == (None, 0)
     assert not bus.pending()
 
 
 def test_sender_does_not_hear_itself():
     bus, a, b = two_node_bus()
     bus.transmit(a, CanFrame(0x100, b"out"))
-    delivered, _ = bus.step()
-    assert [(nid, f.data) for nid, f in delivered] == [(2, b"out")]
+    landed, _ = bus.step()
+    assert landed == b"out"
+    assert bus.stats.deliveries == 1
     assert recv_segmented(a) is None
     with pytest.raises(SequenceGap):  # b"out" is not a header, so b's reassembly refuses it
         recv_segmented(b)
@@ -151,11 +157,12 @@ def test_acceptance_filters():
     b = bus.attach(2, filters=((0x7FF, 0x201),))
     c = bus.attach(3, filters=((0x7FF, 0x300), (0x7FF, 0x201)))
     bus.transmit(a, CanFrame(0x201, b"hit"))
-    delivered, _ = bus.step()
-    assert sorted(nid for nid, _ in delivered) == [2, 3]
+    bus.step()
+    assert [len(ep.rx) for ep in (a, b, c)] == [0, 1, 1]
     bus.transmit(a, CanFrame(0x400, b"miss"))
-    delivered, _ = bus.step()
-    assert delivered == []  # nobody else accepts 0x400
+    assert bus.step()[0] == b"miss"
+    assert [len(ep.rx) for ep in (a, b, c)] == [0, 1, 1]  # nobody else accepts 0x400
+    assert bus.stats.deliveries == 2
 
 
 # -- fault injection --------------------------------------------------------------
@@ -165,8 +172,8 @@ def test_corruption_raises_error_frame_and_retransmits():
     bus, a, b = two_node_bus(BusConfig(corruption_probability=1.0, max_auto_retransmit=2))
     bus.trace_enabled = True
     bus.transmit(a, CanFrame(0x100, b"payload"))
-    delivered, elapsed = bus.step()
-    assert delivered == []                 # corrupted frames are never delivered
+    landed, elapsed = bus.step()
+    assert landed is None                  # corrupted frames are never delivered
     assert elapsed == 500                  # but they did occupy the bus
     assert bus.trace[-1]["kind"] == "error"
     assert a.retransmissions == 1
@@ -211,8 +218,7 @@ def test_seeded_faults_are_reproducible():
             bus.transmit(a, CanFrame(0x100, bytes([i])))
         log = []
         while bus.pending():
-            delivered, _ = bus.step()
-            log.append(tuple(f.data for _, f in delivered))
+            log.append(bus.step()[0])
         return log, bus.stats.corrupted
 
     assert run() == run()
@@ -229,14 +235,12 @@ def test_fifteen_byte_payload_frame_shape():
 
     sent = []
     while bus.pending():
-        delivered, _ = bus.step()
-        sent += [frame for _, frame in delivered]
-    header = sent[0].data
-    marker, length, crc, pad = struct.unpack("<BHIB", header)
+        sent.append(bus.step()[0])
+    marker, length, crc, pad = struct.unpack("<BHIB", sent[0])
     assert (marker, length, pad) == (HEADER_MARKER, 15, 0)
     assert crc == crc32(payload)
-    assert [f.data[0] for f in sent[1:]] == [0, 1, 2]
-    assert [f.data[1:] for f in sent[1:]] == [payload[0:7], payload[7:14], payload[14:15]]
+    assert [data[0] for data in sent[1:]] == [0, 1, 2]
+    assert [data[1:] for data in sent[1:]] == [payload[0:7], payload[7:14], payload[14:15]]
 
 
 def test_segmented_roundtrip():

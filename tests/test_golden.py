@@ -31,6 +31,7 @@ from fotasim.lka import PidGains
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
 from fotasim.scenario import DEFAULT_SECRET, build_world, generate_image, mutate_blocks
+from fotasim.simruntime import World
 
 KIB = 1024
 
@@ -155,6 +156,17 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_matches_its_golden_digests(name):
+    assert digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_matches_its_golden_digests_tick_by_tick(name, monkeypatch):
+    """Spans must replay exactly what one tick at a time does."""
+    def one_tick(world, budget):
+        world.tick()
+        return 1
+
+    monkeypatch.setattr(World, "_advance", one_tick)
     assert digests(name) == GOLDEN[name]
 
 

@@ -4,8 +4,13 @@ import json
 
 import pytest
 
+from fotasim import simruntime
+from fotasim.bootflow import ACK, MEM_WRITE_HEADER, NACK, NACK_FLASH, BootloaderCommand
 from fotasim.canbus import BusConfig
+from fotasim.integrity import EmptyImage
+from fotasim.nvstore import METADATA_OFFSET
 from fotasim.orchestrator import (
+    MASTER_NODE,
     CampaignMode,
     CampaignPlan,
     CampaignReport,
@@ -121,6 +126,69 @@ def test_image_exceeding_the_metadata_table_fails_early():
     report = run_campaign(world, plan)
     assert (report.outcome, report.reason) == ("failed", "image_too_large")
     assert report.frames_sent == 0
+
+
+@pytest.mark.parametrize("mode, new_image, overrides, error", [
+    pytest.param(CampaignMode.FULL, b"", {}, EmptyImage, id="full-empty-image"),
+    pytest.param(CampaignMode.DELTA, b"", {}, EmptyImage, id="delta-empty-image"),
+    pytest.param(CampaignMode.DELTA, None, {"block_size": 0x10001}, ValueError,
+                 id="delta-block-size-past-0x10000"),
+])
+def test_a_plan_that_cannot_be_built_fails_before_any_traffic(mode, new_image, overrides, error):
+    old, new = image_pair(size=16 * KIB, changed=2)
+    world, _, _ = build_world(old_image=old, seed=14)
+    plan = plan_for(mode, old, new if new_image is None else new_image, **overrides)
+    with pytest.raises(error):
+        run_campaign(world, plan)
+    assert world.clock_us == 0
+    assert world.events == []
+    assert not world.bus.pending()
+    assert world.node(MASTER_NODE).tasks == []
+
+
+def _is_metadata_write(payload):
+    return (payload[0] == BootloaderCommand.MEM_WRITE
+            and MEM_WRITE_HEADER.unpack_from(payload)[1] == METADATA_OFFSET)
+
+
+def _command(code):
+    return lambda payload: payload[0] == code
+
+
+_FAILING_STEPS = [  # reason, mode, which command fails, the answer it gets, blocks_transferred
+    ("erase_refused", CampaignMode.FULL, _command(BootloaderCommand.FLASH_ERASE), NACK, 0),
+    ("block_write_refused", CampaignMode.FULL, _command(BootloaderCommand.MEM_WRITE), NACK, 0),
+    ("metadata_write_refused", CampaignMode.FULL, _is_metadata_write, NACK, 16),
+    ("delta_refused", CampaignMode.DELTA, _command(BootloaderCommand.DELTA_APPLY), NACK, 2),
+    ("go_to_addr_refused", CampaignMode.DELTA, _command(BootloaderCommand.GO_TO_ADDR), NACK, 2),
+    # An ACK that arms nothing: the target stays in its bootloader.
+    ("application_not_reached", CampaignMode.DELTA, _command(BootloaderCommand.GO_TO_ADDR),
+     ACK, 2),
+]
+
+
+@pytest.mark.parametrize("reason, mode, fails, answer, blocks",
+                         [pytest.param(*case, id=case[0]) for case in _FAILING_STEPS])
+def test_a_failing_step_ends_the_campaign_with_its_reason(monkeypatch, reason, mode, fails,
+                                                          answer, blocks):
+    served = []
+    serve = simruntime.bootloader_serve
+
+    def answering(ctx, payload):
+        served.append(payload)
+        if fails(payload):
+            return bytes([answer, payload[0]]) + (bytes([NACK_FLASH]) if answer == NACK else b"")
+        return serve(ctx, payload)
+
+    monkeypatch.setattr(simruntime, "bootloader_serve", answering)
+    old, new = image_pair(size=16 * KIB, changed=2)
+    world, _, _ = build_world(old_image=old, seed=15)
+    report = run_campaign(world, plan_for(mode, old, new))
+    assert (report.outcome, report.reason) == ("failed", reason)
+    assert report.blocks_transferred == blocks
+    # The failing command was served once, and nothing after it.
+    assert fails(served[-1])
+    assert sum(map(fails, served)) == 1
 
 
 def test_wrong_secret_is_reported_as_denied():

@@ -8,8 +8,8 @@ tick-based scheduler, so every campaign replays bit-for-bit from a seed.
 
 from .canbus import Bus, BusConfig, CanFrame, recv_segmented, send_segmented
 from .delta import apply_delta, build_delta, decode_package, encode_package
-from .flashmodel import FlashDevice, new_device
-from .integrity import block_crcs, crc32, crc_compare
+from .flashmodel import FlashDevice
+from .integrity import crc32
 from .lka import PidGains, pid_step, simulate
 from .orchestrator import (
     CampaignMode,
@@ -40,18 +40,15 @@ __all__ = [
     "World",
     "__version__",
     "apply_delta",
-    "block_crcs",
     "build_delta",
     "build_world",
     "client_unlock",
     "crc32",
-    "crc_compare",
     "decode_package",
     "derive_key",
     "encode_package",
     "generate_image",
     "mutate_blocks",
-    "new_device",
     "pid_step",
     "provision_application",
     "reduction_ratio",

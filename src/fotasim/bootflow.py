@@ -39,7 +39,7 @@ from .flashmodel import (
     Region,
     Sector,
 )
-from .integrity import CompareResult, crc32, crc_compare
+from .integrity import crc32
 from .nvstore import (
     APP_CAPACITY,
     APP_ENTER_REG,
@@ -79,6 +79,8 @@ APP_ENTER_BOOTLOADER = 0x31
 
 MEM_WRITE_HEADER = struct.Struct("<BIH")  # code, address, length
 
+UPDATER_VERSION = (1, 0, 0)  # major, minor, patch: the GET_VERSION reply
+
 
 class BootDecision(Enum):
     JUMP_APPLICATION = "jump_application"
@@ -110,7 +112,6 @@ class EcuContext:
     device: FlashDevice
     regs: BackupRegisters
     session: SecuritySession
-    version: tuple[int, int, int] = (1, 0, 0)
     updater_image: bytes | None = None
     now: Callable[[], int] = lambda: 0
     log: Callable = _noop
@@ -130,14 +131,14 @@ class EcuContext:
 # -- boot manager ------------------------------------------------------------
 
 
-def app_integrity(device: FlashDevice) -> CompareResult:
-    """CRC the stored application against its metadata record."""
+def app_integrity(device: FlashDevice) -> bool:
+    """Whether the stored application's CRC matches its metadata record."""
     try:
         meta = read_app_metadata(device)
     except MalformedMetadata:
-        return CompareResult.FAILED
+        return False
     data, _ = device.read(APP_REGION.start, meta.byte_count)
-    return crc_compare(crc32(data), meta.image_crc)
+    return crc32(data) == meta.image_crc
 
 
 def _disarm_stages(regs: BackupRegisters) -> None:
@@ -153,8 +154,7 @@ def boot_decide(device: FlashDevice, regs: BackupRegisters) -> BootDecision:
     armed updater flag wins; otherwise both flags are cleared and the
     bootloader takes over, so a stale flag can never loop the chain.
     """
-    intact = app_integrity(device) is CompareResult.SUCCEEDED
-    if intact and regs.read_flag(APP_ENTER_REG) is BootFlag.ENTER:
+    if app_integrity(device) and regs.read_flag(APP_ENTER_REG) is BootFlag.ENTER:
         return BootDecision.JUMP_APPLICATION
     if regs.read_flag(UPDATER_ENTER_REG) is BootFlag.ENTER:
         return BootDecision.JUMP_UPDATER
@@ -328,8 +328,7 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     code = payload[0]
 
     if code == UpdaterCommand.GET_VERSION:
-        major, minor, patch = ctx.version
-        return bytes([ACK, major, minor, patch])
+        return bytes([ACK, *UPDATER_VERSION])
 
     if code == UpdaterCommand.MEM_ERASE_BOOTLOADER:
         if len(payload) != 3:
@@ -404,7 +403,7 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
         ctx.device.program(BOOTLOADER_REGION.start, image, ctx.now())
         ctx._hook("verify")
         readback, _ = ctx.device.read(BOOTLOADER_REGION.start, len(image))
-        if crc_compare(crc32(readback), crc32(image)) is not CompareResult.SUCCEEDED:
+        if crc32(readback) != crc32(image):
             raise _VerifyFailed("read-back CRC mismatch")
     except (FlashError, InjectedFault, _VerifyFailed) as exc:
         if erased:

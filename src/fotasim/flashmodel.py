@@ -263,8 +263,3 @@ class FlashDevice:
     def _occupy(self, now_us: int, duration: int) -> None:
         self.busy_until_us = max(self.busy_until_us, now_us) + duration
         self.busy_total_us += duration
-
-
-def new_device() -> FlashDevice:
-    """Fresh, fully erased, locked device with the 512 KiB layout."""
-    return FlashDevice()

@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 
 DEFAULT_BLOCK_SIZE = 1024
 
@@ -35,11 +34,6 @@ class EmptyImage(IntegrityError):
 
 class MalformedTable(IntegrityError):
     pass
-
-
-class CompareResult(Enum):
-    SUCCEEDED = "succeeded"
-    FAILED = "failed"
 
 
 def _bitrev8(x: int) -> int:
@@ -78,30 +72,16 @@ def reflected_crc32(reflected: bytes | memoryview) -> int:
     return int.from_bytes(register.translate(_BITREV_NOT_BYTES), "big")
 
 
-def crc_compare(computed: int, stored: int) -> CompareResult:
-    if computed == stored:
-        return CompareResult.SUCCEEDED
-    return CompareResult.FAILED
-
-
 def block_count(image_length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     if block_size <= 0:
         raise ValueError("block_size must be positive")
     return -(-image_length // block_size)
 
 
-def block_crcs(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> list[int]:
-    """Per-block CRCs over ``image`` split into ``block_size`` chunks.
-
-    The final block may be shorter than ``block_size``; its CRC covers the
-    actual bytes present, not a padded block.
-    """
-    return list(image_crcs(image, block_size)[1])
-
-
 def image_crcs(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, tuple[int, ...]]:
-    """``(crc32(image), tuple(block_crcs(image, block_size)))`` from one
-    reflected copy of ``image``."""
+    """``crc32(image)`` and the CRC of each ``block_size`` chunk of it, from
+    one reflected copy of ``image``.  The final block may be shorter than
+    ``block_size``; its CRC covers the bytes present, not a padded block."""
     if len(image) == 0:
         raise EmptyImage("cannot build a block CRC table for an empty image")
     if block_size <= 0:
@@ -141,6 +121,3 @@ class BlockCrcTable:
         if len(blob) < need:
             raise MalformedTable(f"table claims {count} entries but blob holds fewer")
         return cls(struct.unpack_from(f"<{count}I", blob, 2))
-
-    def encoded_length(self) -> int:
-        return 2 + 4 * len(self.entries)

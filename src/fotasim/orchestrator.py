@@ -106,8 +106,8 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport,
     """The master's side of a campaign that ships ``shipped``, as a generator
     that yields its deadlines and fills in ``report``."""
     bus = world.bus
-    endpoint = world.node(MASTER_NODE).endpoint
-    target = world.node(TARGET_NODE)
+    endpoint = world.nodes[MASTER_NODE].endpoint
+    target = world.nodes[TARGET_NODE]
 
     def now() -> int:
         return world.clock_us
@@ -228,6 +228,9 @@ def start_campaign(world: World, plan: CampaignPlan) -> Task:
     told).  What the campaign ships is built here, so a plan that cannot
     be built raises before any traffic."""
     if plan.mode is CampaignMode.FULL:
+        if plan.block_size > MAX_FULL_BLOCK_SIZE:
+            raise ValueError(f"block_size {plan.block_size} exceeds {MAX_FULL_BLOCK_SIZE}: "
+                             "a full campaign's block rides in one MEM_WRITE")
         shipped = AppMetadata.for_image(plan.new_image, plan.block_size)
         new_image_crc = shipped.image_crc
     else:
@@ -243,7 +246,7 @@ def start_campaign(world: World, plan: CampaignPlan) -> Task:
     task = Task.from_generator("campaign", TaskPriority.COMM,
                                _campaign(world, plan, report, shipped))
     task.result = report
-    world.node(MASTER_NODE).add_task(task)
+    world.nodes[MASTER_NODE].add_task(task)
     return task
 
 

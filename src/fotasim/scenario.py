@@ -114,7 +114,6 @@ def build_world(*, old_image: bytes, seed: int = 0,
                 bus: BusConfig | None = None,
                 secret: int = DEFAULT_SECRET,
                 updater_image: bytes | None = None,
-                updater_style: str = "serve",
                 deviation_lines=None,
                 fault_hook=None,
                 block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[World, Node, Node]:
@@ -131,7 +130,6 @@ def build_world(*, old_image: bytes, seed: int = 0,
                             shared_secret=secret,
                             session_seed=session_seed,
                             updater_image=updater_image,
-                            updater_style=updater_style,
                             deviation_feed=deviation_lines,
                             fault_hook=fault_hook)
     provision_application(target.device, old_image, block_size)

@@ -23,9 +23,10 @@ tick.  A task without a deadline runs every tick.
 A node's ``role`` says what it is.  An ECU owns a flash device, backup
 registers and a security session and lives the boot-chain life: reset,
 decide, then serve as application, bootloader or updater until the next
-reset.  A software reset preserves backup registers; a power cycle clears
-them.  A host (the update master) is an endpoint and the tasks installed
-on it, nothing more.
+reset.  An updater that holds an embedded image installs it as the
+bootloader at once; one that holds none serves host commands.  A software
+reset preserves backup registers; a power cycle clears them.  A host (the
+update master) is an endpoint and the tasks installed on it, nothing more.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable
 from .bootflow import (BootDecision, EcuContext, app_serve, boot_decide, bootloader_serve,
                        updater_serve, updater_silent)
 from .canbus import ACCEPT_ALL, Bus, BusConfig, CanError, recv_segmented, send_segmented
-from .flashmodel import APP_REGION, new_device
+from .flashmodel import APP_REGION, FlashDevice
 from .lka import (
     PARAM_END,
     PidGains,
@@ -129,7 +130,6 @@ class Node:
                  shared_secret: int = 0,
                  session_seed: int = 1,
                  updater_image: bytes | None = None,
-                 updater_style: str = "serve",
                  deviation_feed=None,
                  fault_hook=None):
         self.name = name
@@ -142,10 +142,9 @@ class Node:
 
         self.world = world
         self.reply_id = reply_id
-        self.device = new_device()
+        self.device = FlashDevice()
         self.regs = BackupRegisters()
         self.session = SecuritySession(shared_secret, session_seed)
-        self.updater_style = updater_style
         self.deviation_feed = iter(deviation_feed) if deviation_feed is not None else None
         self.mode = NodeMode.BOOT
         self.pending_reset = False
@@ -257,7 +256,7 @@ class Node:
         self.mode = _MODE_OF[decision]
         if self.mode is _APPLICATION:
             self._enter_application()
-        elif self.mode is NodeMode.UPDATER and self.updater_style == "silent":
+        elif self.mode is NodeMode.UPDATER and self.ctx.updater_image is not None:
             updater_silent(self.ctx)
 
     def _enter_application(self) -> None:
@@ -334,9 +333,6 @@ class World:
         self.nodes[name] = node
         self._nodes += (node,)
         return node
-
-    def node(self, name: str) -> Node:
-        return self.nodes[name]
 
     # -- time ----------------------------------------------------------------
 

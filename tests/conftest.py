@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fotasim.flashmodel import new_device
+from fotasim.flashmodel import FlashDevice
 from fotasim.lka import PidGains
 from fotasim.scenario import build_world, generate_image, mutate_blocks
 
@@ -28,7 +28,7 @@ def crc32_bitwise(data: bytes, init: int = 0xFFFFFFFF) -> int:
 
 @pytest.fixture
 def device():
-    return new_device()
+    return FlashDevice()
 
 
 @pytest.fixture

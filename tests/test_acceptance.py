@@ -27,9 +27,9 @@ from fotasim.flashmodel import (
     ERASED_BYTE,
     KIB,
     MASS_ERASE_APPLICATION,
+    FlashDevice,
     LockedDevice,
     ProgramOnNonErased,
-    new_device,
 )
 from fotasim.integrity import crc32
 from fotasim.lka import PidGains, simulate
@@ -181,7 +181,7 @@ def test_criterion_04_boot_decision_table():
     for intact in (False, True):
         for app_flag in (False, True):
             for upd_flag in (False, True):
-                device = new_device()
+                device = FlashDevice()
                 if intact:
                     provision_application(device, generate_image(2 * KIB, seed=1))
                 regs = BackupRegisters()
@@ -213,7 +213,7 @@ def test_criterion_05_flash_model_invariants():
     # no mutation while locked, and a 10k-op randomized sweep against a
     # shadow model.  Under 5 s.
     t0 = time.perf_counter()
-    device = new_device()
+    device = FlashDevice()
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     device.program(0, b"\x12\x34")
     try:
@@ -230,7 +230,7 @@ def test_criterion_05_flash_model_invariants():
     scoped = (wiped == bytes([ERASED_BYTE]) * sector0.size
               and neighbour == bytes([ERASED_BYTE]) * sector1.size)
 
-    locked = new_device()
+    locked = FlashDevice()
     try:
         locked.program(0, b"\x00")
         locked_mutated = True
@@ -239,7 +239,7 @@ def test_criterion_05_flash_model_invariants():
         locked_mutated = data != b"\xff"
 
     rng = Random(0xF1A5)
-    device = new_device()
+    device = FlashDevice()
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     shadow = bytearray([ERASED_BYTE]) * device.layout.size
     sweep_ok = True
@@ -307,7 +307,7 @@ def test_criterion_07_updater_rollback_exactness():
     results = []
     for step, survivor in (("backup", "old"), ("erase", "old"), ("program", "old"),
                            ("verify", "old"), ("finalize", "new")):
-        device = new_device()
+        device = FlashDevice()
         device.unlock(*DEFAULT_UNLOCK_KEYS)
         region = device.layout.region("bootloader")
         device.program(region.start, old_bl)

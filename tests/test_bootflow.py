@@ -15,6 +15,7 @@ from fotasim.bootflow import (
     NACK_MALFORMED,
     NACK_REGION,
     NACK_SECURITY,
+    UPDATER_VERSION,
     BootDecision,
     BootloaderCommand,
     EcuContext,
@@ -34,9 +35,9 @@ from fotasim.flashmodel import (
     KIB,
     MASS_ERASE_APPLICATION,
     REGION_BOOTLOADER,
-    new_device,
+    FlashDevice,
 )
-from fotasim.integrity import CompareResult, crc32
+from fotasim.integrity import crc32
 from fotasim.nvstore import (
     APP_ENTER_REG,
     UPDATER_ENTER_REG,
@@ -51,7 +52,7 @@ SECRET = 0x5EC10ACE
 
 
 def make_ctx(image=None, updater_image=None, fault_hook=None):
-    device = new_device()
+    device = FlashDevice()
     if image is not None:
         provision_application(device, image)
     ctx = EcuContext(
@@ -125,8 +126,8 @@ def test_erased_device_boots_to_bootloader():
 def test_app_integrity_checks_stored_bytes():
     image = Random(2).randbytes(4 * KIB)
     ctx = make_ctx(image)
-    assert app_integrity(ctx.device) is CompareResult.SUCCEEDED
-    assert app_integrity(new_device()) is CompareResult.FAILED
+    assert app_integrity(ctx.device)
+    assert not app_integrity(FlashDevice())
 
 
 # -- bootloader command gating --------------------------------------------------------
@@ -186,7 +187,7 @@ def test_mass_erase_sentinel():
                                          MASS_ERASE_APPLICATION, 0]))
     assert reply == bytes([ACK, BootloaderCommand.FLASH_ERASE])
     assert ctx.sectors_erased == 3
-    assert app_integrity(ctx.device) is CompareResult.FAILED
+    assert not app_integrity(ctx.device)
 
 
 def test_mem_write_round_trip():
@@ -261,7 +262,7 @@ def test_delta_apply_wrong_base_is_delta_nack():
     reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg))
     assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_DELTA])
     # Nothing was erased or programmed: the old image still verifies.
-    assert app_integrity(ctx.device) is CompareResult.SUCCEEDED
+    assert app_integrity(ctx.device)
 
 
 def test_delta_apply_garbage_is_delta_nack():
@@ -285,7 +286,7 @@ def test_delta_apply_oversize_package_is_flash_nack_without_staging():
         tracemalloc.stop()
     assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_FLASH])
     assert peak < 1 << 20
-    assert app_integrity(ctx.device) is CompareResult.SUCCEEDED
+    assert app_integrity(ctx.device)
 
 
 def test_unknown_command_is_silent():
@@ -340,9 +341,8 @@ def test_app_ignores_bootloader_commands():
 
 
 def test_updater_get_version():
-    ctx = make_ctx()
-    ctx.version = (2, 5, 7)
-    assert updater_serve(ctx, bytes([UpdaterCommand.GET_VERSION])) == bytes([ACK, 2, 5, 7])
+    reply = updater_serve(make_ctx(), bytes([UpdaterCommand.GET_VERSION]))
+    assert reply == bytes([ACK, *UPDATER_VERSION]) == bytes([ACK, 1, 0, 0])
 
 
 def test_updater_write_confined_to_bootloader_region():

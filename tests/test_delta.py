@@ -30,7 +30,7 @@ from fotasim.flashmodel import (
     DEFAULT_UNLOCK_KEYS,
     KIB,
     REGION_APPLICATION,
-    new_device,
+    FlashDevice,
 )
 from fotasim.integrity import EmptyImage, crc32
 from fotasim.nvstore import read_app_metadata
@@ -522,7 +522,7 @@ def test_build_apply_inverse_property(seed, extra_kib):
 def provisioned_device(image, block_size=KIB):
     from fotasim.scenario import provision_application
 
-    device = new_device()
+    device = FlashDevice()
     provision_application(device, image, block_size)
     return device
 

@@ -20,16 +20,16 @@ from fotasim.flashmodel import (
     AddressOutOfRange,
     AlreadyUnlocked,
     BadKeySequence,
+    FlashDevice,
     LockedDevice,
     ProgramOnNonErased,
     SectorOutOfRange,
-    new_device,
     program_cost,
 )
 
 
 def unlocked():
-    d = new_device()
+    d = FlashDevice()
     d.unlock(*DEFAULT_UNLOCK_KEYS)
     return d
 
@@ -60,7 +60,7 @@ def test_regions_cover_expected_sectors():
     assert (APP_REGION, APP_SECTORS) == (layout.region(REGION_APPLICATION), within_app)
     assert BOOTLOADER_REGION == layout.region(REGION_BOOTLOADER)
     assert [s.index for s in BOOTLOADER_SECTORS] == [4]
-    assert new_device().layout is LAYOUT
+    assert FlashDevice().layout is LAYOUT
 
 
 def test_sector_at_boundaries():
@@ -95,14 +95,14 @@ def test_region_contains():
 
 
 def test_fresh_device_is_locked_and_erased():
-    d = new_device()
+    d = FlashDevice()
     assert d.locked
     data, _ = d.read(0, d.layout.size)
     assert data == bytes([ERASED_BYTE]) * d.layout.size
 
 
 def test_mutation_requires_unlock():
-    d = new_device()
+    d = FlashDevice()
     with pytest.raises(LockedDevice):
         d.erase_sectors(0)
     with pytest.raises(LockedDevice):
@@ -117,7 +117,7 @@ def test_unlock_happy_path():
 
 
 def test_wrong_keys_latch_until_reset():
-    d = new_device()
+    d = FlashDevice()
     with pytest.raises(BadKeySequence):
         d.unlock(0xDEAD, 0xBEEF)
     # Even the right keys are refused while latched.
@@ -129,7 +129,7 @@ def test_wrong_keys_latch_until_reset():
 
 
 def test_keys_in_wrong_order_latch():
-    d = new_device()
+    d = FlashDevice()
     k1, k2 = DEFAULT_UNLOCK_KEYS
     with pytest.raises(BadKeySequence):
         d.unlock(k2, k1)
@@ -262,7 +262,7 @@ def test_read_reports_stall():
 
 
 def test_read_never_gated_by_lock():
-    d = new_device()
+    d = FlashDevice()
     data, _ = d.read(0, 4)
     assert data == b"\xff\xff\xff\xff"
 

@@ -70,7 +70,7 @@ def updater_rollback():
             raise InjectedFault(step)
 
     old = generate_image(8 * KIB, seed=24, gains=PidGains())
-    world, _, target = build_world(old_image=old, seed=24, updater_style="silent",
+    world, _, target = build_world(old_image=old, seed=24,
                                    updater_image=generate_image(6 * KIB, seed=25),
                                    fault_hook=hook)
     world.bus.trace_enabled = True

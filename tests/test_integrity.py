@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from fotasim.integrity import (
     BlockCrcTable,
-    CompareResult,
     EmptyImage,
     MalformedTable,
     block_count,
-    block_crcs,
     crc32,
-    crc_compare,
+    image_crcs,
     reflect,
     reflected_crc32,
 )
@@ -60,11 +58,6 @@ def test_matches_reference_on_larger_buffer():
     assert crc32(data) == crc32_bitwise(data)
 
 
-def test_compare_results():
-    assert crc_compare(5, 5) is CompareResult.SUCCEEDED
-    assert crc_compare(5, 6) is CompareResult.FAILED
-
-
 def test_block_count_rounds_up():
     assert block_count(1, 1024) == 1
     assert block_count(1024, 1024) == 1
@@ -80,7 +73,7 @@ def test_block_count_rejects_bad_block_size():
 
 def test_block_crcs_partial_final_block():
     data = bytes(range(256)) * 5  # 1280 bytes -> blocks of 1024 and 256
-    crcs = block_crcs(data, 1024)
+    crcs = list(image_crcs(data, 1024)[1])
     assert len(crcs) == 2
     assert crcs[0] == crc32(data[:1024])
     assert crcs[1] == crc32(data[1024:])  # only the real 256 bytes, no padding
@@ -90,9 +83,9 @@ def test_block_crcs_partial_final_block():
 @settings(max_examples=150, deadline=None)
 def test_block_crcs_match_crc32_of_each_chunk(data, block_size):
     expected = [crc32(data[i : i + block_size]) for i in range(0, len(data), block_size)]
-    assert block_crcs(data, block_size) == expected
-    assert block_crcs(bytearray(data), block_size) == expected
-    assert block_crcs(memoryview(data), block_size) == expected
+    assert list(image_crcs(data, block_size)[1]) == expected
+    assert list(image_crcs(bytearray(data), block_size)[1]) == expected
+    assert list(image_crcs(memoryview(data), block_size)[1]) == expected
 
 
 @given(st.binary(max_size=2048), st.integers(0, 2048), st.integers(0, 2048))
@@ -104,12 +97,12 @@ def test_reflected_crc_of_a_slice_matches_crc32(data, i, j):
 
 def test_block_crcs_empty_image_rejected():
     with pytest.raises(EmptyImage):
-        block_crcs(b"")
+        image_crcs(b"")
 
 
 def test_table_roundtrip():
     data = b"\xab" * 3000
-    table = BlockCrcTable(tuple(block_crcs(data, 1024)))
+    table = BlockCrcTable(image_crcs(data, 1024)[1])
     assert BlockCrcTable.decode(table.encode()) == table
 
 
@@ -118,7 +111,6 @@ def test_table_encoding_layout():
     table = BlockCrcTable(entries=(0x11223344, 0xAABBCCDD))
     blob = table.encode()
     assert blob == struct.pack("<H", 2) + struct.pack("<II", 0x11223344, 0xAABBCCDD)
-    assert table.encoded_length() == len(blob)
 
 
 def test_table_decode_rejects_truncation():
@@ -180,6 +172,6 @@ def test_table_decode_matches_the_per_entry_loop(count, body, cut):
        st.sampled_from([64, 256, 1024]))
 @settings(max_examples=100, deadline=None)
 def test_table_roundtrip_property(data, block_size):
-    table = BlockCrcTable(tuple(block_crcs(data, block_size)))
+    table = BlockCrcTable(image_crcs(data, block_size)[1])
     assert BlockCrcTable.decode(table.encode()).entries == table.entries
     assert len(table.entries) == block_count(len(data), block_size)

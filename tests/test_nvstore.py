@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS, KIB, new_device
+from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS, KIB, FlashDevice
 from fotasim.integrity import BlockCrcTable, crc32
 from fotasim.nvstore import (
     APP_ENTER_REG,
@@ -125,7 +125,7 @@ def test_metadata_slot_is_last_kib_of_app_region():
 
 
 def test_metadata_flash_roundtrip():
-    device = new_device()
+    device = FlashDevice()
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     image = b"\x37" * 5000
     meta = AppMetadata.for_image(image)
@@ -135,11 +135,11 @@ def test_metadata_flash_roundtrip():
 
 def test_read_rejects_erased_slot():
     with pytest.raises(MalformedMetadata):
-        read_app_metadata(new_device())
+        read_app_metadata(FlashDevice())
 
 
 def test_read_rejects_count_beyond_capacity():
-    device = new_device()
+    device = FlashDevice()
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     bogus = AppMetadata(byte_count=APP_CAPACITY + 1,
                         image_crc=0, table=AppMetadata.for_image(b"x").table)

@@ -133,6 +133,10 @@ def test_image_exceeding_the_metadata_table_fails_early():
     pytest.param(CampaignMode.DELTA, b"", {}, EmptyImage, id="delta-empty-image"),
     pytest.param(CampaignMode.DELTA, None, {"block_size": 0x10001}, ValueError,
                  id="delta-block-size-past-0x10000"),
+    # Past one MEM_WRITE's payload: a 128 KiB image's first 64 KiB block cannot be sent,
+    # and the target would be mass-erased before it is tried.
+    pytest.param(CampaignMode.FULL, generate_image(128 * KIB, seed=3), {"block_size": 0x10000},
+                 ValueError, id="full-block-size-past-one-mem-write"),
 ])
 def test_a_plan_that_cannot_be_built_fails_before_any_traffic(mode, new_image, overrides, error):
     old, new = image_pair(size=16 * KIB, changed=2)
@@ -143,7 +147,7 @@ def test_a_plan_that_cannot_be_built_fails_before_any_traffic(mode, new_image, o
     assert world.clock_us == 0
     assert world.events == []
     assert not world.bus.pending()
-    assert world.node(MASTER_NODE).tasks == []
+    assert world.nodes[MASTER_NODE].tasks == []
 
 
 def _is_metadata_write(payload):

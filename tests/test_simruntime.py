@@ -10,15 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fotasim.canbus import BusConfig, send_segmented
+from fotasim.bootflow import ACK, NACK, NACK_REGION, UpdaterCommand
+from fotasim.canbus import BusConfig, recv_segmented, send_segmented, wait_for
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
 from fotasim.lka import MOTOR_LEFT, MOTOR_RIGHT, PARAM_OFFSET, PidGains, pack_image
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
-from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign, start_campaign
+from fotasim.orchestrator import (DEFAULT_REQUEST_ID, CampaignMode, CampaignPlan, run_campaign,
+                                  start_campaign)
 from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
-                              world_from_scenario)
+                              provision_application, world_from_scenario)
 from fotasim.simruntime import (
     DEFAULT_TICK_US,
+    Node,
     NodeMode,
     RunResult,
     Task,
@@ -227,7 +230,7 @@ def test_scenario_block_size_does_not_move_the_gains():
         "campaign": {"block_size": 512},
     }
     world, _ = world_from_scenario(spec)
-    target = world.node("target")
+    target = world.nodes["target"]
     assert world.run_until(lambda w: target.mode is NodeMode.APPLICATION, 10).met
     assert target.gains == PidGains(3.0, 0.2, 0.4)
 
@@ -278,6 +281,36 @@ def test_updater_flag_wins_over_a_missing_app():
     world.tick()
     assert node.mode is NodeMode.UPDATER
     assert [e["decision"] for e in events_named(world, "Decision")] == ["jump_updater"]
+
+
+def test_an_ecu_without_an_updater_image_serves_the_host_in_the_updater():
+    world, master, target = build_world(old_image=generate_image(8 * KIB, seed=6), seed=6)
+    target.regs.write_flag(APP_ENTER_REG, BootFlag.NOT_ENTER)
+    target.regs.write_flag(UPDATER_ENTER_REG, BootFlag.ENTER)
+    erase, leave = UpdaterCommand.MEM_ERASE_BOOTLOADER, UpdaterCommand.LEAVE_TO_BOOT_MANAGER
+
+    def ask(payload, max_ticks=1000):
+        """The target's reply to ``payload``, or None if none lands in ``max_ticks``."""
+        send_segmented(world.bus, master.endpoint, DEFAULT_REQUEST_ID, payload)
+        if world.run_until(lambda w: bool(master.endpoint.rx), max_ticks).met:
+            return recv_segmented(master.endpoint).payload
+        return None
+
+    assert ask(bytes([UpdaterCommand.GET_VERSION])) == bytes([ACK, 1, 0, 0])
+    assert target.mode is NodeMode.UPDATER
+    assert ask(bytes([erase, 4, 1])) == bytes([ACK, erase])  # the bootloader's 64 KiB sector
+    assert target.ctx.sectors_erased == 1
+    assert target.busy_until_us >= world.clock_us + 690_000  # the erase stalls it for 700 ms
+    assert ask(bytes([erase, 3, 1])) == bytes([NACK, erase, NACK_REGION])  # the boot manager's
+    assert world.clock_us > target.busy_until_us
+    assert ask(bytes([erase, 4]), max_ticks=50) is None  # malformed: no reply at all
+    assert target.ctx.sectors_erased == 1
+    mark = len(world.events)
+    assert ask(bytes([leave])) == bytes([ACK, leave])
+    assert world.run_until(lambda w: target.boot_count == 2, 100).met
+    assert [(e["event"], e.get("kind"), e.get("decision")) for e in world.events[mark:]] == [
+        ("Reset", "software", None), ("Boot", None, None), ("Decision", None, "jump_bootloader")]
+    assert target.mode is NodeMode.BOOTLOADER
 
 
 # -- resets ---------------------------------------------------------------
@@ -710,6 +743,46 @@ def test_a_steering_span_ends_on_its_event_tick_as_a_tick_would():
     spans = run(World.run_ticks)
     assert spans == run(ticked_run_ticks)
     assert [name for name, _, _ in spans[-1]] == ["target", "master"]
+
+
+def test_a_steering_span_that_logs_an_event_runs_the_nodes_after_the_steering_one():
+    # The host comes after the application ECU in tick order, so the span's
+    # event tick must run it as World.tick would.
+    lines = ["0.10\n"] * 40 + ["bad\n"] + ["-0.05\n"] * 40
+
+    def run(spanned):
+        world = World()
+        ecu = world.add_node("ecu", 2, role="ecu", deviation_feed=lines)
+        provision_application(ecu.device, generate_image(8 * KIB, seed=8, gains=PidGains()))
+        ecu.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+        host = world.add_node("host", 1, role="host")
+        ticked, host_ran, woke = [], [], []
+        world.tick = lambda: (ticked.append(world.clock_us), World.tick(world))
+        host.run_tick = lambda: (host_ran.append(world.clock_us), Node.run_tick(host))
+
+        def now():
+            return world.clock_us
+
+        def waiter():
+            while True:
+                yield from wait_for(now, now() + 30_000, lambda: None)
+                woke.append(now())
+
+        host.add_task(Task.from_generator("wait", TaskPriority.APP, waiter()))
+        if spanned:
+            world.run_ticks(120)
+        else:
+            for _ in range(120):
+                world.tick()
+        (bad,) = events_named(world, "BadDeviation")
+        return (world.events_jsonl(), world.clock_us, woke, repr(ecu.steering),
+                ecu.steering_target), bad["time_us"], ticked, host_ran
+
+    spans, bad_at, ticked, host_ran = run(spanned=True)
+    assert spans == run(spanned=False)[0]
+    assert spans[1] == 120 * DEFAULT_TICK_US
+    assert spans[2] == [30_000, 60_000, 90_000]
+    assert bad_at not in ticked and bad_at in host_ran  # the span ran the host at its event
 
 
 def test_run_ticks_lands_on_the_tick_mid_stall():

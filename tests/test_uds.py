@@ -226,11 +226,14 @@ def test_state_machine_never_unlocks_without_correct_key():
 # -- client coroutine over the bus ---------------------------------------------------
 
 
-def unlock_over_bus(secret_client=SECRET, secret_server=SECRET, deadline_us=5_000_000):
+def unlock_over_bus(secret_client=SECRET, secret_server=SECRET, deadline_us=5_000_000,
+                    s=None, answer=server_handle):
+    """Run :func:`client_unlock` against a server that replies ``answer(s,
+    request, now)``, by default a fresh session at ``secret_server``."""
     bus = Bus(BusConfig())
     client = bus.attach(1, filters=((0x7FF, 0x201),))
     server = bus.attach(2, filters=((0x7FF, 0x101),))
-    s = SecuritySession(secret_server, rng_seed=7)
+    s = s or SecuritySession(secret_server, rng_seed=7)
 
     clock = 0
     steps = 0
@@ -246,7 +249,7 @@ def unlock_over_bus(secret_client=SECRET, secret_server=SECRET, deadline_us=5_00
                 bus.step()
             msg = recv_segmented(server)
             if msg is not None:
-                send_segmented(bus, server, 0x201, server_handle(s, msg.payload, clock))
+                send_segmented(bus, server, 0x201, answer(s, msg.payload, clock))
                 while bus.pending():
                     bus.step()
             clock += 1000
@@ -271,6 +274,36 @@ def test_client_unlock_wrong_secret_denied():
     assert result.outcome is UnlockOutcome.DENIED
     assert result.nrc == NRC_INVALID_KEY
     assert not s.unlocked
+
+
+def test_client_unlock_denied_by_a_negative_seed_reply_carries_its_nrc():
+    s = SecuritySession(SECRET, rng_seed=7)
+    for _ in range(3):
+        fail_once(s)  # locked out until LOCKOUT_US
+    result, _ = unlock_over_bus(s=s)
+    assert (result.outcome, result.nrc) == (UnlockOutcome.DENIED, NRC_EXCEEDED_ATTEMPTS)
+    assert not s.unlocked
+
+
+def test_client_unlock_denied_by_a_seed_reply_too_short_for_a_seed():
+    result, _ = unlock_over_bus(answer=lambda s, request, now: bytes([0x67, 0x01, 0x12]))
+    assert (result.outcome, result.nrc) == (UnlockOutcome.DENIED, None)
+
+
+def test_client_unlock_granted_by_the_zero_seed_sends_no_key():
+    s = SecuritySession(SECRET, rng_seed=7)
+    seed = request_seed(s)
+    server_handle(s, bytes([0x27, 0x02]) + derive_key(seed, SECRET))
+    assert s.unlocked
+    heard = []
+
+    def answer(s, request, now):
+        heard.append(request)
+        return server_handle(s, request, now)
+
+    result, _ = unlock_over_bus(secret_client=0x12345678, s=s, answer=answer)
+    assert (result.outcome, result.nrc) == (UnlockOutcome.GRANTED, None)
+    assert heard == [bytes([0x27, 0x01])]  # the seed request only
 
 
 def test_client_unlock_times_out_without_server():

@@ -214,23 +214,24 @@ class Bus:
                     self.stats.deliveries += 1
         return data, self.config.frame_time_us
 
-    def stream(self, now_us: int, tick_us: int, max_frames: int) -> int:
+    def stream(self, now_us: int, tick_us: int, max_frames: int) -> tuple[int, bool]:
         """Transmit the winning sender's frames back to back, one per tick of
-        ``tick_us`` starting at ``now_us``; returns how many were sent.
+        ``tick_us`` starting at ``now_us``; returns ``(sent, lands)``.
 
         This is :meth:`step` repeated while the outcome of each step is
         already known: the stream carries one sender and one id, and stops
         after ``max_frames``, at a frame with another id, at one that
         another sender's queued frame would beat, and at one that would
-        complete or break a message on any receiver, so a stream never
-        adds to a receive queue.  Draws, statistics, trace rows, retransmits
-        and bus-offs are exactly those of the same steps.  The clean body
-        frames of one message before a fault go as one run: they are
-        counted at once and reach each receiver as one payload slice.
+        complete or break a message on any receiver (``lands``: a step
+        sends it), so a stream never adds to a receive queue.  Draws,
+        statistics, trace rows, retransmits and bus-offs are exactly those
+        of the same steps.  The clean body frames of one message before a
+        fault go as one run: they are counted at once and reach each
+        receiver as one payload slice.
         """
         sender = self._winner()
         if sender is None:
-            return 0
+            return 0, False
         tx = sender.tx
         can_id = tx[0].can_id
         # The sender keeps the bus until its next frame would lose to another
@@ -260,7 +261,7 @@ class Bus:
                     size = min(start + run * BODY_CHUNK, len(entry.payload)) - start
                     run = _quiet_run(state, (index - 1) & 0xFF, run, size)
             if not run:
-                return sent
+                return sent, True
             clean = 0  # frames before the first fault, one draw each
             while clean < run and (roll := random()) >= faulty_below:
                 clean += 1
@@ -288,7 +289,7 @@ class Bus:
                 self._land(sender, entry, roll, now_us)
                 now_us += tick_us
                 sent += 1
-        return sent
+        return sent, False
 
     def _land(self, sender: Endpoint, entry: _TxEntry, roll: float, now_us: int) -> bytes | None:
         """Put the sender's head frame on the bus: count it, settle the fault

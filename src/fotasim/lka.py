@@ -131,36 +131,48 @@ def _clamp(x: float, limit: float) -> float:
     return x if -limit < x < limit else -limit if x <= -limit else limit
 
 
-def _pid(state: SteeringState, gains: PidGains, error: float, dt: float) -> tuple[float, float]:
-    """``(command, integral)`` of one controller step: the one statement
-    of the formula that :func:`pid_step` and :func:`plant_step` run."""
+def steer(state: SteeringState, gains: PidGains, target_deg: float, dt: float, steps: int = 1,
+          lines=None, last=None) -> tuple[float, SteeringState, int, object]:
+    """The controller loop, stated once: up to ``steps`` steps driving the
+    first-order plant (1 deg/s per command unit) towards ``target_deg``.
+    command = kp*e + ki*integral + kd*(e - e_prev)/dt, the integral
+    (rectangular) clamped to +/-100 before use and the command to +/-100.
+    With ``lines`` (a feed iterator) a step first reads a line, and the loop
+    stops before one neither None nor ``last``.  Returns ``(command, state,
+    steps run, that line)``, the line None when every step ran."""
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not math.isfinite(error):
-        raise NonFiniteInput(repr(error))
-    integral = _clamp(state.integral + error * dt, INTEGRAL_LIMIT)
-    derivative = (error - state.previous_error) / dt
-    command = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return _clamp(command, COMMAND_LIMIT), integral
+    position, integral, previous = state
+    kp, ki, kd, move, command = gains.kp, gains.ki, gains.kd, dt * PLANT_GAIN_DEG_PER_S, 0.0
+    ilim, clim, isfinite = INTEGRAL_LIMIT, COMMAND_LIMIT, math.isfinite
+    for ran in range(steps):
+        if lines is not None:
+            line = next(lines, None)
+            if line is not None and line != last:
+                return command, SteeringState(position, integral, previous), ran, line
+        error = target_deg - position
+        if not isfinite(error):
+            raise NonFiniteInput(repr(error))
+        integral += error * dt  # both clamps are _clamp's, inline: NaN goes to +limit
+        if not -ilim < integral < ilim:
+            integral = -ilim if integral <= -ilim else ilim
+        command = kp * error + ki * integral + kd * ((error - previous) / dt)
+        if not -clim < command < clim:
+            command = -clim if command <= -clim else clim
+        position, previous = position + move * command, error
+    return command, SteeringState(position, integral, previous), steps, None
 
 
 def pid_step(state: SteeringState, gains: PidGains, error: float, dt: float) -> tuple[float, SteeringState]:
-    """One controller step; returns ``(command, new_state)``.
-
-    command = kp*e + ki*integral + kd*(e - e_prev)/dt, with the integral
-    (rectangular) clamped to +/-100 before use and the command clamped to
-    +/-100.  The plant position is not touched here.
-    """
-    command, integral = _pid(state, gains, error, dt)
-    return command, SteeringState(state.position, integral, error)
+    """One :func:`steer` step on ``error`` (from position 0); returns
+    ``(command, new_state)``.  The plant position is not touched."""
+    command, new, _, _ = steer(SteeringState(0.0, *state[1:]), gains, error, dt)
+    return command, SteeringState(state.position, new.integral, new.previous_error)
 
 
 def plant_step(state: SteeringState, gains: PidGains, target_deg: float, dt: float) -> SteeringState:
-    """One controller step driving the first-order plant (1 deg/s per
-    command unit) towards ``target_deg``; returns the new state."""
-    error = target_deg - state.position
-    command, integral = _pid(state, gains, error, dt)
-    return SteeringState(state.position + dt * PLANT_GAIN_DEG_PER_S * command, integral, error)
+    """One step of :func:`steer`; returns the new state."""
+    return steer(state, gains, target_deg, dt)[1]
 
 
 def simulate(gains: PidGains, target_deg: float, initial_deg: float,

@@ -11,14 +11,15 @@ identical event log, byte for byte.
 :meth:`World.run_until` give the same result, tick count and clock, but pass
 a span of ticks in one step when no node's ``run_tick`` would act in any of
 them.  A node is quiet while it waits: an ECU stalled on flash until its
-busy horizon, an ECU serving as bootloader or updater until its endpoint
-queues a message or a transport error, a host until every task's yielded
-deadline or such an arrival.  Frames reassemble where they land, so during
-a span the bus streams one sender's frames up to the one that would
-complete or break a message on any receiver (:meth:`Bus.stream
-<fotasim.canbus.Bus.stream>`), or, when it is idle, the clock jumps to the
-earliest wake-up or an application ECU steers alone, one plant step a
-tick.  A task without a deadline runs every tick.
+busy horizon (or a later wake-up of its own), an ECU serving as bootloader
+or updater until its endpoint queues a message or a transport error, a host
+until every task's yielded deadline or such an arrival.  Frames reassemble
+where they land, so during a span the bus streams one sender's frames up to
+the one that would complete or break a message on any receiver
+(:meth:`Bus.stream <fotasim.canbus.Bus.stream>`), and a tick sends that one;
+or, when it is idle, the clock jumps to the earliest wake-up or application
+ECUs steer alone, a run of ticks without a new feed line as one plant loop
+(:func:`~fotasim.lka.steer`).  A task without a deadline runs every tick.
 
 A node's ``role`` says what it is.  An ECU owns a flash device, backup
 registers and a security session and lives the boot-chain life: reset,
@@ -50,6 +51,7 @@ from .lka import (
     parse_deviation_line,
     plant_step,
     read_gains,
+    steer,
 )
 from .nvstore import BackupRegisters
 from .uds import SecuritySession
@@ -228,13 +230,15 @@ class Node:
         """None when ``run_tick`` at ``now_us`` could act but steer; else
         ``(wake_us, steers)``: the clock of the first tick at which it
         could, and whether it steers.  Of an ECU's gates (:meth:`_gate`)
-        only a stall is quiet, whatever its receive queue holds; past them
-        a node with a queued message or error acts, and an application
-        steers.  A host with no tasks never acts."""
+        only a stall is quiet, whatever its receive queue holds, until the
+        later of its end and the wake-up these rules give then (for an
+        application, its end); past them a node with a queued message or
+        error acts, and an application steers.  Hosts without tasks never act."""
         if self.role == "ecu":
             gate = self._gate(now_us)
             if gate is _STALL:
-                return self.device.busy_until_us, False
+                after = self._quiet(self.device.busy_until_us)
+                return (self.device.busy_until_us, False) if after is None or after[1] else after
             if gate is not None:
                 return None
         elif not self.tasks:
@@ -273,6 +277,7 @@ class Node:
         self.steering_target = 0.0
         self.motor = 0
         self._steered_by = None  # the feed line that set steering_target
+        self._held = None  # a new line read ahead by _glide, which the next _steer takes
 
     def _serve(self) -> None:
         while self.endpoint.rx and not self.pending_reset:
@@ -292,19 +297,26 @@ class Node:
                 send_segmented(self.world.bus, self.endpoint, self.reply_id, reply)
 
     def _steer(self) -> None:
-        if self.deviation_feed is not None:
-            line = next(self.deviation_feed, None)
-            # A line equal to the last one that set the target would set the same again.
-            if line is not None and line != self._steered_by:
-                try:
-                    deviation = parse_deviation_line(line)
-                except ValueError:
-                    self.world.log(self.name, "BadDeviation", line=repr(line))
-                else:
-                    self.steering_target = deviation_to_target(deviation)
-                    self.motor = motor_order(deviation)
-                    self._steered_by = line
+        if self._held is None and self._glide(1):  # no new line to parse
+            return
+        line, self._held = self._held, None
+        try:
+            deviation = parse_deviation_line(line)
+        except ValueError:
+            self.world.log(self.name, "BadDeviation", line=repr(line))
+        else:
+            self.steering_target = deviation_to_target(deviation)
+            self.motor = motor_order(deviation)
+            self._steered_by = line
         self.steering = plant_step(self.steering, self.gains, self.steering_target, _TICK_S)
+
+    def _glide(self, ticks: int) -> int:
+        """Steer up to ``ticks`` ticks as one :func:`~fotasim.lka.steer` loop; returns how
+        many.  A feed line unequal to the one that set the target ends it, held for _steer."""
+        _, self.steering, ran, self._held = steer(self.steering, self.gains, self.steering_target,
+                                                  _TICK_S, ticks, self.deviation_feed,
+                                                  self._steered_by)
+        return ran
 
 
 @dataclass(frozen=True)
@@ -356,9 +368,11 @@ class World:
         Takes one :meth:`tick`, or a span of ticks in which no node's
         ``run_tick`` would act but steer: the bus streams one sender's frames,
         or, when it is idle, the clock jumps to the earliest wake-up or
-        steering runs alone (:meth:`_steer_span`).  No span follows a tick
-        that logged an event: a node earlier in tick order has not seen it."""
-        now = self.clock_us
+        steering runs alone (:meth:`_steer_span`); a stream that stops at a
+        frame that would complete or break a message ends with the
+        :meth:`tick` that sends it.  No span follows a tick that logged an
+        event: a node earlier in tick order has not seen it."""
+        now, span = self.clock_us, 0
         if len(self.events) == self._events_before_tick:
             wake, steering = _NEVER, []
             for node in self._nodes:
@@ -374,29 +388,41 @@ class World:
                 tick_us = DEFAULT_TICK_US
                 if busy:
                     tick_us = max(bus.config.frame_time_us, DEFAULT_TICK_US)
-                span = budget
+                span, lands = budget, False
                 if wake != _NEVER:  # the ticks that sample the clock before the wake-up
                     span = min(span, -int((now - wake) // tick_us))
                 if steering:
                     span = 0 if busy else self._steer_span(steering, span)
                 elif busy:
-                    span = bus.stream(now, tick_us, span)
+                    span, lands = bus.stream(now, tick_us, span)
                 if span:
                     self.last_tick_time = now + (span - 1) * tick_us
                     self.clock_us = now + span * tick_us
-                    return span
+                    if not lands:
+                        return span
         self.tick()
-        return 1
+        return span + 1
 
     def _steer_span(self, steering: list[Node], ticks: int) -> int:
         """Run up to ``ticks`` ticks in which only the ``steering`` nodes act;
-        returns how many ran.  A tick whose steering logs an event ends as in
-        :meth:`tick`: that node runs its tasks, every later node ``run_tick``."""
-        now, events = self.clock_us, self.events
-        for done in range(ticks):
+        returns how many ran.  Nodes glide through ticks without a new line
+        (:meth:`Node._glide`), in one-tick rounds when two or more steer so
+        none passes a tick at which another logs.  A new line's tick steers
+        from its node on; if it logs an event it ends as in :meth:`tick`:
+        that node runs its tasks, every later node ``run_tick``."""
+        now, events, done = self.clock_us, self.events, 0
+        while done < ticks:
+            run = ticks - done if len(steering) == 1 else 1
+            for first, node in enumerate(steering):
+                ran = node._glide(run)
+                if ran < run:  # it holds a new line; the rest wait for its tick
+                    break
+            done += ran
+            if ran == run:
+                continue
             self.clock_us = now + done * DEFAULT_TICK_US
             logged = len(events)
-            for node in steering:
+            for node in steering[first:]:
                 node._steer()
                 if len(events) != logged:
                     node._run_tasks()
@@ -404,6 +430,7 @@ class World:
                         later.run_tick()
                     self._events_before_tick = logged
                     return done + 1
+            done += 1
         return ticks
 
     def run_ticks(self, count: int) -> None:

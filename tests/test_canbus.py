@@ -425,10 +425,11 @@ def test_streams_replay_step_by_step_byte_for_byte(
         senders, listening, filtered, corruption, drop, budget, trace, seed, program):
     """Two identical buses take the same queued messages and raw frames.  One
     drains by ``step()`` alone, the other by ``stream()``, with a ``step()``
-    whenever the stream sends nothing, as the world does.  After every call
-    both sides hold the same receive queues and open reassemblies, and a
-    stream has added to no queue; then the ``listening`` endpoints are
-    drained by ``recv_segmented``, the others only at the end."""
+    for the frame a stream says would land, as the world does.  After every
+    call both sides hold the same receive queues and open reassemblies, a
+    stream has added to no queue, and the frame it stopped at adds to one
+    unless it faults; then the ``listening`` endpoints are drained by
+    ``recv_segmented``, the others only at the end."""
     class Side:
         def __init__(self):
             self.bus = Bus(BusConfig(corruption_probability=corruption, drop_probability=drop,
@@ -477,12 +478,15 @@ def test_streams_replay_step_by_step_byte_for_byte(
         ticks = op[1]
         while ticks and streamed.bus.pending():
             queued = [len(ep.rx) for ep in streamed.endpoints]
-            sent = streamed.bus.stream(now, _TICK_US, ticks)
-            if sent:
-                assert [len(ep.rx) for ep in streamed.endpoints] == queued
-            else:
-                streamed.bus.step(now)
-                sent = 1
+            sent, lands = streamed.bus.stream(now, _TICK_US, ticks)
+            assert [len(ep.rx) for ep in streamed.endpoints] == queued
+            assert sent or lands
+            if lands:
+                # The frame it stopped at completes or breaks a message, unless it faults.
+                assert sent < ticks
+                landed, _ = streamed.bus.step(now + sent * _TICK_US)
+                assert landed is None or [len(ep.rx) for ep in streamed.endpoints] != queued
+                sent += 1
             for _ in range(sent):
                 stepped.bus.step(now)
                 now += _TICK_US

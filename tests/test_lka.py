@@ -25,6 +25,7 @@ from fotasim.lka import (
     plant_step,
     read_gains,
     simulate,
+    steer,
 )
 
 
@@ -232,6 +233,41 @@ def test_plant_step_matches_the_clamped_formula_bit_for_bit(state, gains, error,
         return
     assert state_bits(plant_step(state, gains, target, dt)) == \
         state_bits(reference_plant_step(state, gains, target, dt))
+
+
+SATURATING = PidGains(1e308, 1e308, 1e308)
+
+
+@given(STATES, WIDE_GAINS, FINITE, DTS, st.integers(0, 60),
+       st.lists(st.sampled_from(["same", "new", None]), max_size=60))
+@settings(max_examples=300, deadline=None)
+# Both clamps saturated from the first step, and saturated to the negative side.
+@example(SteeringState(), SATURATING, 30.0, 0.01, 40, [])
+@example(SteeringState(), PidGains(-1e308, 1e308, 0.0), -30.0, 0.001, 40, ["same"] * 10)
+@example(SteeringState(5.0, -100.0, 1e300), PidGains(), 5.0, 0.001, 3, [None, "new"])
+def test_the_n_step_loop_is_n_reference_plant_steps_bit_for_bit(state, gains, target, dt, steps,
+                                                               feed):
+    # The loop reads a line before each step and stops before the first
+    # "new" one (not None, not equal to the line that set the target); a dry
+    # feed reads as None.
+    lines = [f"{word}\n" if word else None for word in feed]
+    stop = lines.index("new\n") if "new\n" in lines else None
+    expected_ran = steps if stop is None or stop >= steps else stop
+    reference, command = state, None
+    for _ in range(expected_ran):
+        if not math.isfinite(target - reference.position):
+            with pytest.raises(NonFiniteInput):
+                steer(state, gains, target, dt, steps, iter(lines), "same\n")
+            return
+        command, _ = reference_pid_step(reference, gains, target - reference.position, dt)
+        reference = reference_plant_step(reference, gains, target, dt)
+    got_command, got, ran, line = steer(state, gains, target, dt, steps, iter(lines), "same\n")
+    assert state_bits(got) == state_bits(reference)
+    assert (ran, line) == (expected_ran, "new\n" if expected_ran < steps else None)
+    if command is not None:
+        assert float.hex(got_command) == float.hex(command)
+    if not lines:  # no feed at all runs the same steps
+        assert state_bits(steer(state, gains, target, dt, steps)[1]) == state_bits(reference)
 
 
 @given(STATES, WIDE_GAINS, FINITE,

@@ -1,6 +1,7 @@
 """World scheduler: tick clock, task ordering, boot dispatch, resets, logs."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fotasim.bootflow import ACK, NACK, NACK_REGION, UpdaterCommand
-from fotasim.canbus import BusConfig, recv_segmented, send_segmented, wait_for
+from fotasim.bootflow import ACK, NACK, NACK_REGION, BootloaderCommand, UpdaterCommand
+from fotasim.canbus import BusConfig, CanFrame, recv_segmented, send_segmented, wait_for
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
-from fotasim.lka import MOTOR_LEFT, MOTOR_RIGHT, PARAM_OFFSET, PidGains, pack_image
+from fotasim.lka import (MOTOR_LEFT, MOTOR_RIGHT, PARAM_OFFSET, NonFiniteInput, PidGains,
+                         pack_image)
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
 from fotasim.orchestrator import (DEFAULT_REQUEST_ID, CampaignMode, CampaignPlan, run_campaign,
                                   start_campaign)
@@ -634,6 +636,173 @@ def test_spans_replay_tick_by_tick_stepping_byte_for_byte(
     assert spans == ticks
 
 
+@settings(max_examples=60, deadline=None)
+@given(corruption=st.sampled_from([0.0, 0.1]),
+       budget=st.sampled_from([0, 3]),
+       frame_time_us=st.sampled_from([500, 1500]),
+       seed=st.integers(0, 2**32 - 1),
+       script=st.lists(st.tuples(st.sampled_from(["write", "unknown", "raw", "stall", "sleep"]),
+                                 st.integers(1, 400)), max_size=12),
+       max_ticks=st.integers(1, 3000),
+       tail=st.integers(0, 500),
+       trace=st.booleans())
+def test_stalls_and_landing_frames_replay_tick_by_tick_stepping(
+        corruption, budget, frame_time_us, seed, script, max_ticks, tail, trace):
+    """A host sends trains to an ECU in its bootloader, which answers the
+    writes (NACKs: it is locked) and logs the unknown commands.  A stall can
+    end mid-train, a train's completing or breaking frame lands in the
+    advance that streams up to it, and ``run_until`` reports the result of
+    tick-by-tick stepping."""
+    def run(run_until, run_ticks):
+        world = World(BusConfig(frame_time_us=frame_time_us, corruption_probability=corruption,
+                                rng_seed=seed, max_auto_retransmit=budget))
+        world.bus.trace_enabled = trace
+        host = world.add_node("host", 1, role="host")
+        ecu = world.add_node("ecu", 2, role="ecu", reply_id=0x102)  # erased: its bootloader
+        replies = []
+
+        def now():
+            return world.clock_us
+
+        def drain():
+            while host.endpoint.rx:
+                replies.append(repr(host.endpoint.rx.popleft()))
+
+        def host_script():
+            for kind, size in script:
+                if kind in ("write", "unknown"):
+                    code = BootloaderCommand.MEM_WRITE if kind == "write" else 0x40
+                    send_segmented(world.bus, host.endpoint, 0x101, bytes([code]) + bytes(size))
+                elif kind == "raw":  # a header whose CRC lies, or a body frame likely out of phase
+                    raw = bytes([0xA0, size % 256]) + bytes(6) if size % 2 else bytes([size % 3]) * 8
+                    world.bus.transmit(host.endpoint, CanFrame(0x101, raw))
+                elif kind == "stall":  # from now; it may end in the middle of a train
+                    ecu.device.busy_until_us = now() + size * 150
+                else:
+                    yield from wait_for(now, now() + size * 100, drain)
+            yield from wait_for(now, now() + 200_000, drain)
+
+        task = Task.from_generator("script", TaskPriority.APP, host_script())
+        host.add_task(task)
+        result = run_until(world, lambda w: task.done, max_ticks)
+        run_ticks(world, tail)
+        return observed(world) + (result, replies, repr(list(ecu.endpoint.rx)))
+
+    spans = run(World.run_until, World.run_ticks)
+    assert spans == run(ticked_run_until, ticked_run_ticks)
+
+
+_FEED_LINES = ["0.10\n", "-0.02\n", "bad\n", b"0.10\n", None]
+
+
+def steering_world(feeds, host_at, wakes, reset_at, stall_at=None, stall_us=0):
+    """ECUs ``a`` and ``b`` booting into the application, each steering by
+    its feed, and a host at position ``host_at`` in tick order that sleeps
+    through ``wakes``, software-resets ``b`` at wake ``reset_at`` and stalls
+    ``a``'s flash for ``stall_us`` at wake ``stall_at``."""
+    world = World()
+    names = ["a", "b"]
+    names.insert(host_at, "host")
+    ecus = []
+    for node_id, name in enumerate(names, 1):
+        if name == "host":
+            host = world.add_node(name, node_id, role="host")
+            continue
+        ecu = world.add_node(name, node_id, role="ecu", deviation_feed=feeds[len(ecus)])
+        provision_application(ecu.device, generate_image(8 * KIB, seed=node_id, gains=PidGains()))
+        ecu.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+        ecus.append(ecu)
+
+    def sleeper():
+        for k, gap in enumerate(wakes):
+            yield from wait_for(lambda: world.clock_us, world.clock_us + gap, lambda: None)
+            if k == reset_at:
+                world.software_reset("b")
+            if k == stall_at:
+                world.nodes["a"].device.busy_until_us = world.clock_us + stall_us
+
+    host.add_task(Task.from_generator("sleep", TaskPriority.APP, sleeper()))
+    return world, ecus
+
+
+@settings(max_examples=60, deadline=None)
+@given(feeds=st.lists(st.lists(st.tuples(st.sampled_from(_FEED_LINES), st.integers(1, 80)),
+                               max_size=8), min_size=2, max_size=2),
+       host_at=st.integers(0, 2),
+       wakes=st.lists(st.integers(1_000, 60_000), max_size=6),
+       reset_at=st.integers(0, 8),
+       stall_at=st.integers(0, 8),
+       stall_us=st.integers(1, 50_000),
+       chunks=st.lists(st.integers(1, 400), min_size=1, max_size=6))
+def test_steering_spans_replay_tick_by_tick_stepping(feeds, host_at, wakes, reset_at, stall_at,
+                                                     stall_us, chunks):
+    # Feeds change line at random ticks, hold malformed lines and None, and
+    # run dry; spans start and stop at random ticks, and a stalled
+    # application steers again once its stall ends.
+    def state(world, ecus):
+        return (world.clock_us, world.last_tick_time, world.events_jsonl(),
+                [repr((n.mode, n.steering, n.steering_target, n.motor)) for n in ecus])
+
+    lines = [[line for line, count in feed for _ in range(count)] for feed in feeds]
+    (spanned, a), (ticked, b) = [
+        steering_world([iter(x) for x in lines], host_at, wakes, reset_at, stall_at, stall_us)
+        for _ in range(2)]
+    for count in chunks:
+        spanned.run_ticks(count)
+        ticked_run_ticks(ticked, count)
+        assert state(spanned, a) == state(ticked, b)
+
+
+def test_a_second_steering_node_logs_where_ticks_would():
+    # ``b`` comes after ``a`` in tick order: at the tick ``b`` logs, ``a`` has
+    # steered and the host after both runs; neither steers past that tick.
+    feeds = (["0.10\n"] * 200, ["-0.02\n"] * 70 + ["bad\n"] + ["0.10\n"] * 50)
+    worlds = [steering_world([iter(feed) for feed in feeds], 2, [90_000], 9) for _ in range(2)]
+    (spanned, a), (ticked, b) = worlds
+    ticks = []
+    spanned.tick = lambda: (ticks.append(spanned.clock_us), World.tick(spanned))
+    spanned.run_ticks(150)
+    ticked_run_ticks(ticked, 150)
+    (bad,) = events_named(spanned, "BadDeviation")
+    assert (bad["node"], bad["time_us"]) == ("b", 71_000)  # the boot tick, then one line a tick
+    assert bad["time_us"] not in ticks  # a span, not a tick, logged it
+    assert spanned.events == ticked.events
+    for x, y in zip(a, b):
+        assert repr((x.steering, x.steering_target, x.motor)) == \
+            repr((y.steering, y.steering_target, y.motor))
+
+
+@pytest.mark.parametrize("host_first", [True, False])
+def test_a_target_that_turns_non_finite_mid_run_raises_where_ticks_would(host_first):
+    # The host spoils the target at 40 ms; the next steering step raises,
+    # leaving the steering state and the clock where tick-by-tick leaves them.
+    def run(run_ticks):
+        world = World()
+        order = [("host", 1), ("ecu", 2)] if host_first else [("ecu", 2), ("host", 1)]
+        for name, node_id in order:
+            if name == "host":
+                host = world.add_node(name, node_id, role="host")
+            else:
+                ecu = world.add_node(name, node_id, role="ecu",
+                                     deviation_feed=itertools.repeat("0.10\n"))
+        provision_application(ecu.device, generate_image(8 * KIB, seed=3, gains=PidGains()))
+        ecu.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+
+        def spoil():
+            yield from wait_for(lambda: world.clock_us, 40_000, lambda: None)
+            ecu.steering_target = math.inf
+            yield from wait_for(lambda: world.clock_us, 10**9, lambda: None)
+
+        host.add_task(Task.from_generator("spoil", TaskPriority.APP, spoil()))
+        with pytest.raises(NonFiniteInput):
+            run_ticks(world, 100)
+        return world.clock_us, repr(ecu.steering), world.events_jsonl()
+
+    spans = run(World.run_ticks)
+    assert spans == run(ticked_run_ticks)
+    assert spans[0] == (40_000 if host_first else 41_000)
+
+
 def talking_worlds():
     """Two identical worlds: a host queues a 700-byte message (101 frames)
     for an erased ECU, which has booted into its bootloader and listens."""
@@ -664,6 +833,25 @@ def test_run_ticks_lands_on_the_tick_mid_message():
     ticked_run_ticks(ticks, 64)
     assert observed(spans) == observed(ticks)
     assert [e["command"] for e in events_named(spans, "CommandServed")] == ["unknown"]
+
+
+@pytest.mark.parametrize("stall_until_us", [0, 50_000])
+def test_a_trains_completing_frame_lands_in_the_advance_that_streams_up_to_it(stall_until_us):
+    # A stall that ends mid-train, with nothing queued and no task due, cuts no span.
+    (spans, a), (ticks, b) = talking_worlds()
+    a.device.busy_until_us = b.device.busy_until_us = stall_until_us
+    advances = []
+    spans._advance = lambda budget: advances.append(World._advance(spans, budget)) or advances[-1]
+
+    def served(world):
+        return bool(events_named(world, "CommandServed"))
+
+    result = spans.run_until(served, 500)
+    assert result == ticked_run_until(ticks, served, 500) == RunResult(True, 101_000, 101)
+    # The boot's events hold the header back to a tick of its own; then 99
+    # body frames stream and the last one lands in the same advance.
+    assert advances == [1, 100]
+    assert observed(spans) == observed(ticks)
 
 
 def test_a_stalled_ecu_queues_whole_messages_and_serves_them_once_the_flash_frees():

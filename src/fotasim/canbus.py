@@ -196,38 +196,30 @@ class Bus:
         return sender
 
     def step(self, now_us: int = 0) -> tuple[bytes | None, int]:
-        """Transmit at most one frame; returns ``(landed, elapsed_us)``.
-
-        ``landed`` is the frame's data when it reached the receivers, None
-        when it faulted or the bus was idle.  ``elapsed`` is the frame time
-        when a frame occupied the bus, zero when idle.
-        """
+        """A tick's bus step: the arbitration winner's frame goes through
+        :meth:`_land`; returns ``(landed, elapsed_us)``.  ``landed`` is the
+        frame's data when it reached the receivers, None when it faulted or
+        the bus was idle; ``elapsed`` is the frame time, zero when idle."""
         sender = self._winner()
         if sender is None:
             return None, 0
-        entry = sender.tx[0]
-        data = self._land(sender, entry, self.rng.random(), now_us)
-        if data is not None:
-            for ep in self._endpoints:
-                if ep is not sender and ep.accepts(entry.can_id):
-                    _take(ep, entry.can_id, data)
-                    self.stats.deliveries += 1
-        return data, self.config.frame_time_us
+        landed = self._land(sender, sender.tx[0], self.rng.random(), now_us)
+        return landed, self.config.frame_time_us
 
     def stream(self, now_us: int, tick_us: int, max_frames: int) -> tuple[int, bool]:
         """Transmit the winning sender's frames back to back, one per tick of
         ``tick_us`` starting at ``now_us``; returns ``(sent, lands)``.
 
         This is :meth:`step` repeated while the outcome of each step is
-        already known: the stream carries one sender and one id, and stops
-        after ``max_frames``, at a frame with another id, at one that
-        another sender's queued frame would beat, and at one that would
-        complete or break a message on any receiver (``lands``: a step
-        sends it), so a stream never adds to a receive queue.  Draws,
-        statistics, trace rows, retransmits and bus-offs are exactly those
-        of the same steps.  The clean body frames of one message before a
-        fault go as one run: they are counted at once and reach each
-        receiver as one payload slice.
+        already known, and it only skips: the stream carries one sender and
+        one id, and stops after ``max_frames``, at a frame with another id,
+        at one that another sender's queued frame would beat, and before
+        one that would complete or break a message on any receiver
+        (``lands``: a step sends it).  Draws, statistics, trace rows,
+        retransmits and bus-offs are exactly those of the same steps.  A
+        lone frame lands through :meth:`_land`; the clean body frames of one
+        message before a fault go as one run, counted at once and reaching
+        each receiver as one payload slice.
         """
         sender = self._winner()
         if sender is None:
@@ -251,31 +243,28 @@ class Bus:
                 break
             run = min(entry.count - index, max_frames - sent)
             states = [ep._assembly.get(can_id) for ep in receivers]
-            single = index == 0 or None in states
-            if single:  # a header, a raw frame, or a receiver with no open message
-                data = _frame(entry, index)
-                run = 1 if all(_is_quiet(state, data) for state in states) else 0
-            else:
-                start = (index - 1) * BODY_CHUNK
-                for state in states:
-                    size = min(start + run * BODY_CHUNK, len(entry.payload)) - start
-                    run = _quiet_run(state, (index - 1) & 0xFF, run, size)
+            if index == 0 or None in states:  # lone: a header, a raw frame, or a fresh receiver
+                if not all(_is_quiet(state, _frame(entry, index)) for state in states):
+                    return sent, True
+                self._land(sender, entry, random(), now_us)
+                now_us += tick_us
+                sent += 1
+                continue
+            start = (index - 1) * BODY_CHUNK
+            for state in states:
+                size = min(start + run * BODY_CHUNK, len(entry.payload)) - start
+                run = _quiet_run(state, (index - 1) & 0xFF, run, size)
             if not run:
                 return sent, True
             clean = 0  # frames before the first fault, one draw each
             while clean < run and (roll := random()) >= faulty_below:
                 clean += 1
             if clean:
-                if single:
-                    stats.payload_bytes += len(data)
-                    for ep in receivers:
-                        _take(ep, can_id, data)
-                else:
-                    end = min(start + clean * BODY_CHUNK, len(entry.payload))
-                    stats.payload_bytes += clean + end - start
-                    for state in states:
-                        state.buf += entry.payload[start:end]
-                        state.seq += clean
+                end = min(start + clean * BODY_CHUNK, len(entry.payload))
+                stats.payload_bytes += clean + end - start
+                for state in states:
+                    state.buf += entry.payload[start:end]
+                    state.seq += clean
                 stats.frames_sent += clean
                 stats.busy_time_us += clean * self.config.frame_time_us
                 stats.deliveries += clean * len(receivers)
@@ -294,7 +283,8 @@ class Bus:
     def _land(self, sender: Endpoint, entry: _TxEntry, roll: float, now_us: int) -> bytes | None:
         """Put the sender's head frame on the bus: count it, settle the fault
         lottery by ``roll``, trace it, and retry it, or move the entry past
-        it.  Returns the frame's data when it reaches the receivers."""
+        it and feed it to every accepting receiver (:func:`_take`); returns
+        its data when it lands.  The one path of a frame that lands alone."""
         data = _frame(entry, entry.index)
         dlc = len(data)
         stats = self.stats
@@ -314,6 +304,10 @@ class Bus:
             if self.trace_enabled:
                 self._trace(now_us, entry.can_id, data, "data")
             _pass(sender.tx, entry, 1)
+            for ep in self._endpoints:
+                if ep is not sender and ep.accepts(entry.can_id):
+                    _take(ep, entry.can_id, data)
+                    stats.deliveries += 1
             return data
         budget = self.config.max_auto_retransmit
         if budget is None or entry.attempts < budget:

@@ -8,18 +8,18 @@ and the security sessions, so a (seed, scenario) pair replays to an
 identical event log, byte for byte.
 
 :meth:`World.tick` is that tick.  :meth:`World.run_ticks` and
-:meth:`World.run_until` give the same result, tick count and clock, but pass
-a span of ticks in one step when no node's ``run_tick`` would act in any of
-them.  A node is quiet while it waits: an ECU stalled on flash until its
-busy horizon (or a later wake-up of its own), an ECU serving as bootloader
-or updater until its endpoint queues a message or a transport error, a host
-until every task's yielded deadline or such an arrival.  Frames reassemble
-where they land, so during a span the bus streams one sender's frames up to
-the one that would complete or break a message on any receiver
-(:meth:`Bus.stream <fotasim.canbus.Bus.stream>`), and a tick sends that one;
-or, when it is idle, the clock jumps to the earliest wake-up or application
-ECUs steer alone, a run of ticks without a new feed line as one plant loop
-(:func:`~fotasim.lka.steer`).  A task without a deadline runs every tick.
+:meth:`World.run_until` give the same result, tick count and clock, but
+skip a span of ticks in one step when no node's ``run_tick`` would act in
+any of them; every tick that acts is a ``tick()``.  A node is quiet while
+it waits: an ECU stalled on flash until its busy horizon (or a later
+wake-up of its own), an ECU serving as bootloader or updater until its
+endpoint queues a message or a transport error, a host until every task's
+yielded deadline or such an arrival.  A span streams one sender's frames
+up to one that would complete or break a message on any receiver
+(:meth:`Bus.stream <fotasim.canbus.Bus.stream>`), or, on an idle bus, jumps
+the clock to the earliest wake-up or glides the one steering application
+ECU up to a new feed line (:func:`~fotasim.lka.steer`); a tick sends that
+frame or reads that line.  A task without a deadline runs every tick.
 
 A node's ``role`` says what it is.  An ECU owns a flash device, backup
 registers and a security session and lives the boot-chain life: reset,
@@ -229,11 +229,12 @@ class Node:
     def _quiet(self, now_us: int) -> tuple[float, bool] | None:
         """None when ``run_tick`` at ``now_us`` could act but steer; else
         ``(wake_us, steers)``: the clock of the first tick at which it
-        could, and whether it steers.  Of an ECU's gates (:meth:`_gate`)
-        only a stall is quiet, whatever its receive queue holds, until the
-        later of its end and the wake-up these rules give then (for an
-        application, its end); past them a node with a queued message or
-        error acts, and an application steers.  Hosts without tasks never act."""
+        could, and whether it steers; a span skips only quiet ticks.  Of an
+        ECU's gates (:meth:`_gate`) only a stall is quiet, whatever its
+        receive queue holds, until the later of its end and the wake-up these
+        rules give then (for an application, its end); past them a node with
+        a queued message or error acts, and an application steers.  Hosts
+        without tasks never act."""
         if self.role == "ecu":
             gate = self._gate(now_us)
             if gate is _STALL:
@@ -312,7 +313,8 @@ class Node:
 
     def _glide(self, ticks: int) -> int:
         """Steer up to ``ticks`` ticks as one :func:`~fotasim.lka.steer` loop; returns how
-        many.  A feed line unequal to the one that set the target ends it, held for _steer."""
+        many.  It only skips: a new feed line (unequal to the one that set the target) ends
+        it, held for the :meth:`_steer` of the tick that reads it."""
         _, self.steering, ran, self._held = steer(self.steering, self.gains, self.steering_target,
                                                   _TICK_S, ticks, self.deviation_feed,
                                                   self._steered_by)
@@ -365,13 +367,14 @@ class World:
     def _advance(self, budget: int) -> int:
         """Move time by up to ``budget`` ticks; returns how many it took.
 
-        Takes one :meth:`tick`, or a span of ticks in which no node's
-        ``run_tick`` would act but steer: the bus streams one sender's frames,
-        or, when it is idle, the clock jumps to the earliest wake-up or
-        steering runs alone (:meth:`_steer_span`); a stream that stops at a
-        frame that would complete or break a message ends with the
-        :meth:`tick` that sends it.  No span follows a tick that logged an
-        event: a node earlier in tick order has not seen it."""
+        A span only skips ticks in which no node's ``run_tick`` would act
+        but steer; every tick that acts is a :meth:`tick`.  The bus streams
+        one sender's frames, or, idle, the clock jumps to the earliest
+        wake-up or the one steering node glides (:meth:`Node._glide`).  A
+        stream stopped before a frame that would complete or break a
+        message, or a glide stopped at a new feed line, ends with the
+        :meth:`tick` that sends or reads it.  No span follows a tick that
+        logged an event (a node earlier in tick order has not seen it)."""
         now, span = self.clock_us, 0
         if len(self.events) == self._events_before_tick:
             wake, steering = _NEVER, []
@@ -391,8 +394,12 @@ class World:
                 span, lands = budget, False
                 if wake != _NEVER:  # the ticks that sample the clock before the wake-up
                     span = min(span, -int((now - wake) // tick_us))
-                if steering:
-                    span = 0 if busy else self._steer_span(steering, span)
+                if steering and (busy or len(steering) > 1):
+                    span = 0  # a glide passes no tick at which another node acts
+                elif steering:
+                    self.last_tick_time = now  # where a tick whose steering raises leaves it
+                    ran = steering[0]._glide(span)
+                    span, lands = ran, ran < span
                 elif busy:
                     span, lands = bus.stream(now, tick_us, span)
                 if span:
@@ -402,36 +409,6 @@ class World:
                         return span
         self.tick()
         return span + 1
-
-    def _steer_span(self, steering: list[Node], ticks: int) -> int:
-        """Run up to ``ticks`` ticks in which only the ``steering`` nodes act;
-        returns how many ran.  Nodes glide through ticks without a new line
-        (:meth:`Node._glide`), in one-tick rounds when two or more steer so
-        none passes a tick at which another logs.  A new line's tick steers
-        from its node on; if it logs an event it ends as in :meth:`tick`:
-        that node runs its tasks, every later node ``run_tick``."""
-        now, events, done = self.clock_us, self.events, 0
-        while done < ticks:
-            run = ticks - done if len(steering) == 1 else 1
-            for first, node in enumerate(steering):
-                ran = node._glide(run)
-                if ran < run:  # it holds a new line; the rest wait for its tick
-                    break
-            done += ran
-            if ran == run:
-                continue
-            self.clock_us = now + done * DEFAULT_TICK_US
-            logged = len(events)
-            for node in steering[first:]:
-                node._steer()
-                if len(events) != logged:
-                    node._run_tasks()
-                    for later in self._nodes[self._nodes.index(node) + 1:]:
-                        later.run_tick()
-                    self._events_before_tick = logged
-                    return done + 1
-            done += 1
-        return ticks
 
     def run_ticks(self, count: int) -> None:
         """Advance exactly ``count`` ticks."""

@@ -421,7 +421,7 @@ def test_deviation_feed_steers_the_application():
 
 @pytest.mark.parametrize("item", [0.1, 25, bytearray(b"0.10\n")])
 def test_a_feed_item_that_is_not_text_is_a_bad_deviation(item):
-    # Tick by tick and in a steering span alike, the item is logged and
+    # Tick by tick and through run_ticks alike, the item is logged and
     # steering goes on to the next line.
     image = generate_image(8 * KIB, seed=2)
     lines = ["0.25\n", item, "-0.10\n"]
@@ -435,7 +435,7 @@ def test_a_feed_item_that_is_not_text_is_a_bad_deviation(item):
     spanned.run_ticks(3)
     (bad,) = events_named(ticked, "BadDeviation")
     assert bad["line"] == repr(item)
-    assert bad["time_us"] not in one_at_a_time  # the span, not a tick, read the item
+    assert bad["time_us"] in one_at_a_time  # a tick, not a span, read the item
     assert spanned.events == ticked.events
     assert a.steering_target == b.steering_target == pytest.approx(-6.0)
     assert repr(a.steering) == repr(b.steering)
@@ -696,12 +696,13 @@ _FEED_LINES = ["0.10\n", "-0.02\n", "bad\n", b"0.10\n", None]
 
 
 def steering_world(feeds, host_at, wakes, reset_at, stall_at=None, stall_us=0):
-    """ECUs ``a`` and ``b`` booting into the application, each steering by
-    its feed, and a host at position ``host_at`` in tick order that sleeps
-    through ``wakes``, software-resets ``b`` at wake ``reset_at`` and stalls
-    ``a``'s flash for ``stall_us`` at wake ``stall_at``."""
+    """ECU ``a`` (and ``b`` given a second feed) booting into the
+    application, each steering by its feed, and a host at position
+    ``host_at`` in tick order that sleeps through ``wakes``, software-resets
+    the last ECU at wake ``reset_at`` and stalls ``a``'s flash for
+    ``stall_us`` at wake ``stall_at``."""
     world = World()
-    names = ["a", "b"]
+    names = ["a", "b"][:len(feeds)]
     names.insert(host_at, "host")
     ecus = []
     for node_id, name in enumerate(names, 1):
@@ -717,7 +718,7 @@ def steering_world(feeds, host_at, wakes, reset_at, stall_at=None, stall_us=0):
         for k, gap in enumerate(wakes):
             yield from wait_for(lambda: world.clock_us, world.clock_us + gap, lambda: None)
             if k == reset_at:
-                world.software_reset("b")
+                world.software_reset(ecus[-1].name)
             if k == stall_at:
                 world.nodes["a"].device.busy_until_us = world.clock_us + stall_us
 
@@ -727,7 +728,7 @@ def steering_world(feeds, host_at, wakes, reset_at, stall_at=None, stall_us=0):
 
 @settings(max_examples=60, deadline=None)
 @given(feeds=st.lists(st.lists(st.tuples(st.sampled_from(_FEED_LINES), st.integers(1, 80)),
-                               max_size=8), min_size=2, max_size=2),
+                               max_size=8), min_size=1, max_size=2),
        host_at=st.integers(0, 2),
        wakes=st.lists(st.integers(1_000, 60_000), max_size=6),
        reset_at=st.integers(0, 8),
@@ -738,7 +739,8 @@ def test_steering_spans_replay_tick_by_tick_stepping(feeds, host_at, wakes, rese
                                                      stall_us, chunks):
     # Feeds change line at random ticks, hold malformed lines and None, and
     # run dry; spans start and stop at random ticks, and a stalled
-    # application steers again once its stall ends.
+    # application steers again once its stall ends.  One ECU glides between
+    # its new lines, with the host before or after it; two ECUs tick.
     def state(world, ecus):
         return (world.clock_us, world.last_tick_time, world.events_jsonl(),
                 [repr((n.mode, n.steering, n.steering_target, n.motor)) for n in ecus])
@@ -765,7 +767,7 @@ def test_a_second_steering_node_logs_where_ticks_would():
     ticked_run_ticks(ticked, 150)
     (bad,) = events_named(spanned, "BadDeviation")
     assert (bad["node"], bad["time_us"]) == ("b", 71_000)  # the boot tick, then one line a tick
-    assert bad["time_us"] not in ticks  # a span, not a tick, logged it
+    assert bad["time_us"] in ticks  # a tick, not a span, logged it
     assert spanned.events == ticked.events
     for x, y in zip(a, b):
         assert repr((x.steering, x.steering_target, x.motor)) == \
@@ -775,7 +777,8 @@ def test_a_second_steering_node_logs_where_ticks_would():
 @pytest.mark.parametrize("host_first", [True, False])
 def test_a_target_that_turns_non_finite_mid_run_raises_where_ticks_would(host_first):
     # The host spoils the target at 40 ms; the next steering step raises,
-    # leaving the steering state and the clock where tick-by-tick leaves them.
+    # leaving the steering state, the clock and the last tick's time where
+    # tick-by-tick leaves them.
     def run(run_ticks):
         world = World()
         order = [("host", 1), ("ecu", 2)] if host_first else [("ecu", 2), ("host", 1)]
@@ -796,11 +799,12 @@ def test_a_target_that_turns_non_finite_mid_run_raises_where_ticks_would(host_fi
         host.add_task(Task.from_generator("spoil", TaskPriority.APP, spoil()))
         with pytest.raises(NonFiniteInput):
             run_ticks(world, 100)
-        return world.clock_us, repr(ecu.steering), world.events_jsonl()
+        return world.clock_us, world.last_tick_time, repr(ecu.steering), world.events_jsonl()
 
     spans = run(World.run_ticks)
     assert spans == run(ticked_run_ticks)
-    assert spans[0] == (40_000 if host_first else 41_000)
+    at = 40_000 if host_first else 41_000
+    assert spans[:2] == (at, at)  # the clock, and the tick the step raised in
 
 
 def talking_worlds():
@@ -933,9 +937,9 @@ def test_a_steering_span_ends_on_its_event_tick_as_a_tick_would():
     assert [name for name, _, _ in spans[-1]] == ["target", "master"]
 
 
-def test_a_steering_span_that_logs_an_event_runs_the_nodes_after_the_steering_one():
-    # The host comes after the application ECU in tick order, so the span's
-    # event tick must run it as World.tick would.
+def test_a_steering_event_tick_runs_the_nodes_after_the_steering_one():
+    # The host comes after the application ECU in tick order, so the tick
+    # at which steering logs an event must run it.
     lines = ["0.10\n"] * 40 + ["bad\n"] + ["-0.05\n"] * 40
 
     def run(spanned):
@@ -970,7 +974,53 @@ def test_a_steering_span_that_logs_an_event_runs_the_nodes_after_the_steering_on
     assert spans == run(spanned=False)[0]
     assert spans[1] == 120 * DEFAULT_TICK_US
     assert spans[2] == [30_000, 60_000, 90_000]
-    assert bad_at not in ticked and bad_at in host_ran  # the span ran the host at its event
+    assert bad_at in ticked and bad_at in host_ran  # a tick, not a span, logged it
+
+
+_NODE_CODE = ("_serve", "_steer", "_run_tasks", "_boot", "run_tick")
+
+
+@settings(max_examples=40, deadline=None)
+@given(feeds=st.lists(st.lists(st.tuples(st.sampled_from(_FEED_LINES), st.integers(1, 80)),
+                               max_size=8), min_size=1, max_size=2),
+       host_at=st.integers(0, 2),
+       wakes=st.lists(st.integers(1_000, 60_000), max_size=6),
+       reset_at=st.integers(0, 8),
+       stall_at=st.integers(0, 8),
+       stall_us=st.integers(1, 50_000),
+       ticks=st.integers(1, 600))
+def test_only_world_tick_runs_node_code(feeds, host_at, wakes, reset_at, stall_at, stall_us,
+                                        ticks):
+    # A span only skips: serving, steering, tasks, boots and run_tick itself
+    # run inside a World.tick, whatever the spans around them pass.
+    inside, outside, ran = [], [], []
+    real_tick = World.tick
+
+    def tick(world):
+        inside.append(world)
+        try:
+            real_tick(world)
+        finally:
+            inside.pop()
+
+    def watch(name, real):
+        def watched(node, *args):
+            (ran if inside else outside).append((name, node.name))
+            return real(node, *args)
+        return watched
+
+    lines = [[line for line, count in feed for _ in range(count)] for feed in feeds]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(World, "tick", tick)
+        for name in _NODE_CODE:
+            patch.setattr(Node, name, watch(name, getattr(Node, name)))
+        world, _ = steering_world([iter(x) for x in lines], host_at, wakes, reset_at, stall_at,
+                                  stall_us)
+        world.run_ticks(ticks)
+        (talking, _), _ = talking_worlds()
+        talking.run_until(lambda w: bool(events_named(w, "CommandServed")), 500)
+    assert outside == []
+    assert {name for name, _ in ran} >= {"run_tick", "_boot", "_run_tasks", "_serve"}
 
 
 def test_run_ticks_lands_on_the_tick_mid_stall():

@@ -152,9 +152,11 @@ def boot_decide(device: FlashDevice, regs: BackupRegisters) -> BootDecision:
 
     A verified application with its enter flag armed wins; otherwise an
     armed updater flag wins; otherwise both flags are cleared and the
-    bootloader takes over, so a stale flag can never loop the chain.
+    bootloader takes over, so a stale flag can never loop the chain.  The
+    flag is read first: only a boot that would enter the application CRCs
+    it, and every such boot does.
     """
-    if app_integrity(device) and regs.read_flag(APP_ENTER_REG) is BootFlag.ENTER:
+    if regs.read_flag(APP_ENTER_REG) is BootFlag.ENTER and app_integrity(device):
         return BootDecision.JUMP_APPLICATION
     if regs.read_flag(UPDATER_ENTER_REG) is BootFlag.ENTER:
         return BootDecision.JUMP_UPDATER

@@ -134,7 +134,10 @@ class Endpoint:
         self._assembly: dict[int, _Assembly] = {}
 
     def accepts(self, can_id: int) -> bool:
-        return any((can_id & mask) == match for mask, match in self.filters)
+        for mask, match in self.filters:
+            if can_id & mask == match:
+                return True
+        return False
 
     def clear(self) -> None:
         """Controller reset: drops both queues and any half-assembled payloads."""
@@ -203,7 +206,9 @@ class Bus:
         sender = self._winner()
         if sender is None:
             return None, 0
-        landed = self._land(sender, sender.tx[0], self.rng.random(), now_us)
+        entry = sender.tx[0]
+        landed = self._land(sender, entry, self.rng.random(), now_us,
+                            self._receivers(sender, entry.can_id))
         return landed, self.config.frame_time_us
 
     def stream(self, now_us: int, tick_us: int, max_frames: int) -> tuple[int, bool]:
@@ -232,7 +237,7 @@ class Bus:
                      for ep in self._endpoints if ep.tx and ep is not sender),
                     default=(MAX_STANDARD_ID + 1, 0))
         last_order = rival[1] if rival[0] == can_id else math.inf
-        receivers = [ep for ep in self._endpoints if ep is not sender and ep.accepts(can_id)]
+        receivers = self._receivers(sender, can_id)
         stats, random, trace = self.stats, self.rng.random, self.trace_enabled
         faulty_below = self.config.corruption_probability + self.config.drop_probability
         sent = 0
@@ -246,7 +251,7 @@ class Bus:
             if index == 0 or None in states:  # lone: a header, a raw frame, or a fresh receiver
                 if not all(_is_quiet(state, _frame(entry, index)) for state in states):
                     return sent, True
-                self._land(sender, entry, random(), now_us)
+                self._land(sender, entry, random(), now_us, receivers)
                 now_us += tick_us
                 sent += 1
                 continue
@@ -275,16 +280,23 @@ class Bus:
                 now_us += clean * tick_us
                 sent += clean
             if clean < run:  # the next frame drew a fault
-                self._land(sender, entry, roll, now_us)
+                self._land(sender, entry, roll, now_us, receivers)
                 now_us += tick_us
                 sent += 1
         return sent, False
 
-    def _land(self, sender: Endpoint, entry: _TxEntry, roll: float, now_us: int) -> bytes | None:
+    def _receivers(self, sender: Endpoint, can_id: int) -> list[Endpoint]:
+        """The endpoints other than ``sender`` that accept ``can_id``, in
+        attach order."""
+        return [ep for ep in self._endpoints if ep is not sender and ep.accepts(can_id)]
+
+    def _land(self, sender: Endpoint, entry: _TxEntry, roll: float, now_us: int,
+              receivers: list[Endpoint]) -> bytes | None:
         """Put the sender's head frame on the bus: count it, settle the fault
         lottery by ``roll``, trace it, and retry it, or move the entry past
-        it and feed it to every accepting receiver (:func:`_take`); returns
-        its data when it lands.  The one path of a frame that lands alone."""
+        it and feed it to each of ``receivers`` (:meth:`_receivers`, which
+        the caller holds) with :func:`_take`; returns its data when it
+        lands.  The one path of a frame that lands alone."""
         data = _frame(entry, entry.index)
         dlc = len(data)
         stats = self.stats
@@ -304,10 +316,9 @@ class Bus:
             if self.trace_enabled:
                 self._trace(now_us, entry.can_id, data, "data")
             _pass(sender.tx, entry, 1)
-            for ep in self._endpoints:
-                if ep is not sender and ep.accepts(entry.can_id):
-                    _take(ep, entry.can_id, data)
-                    stats.deliveries += 1
+            for ep in receivers:
+                _take(ep, entry.can_id, data)
+            stats.deliveries += len(receivers)
             return data
         budget = self.config.max_auto_retransmit
         if budget is None or entry.attempts < budget:

@@ -7,7 +7,8 @@ the full new image in RAM and verifies every patched block CRC plus the
 whole-image CRC before anything touches flash; flashing then erases only
 the sectors that contain changed blocks and reprograms them in full, which
 reconciles the 1 KiB diff granularity with the much coarser erase
-granularity of the device.
+granularity of the device, and commits the metadata record that the
+verification read.
 
 The byte work runs in C builtins.  A changed block is XORed with its old
 contents as one big integer, and ``bytes.translate`` turns the XOR into a
@@ -39,7 +40,16 @@ import struct
 from dataclasses import dataclass
 
 from .flashmodel import APP_REGION, LAYOUT, FlashDevice
-from .integrity import DEFAULT_BLOCK_SIZE, EmptyImage, block_count, crc32, reflect, reflected_crc32
+from .integrity import (
+    DEFAULT_BLOCK_SIZE,
+    BlockCrcTable,
+    EmptyImage,
+    block_count,
+    crc32,
+    image_crcs,
+    reflect,
+    reflected_crc32,
+)
 from .nvstore import APP_CAPACITY, METADATA_OFFSET, AppMetadata, write_app_metadata
 
 MAGIC = b"FDP1"
@@ -243,11 +253,27 @@ def decode_package(blob: bytes) -> DeltaPackage:
     return DeltaPackage(block_size, new_length, new_crc, tuple(entries))
 
 
-def apply_delta(base: bytes, pkg: DeltaPackage) -> bytes:
+class StagedImage(bytes):
+    """A staged image that passed its package's checks, holding the image
+    CRC and block CRCs those checks read."""
+
+    image_crc: int
+    block_crcs: tuple[int, ...]
+
+    @property
+    def meta(self) -> AppMetadata:
+        """The metadata record that describes this image.  Built here, at
+        commit, not in :func:`apply_delta`: a table past 65,535 blocks
+        stages fine and fails only as a record."""
+        return AppMetadata(len(self), self.image_crc, BlockCrcTable(self.block_crcs))
+
+
+def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
     """Stage the new image in RAM: pad or truncate ``base`` to the new
-    length and apply every tuple.  Then verify the patched blocks' CRCs in
-    entry order, so the lowest bad block is the one reported, and last the
-    whole-image CRC."""
+    length and apply every tuple.  Then read the staged image's CRC and
+    block CRCs in one pass and check the patched blocks' CRCs in entry
+    order, so the lowest bad block is the one reported, and last the
+    whole-image CRC.  The staged image keeps the CRCs it passed with."""
     n = pkg.new_image_length
     size = pkg.block_size
     stage = bytearray(base[:n])
@@ -256,25 +282,26 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> bytes:
         lo = entry.block_index * size
         for offset, data in entry.tuples:
             stage[lo + offset : lo + offset + len(data)] = data
-    staged = bytes(stage)
-    reflected = memoryview(reflect(staged))
+    staged = StagedImage(stage)
+    image_crc, block_crcs = image_crcs(staged, size)
     for entry in pkg.entries:
-        lo = entry.block_index * size
-        if reflected_crc32(reflected[lo : lo + size]) != entry.new_block_crc:
+        if block_crcs[entry.block_index] != entry.new_block_crc:
             raise BlockCrcMismatch(entry.block_index)
-    if reflected_crc32(reflected) != pkg.new_image_crc:
+    if image_crc != pkg.new_image_crc:
         raise ImageCrcMismatch("staged image fails the whole-image CRC")
+    staged.image_crc, staged.block_crcs = image_crc, block_crcs
     return staged
 
 
-def program_delta(device: FlashDevice, staged: bytes, pkg: DeltaPackage, now_us: int = 0) -> int:
-    """Write a staged (already verified) image into the application region.
+def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
+                  now_us: int = 0) -> int:
+    """Write the image :func:`apply_delta` staged into the application region.
 
     Erases the metadata sector first, so an interruption can never leave a
     stale metadata record pointing at a half-written image, then erases each
     sector containing a changed block and reprograms those sectors from the
-    staged image.  The refreshed metadata record is programmed last: it is
-    the commit point.
+    staged image.  The refreshed metadata record, :attr:`StagedImage.meta`,
+    is programmed last: it is the commit point.
 
     Returns the number of sectors erased because they held changed blocks;
     the metadata sector's refresh is part of every programming pass and is
@@ -306,5 +333,5 @@ def program_delta(device: FlashDevice, staged: bytes, pkg: DeltaPackage, now_us:
         if lo < hi:
             device.program(lo, staged[lo - start : hi - start], now_us)
 
-    write_app_metadata(device, AppMetadata.for_image(staged, pkg.block_size), now_us)
+    write_app_metadata(device, staged.meta, now_us)
     return len(changed)

@@ -61,8 +61,11 @@ def crc32(data: bytes) -> int:
 
 def reflect(data: bytes) -> bytes:
     """``data`` with the bits of every byte reversed, the input form that
-    :func:`reflected_crc32` reads."""
-    return bytes(data).translate(_BITREV_BYTES)
+    :func:`reflected_crc32` reads.  Bytes, a subclass too, are read in
+    place; other buffers are copied to bytes first."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    return data.translate(_BITREV_BYTES)
 
 
 def reflected_crc32(reflected: bytes | memoryview) -> int:

@@ -124,10 +124,14 @@ def read_app_metadata(device: FlashDevice) -> AppMetadata:
     """Decode the metadata record from flash.
 
     Raises :class:`MalformedMetadata` for anything undecodable, including a
-    byte count that could not fit the application region.
+    byte count that could not fit the application region, and one of zero:
+    no application is empty (:meth:`AppMetadata.for_image` refuses one),
+    and crc32(b"") would vouch for erased flash.
     """
     blob, _ = device.read(METADATA_OFFSET, METADATA_SIZE)
     meta = AppMetadata.decode(blob)
+    if meta.byte_count == 0:
+        raise MalformedMetadata("byte count is zero")
     if meta.byte_count > APP_CAPACITY:
         raise MalformedMetadata("byte count exceeds application capacity")
     return meta

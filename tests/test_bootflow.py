@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from fotasim import bootflow, delta, integrity
 from fotasim.bootflow import (
     ACK,
     APP_ENTER_BOOTLOADER,
@@ -37,13 +38,17 @@ from fotasim.flashmodel import (
     REGION_BOOTLOADER,
     FlashDevice,
 )
-from fotasim.integrity import crc32
+from fotasim.integrity import BlockCrcTable, crc32
 from fotasim.nvstore import (
     APP_ENTER_REG,
+    METADATA_OFFSET,
+    METADATA_SIZE,
     UPDATER_ENTER_REG,
+    AppMetadata,
     BackupRegisters,
     BootFlag,
     read_app_metadata,
+    write_app_metadata,
 )
 from fotasim.scenario import provision_application
 from fotasim.uds import KEY_LENGTH, SecuritySession, derive_key
@@ -78,21 +83,47 @@ def unlock_session(ctx):
 # -- boot decision table -----------------------------------------------------------
 
 
-def decide(intact, app_flag, upd_flag):
+def decide(intact, app_flag, upd_flag, monkeypatch):
+    """The boot decision for one image state: True intact, False torn (one
+    stored byte flipped), None no record (its sector erased under an intact
+    image).  Asserts the decision is the parent's expression, ``app_integrity``
+    then the flag, and that only an armed app flag runs ``app_integrity``."""
     image = Random(1).randbytes(4 * KIB)
     ctx = make_ctx(image)
-    if not intact:
+    ctx.device.unlock(*DEFAULT_UNLOCK_KEYS)
+    app = ctx.device.layout.region("application")
+    if intact is False:
         # Flip one stored application byte so the CRC no longer matches.
-        ctx.device.unlock(*DEFAULT_UNLOCK_KEYS)
-        app = ctx.device.layout.region("application")
         ctx.device.erase_sectors(5)
         broken = bytearray(image)
         broken[0] ^= 0xFF
         ctx.device.program(app.start, bytes(broken))
-        ctx.device.reset()
+    elif intact is None:
+        ctx.device.erase_sectors(ctx.device.layout.sector_at(METADATA_OFFSET).index)
+        assert ctx.device.read(app.start, len(image))[0] == image
+    ctx.device.reset()
     ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER if app_flag else BootFlag.NOT_ENTER)
     ctx.regs.write_flag(UPDATER_ENTER_REG, BootFlag.ENTER if upd_flag else BootFlag.NOT_ENTER)
-    return boot_decide(ctx.device, ctx.regs), ctx.regs
+    verified = app_integrity(ctx.device)
+    assert verified is (intact is True)
+    if verified and app_flag:
+        parent = BootDecision.JUMP_APPLICATION
+    elif upd_flag:
+        parent = BootDecision.JUMP_UPDATER
+    else:
+        parent = BootDecision.JUMP_BOOTLOADER
+
+    checks = []
+
+    def counted(device):
+        checks.append(device)
+        return app_integrity(device)
+
+    monkeypatch.setattr(bootflow, "app_integrity", counted)
+    decision = boot_decide(ctx.device, ctx.regs)
+    assert decision is parent
+    assert len(checks) == (1 if app_flag else 0)  # every boot into the application CRCs
+    return decision, ctx.regs
 
 
 @pytest.mark.parametrize(
@@ -106,10 +137,14 @@ def decide(intact, app_flag, upd_flag):
         (False, True, False, BootDecision.JUMP_BOOTLOADER),
         (False, False, True, BootDecision.JUMP_UPDATER),
         (False, False, False, BootDecision.JUMP_BOOTLOADER),
+        (None, True, True, BootDecision.JUMP_UPDATER),
+        (None, True, False, BootDecision.JUMP_BOOTLOADER),
+        (None, False, True, BootDecision.JUMP_UPDATER),
+        (None, False, False, BootDecision.JUMP_BOOTLOADER),
     ],
 )
-def test_boot_decision_table(intact, app_flag, upd_flag, expected):
-    decision, regs = decide(intact, app_flag, upd_flag)
+def test_boot_decision_table(intact, app_flag, upd_flag, expected, monkeypatch):
+    decision, regs = decide(intact, app_flag, upd_flag, monkeypatch)
     assert decision is expected
     if expected is BootDecision.JUMP_BOOTLOADER:
         # Falling through to the bootloader disarms both flags.
@@ -120,6 +155,17 @@ def test_boot_decision_table(intact, app_flag, upd_flag, expected):
 def test_erased_device_boots_to_bootloader():
     ctx = make_ctx()
     ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+    assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_BOOTLOADER
+
+
+def test_a_record_of_an_empty_application_boots_to_bootloader():
+    # crc32(b"") is the CRC such a record declares, so only the zero byte
+    # count tells it from a real application.
+    ctx = make_ctx()
+    ctx.ensure_flash_unlocked()
+    write_app_metadata(ctx.device, AppMetadata(0, crc32(b""), BlockCrcTable(())))
+    ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+    assert not app_integrity(ctx.device)
     assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_BOOTLOADER
 
 
@@ -249,6 +295,40 @@ def test_delta_apply_end_to_end():
     assert ctx.device.read(app.start, len(new))[0] == bytes(new)
     meta = read_app_metadata(ctx.device)
     assert meta.image_crc == crc32(bytes(new))
+
+
+def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(monkeypatch):
+    # Every bit-reversal runs through integrity.reflect, bound in integrity
+    # and delta.
+    reversed_sizes = []
+    reflect = integrity.reflect
+
+    def counted(data):
+        reversed_sizes.append(len(data))
+        return reflect(data)
+
+    old = Random(11).randbytes(20 * KIB)
+    new = bytearray(old + Random(12).randbytes(3000))
+    new[9000] ^= 0x40
+    new = bytes(new)
+    blob = encode_package(build_delta(old, new))
+    ctx = make_ctx(old)
+    unlock_session(ctx)
+    for module in (integrity, delta):
+        monkeypatch.setattr(module, "reflect", counted)
+
+    reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
+    assert reply == bytes([ACK, BootloaderCommand.DELTA_APPLY])
+    assert reversed_sizes == [len(new)]  # the staged image, once
+    assert ctx.device.read(METADATA_OFFSET, METADATA_SIZE)[0] == \
+        AppMetadata.for_image(new).encode().ljust(METADATA_SIZE, b"\xff")
+
+    reversed_sizes.clear()
+    assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_BOOTLOADER
+    assert reversed_sizes == []
+    ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+    assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_APPLICATION
+    assert reversed_sizes == [len(new)]
 
 
 def test_delta_apply_wrong_base_is_delta_nack():

@@ -33,7 +33,13 @@ from fotasim.flashmodel import (
     FlashDevice,
 )
 from fotasim.integrity import EmptyImage, crc32
-from fotasim.nvstore import read_app_metadata
+from fotasim.nvstore import (
+    MAX_TABLE_BLOCKS,
+    METADATA_OFFSET,
+    METADATA_SIZE,
+    AppMetadata,
+    read_app_metadata,
+)
 
 
 def make_pair(size=8 * KIB, seed=1):
@@ -584,6 +590,71 @@ def test_program_delta_duration_accounts_erase_and_program():
     meta_len = len(read_app_metadata(device).encode())
     expected = 2 * 1_000_000 + (10 * KIB // 4) * 16 + -(-meta_len // 4) * 16
     assert device.busy_total_us - busy_before == expected
+
+
+def apply_reference(base, pkg):
+    """``apply_delta`` as a per-entry ``crc32`` loop over the staged image,
+    kept as an oracle: the lowest bad block first, the image CRC last."""
+    n, size = pkg.new_image_length, pkg.block_size
+    stage = bytearray(base[:n].ljust(n, b"\xff"))
+    for entry in pkg.entries:
+        lo = entry.block_index * size
+        for offset, data in entry.tuples:
+            stage[lo + offset : lo + offset + len(data)] = data
+    for entry in pkg.entries:
+        lo = entry.block_index * size
+        if crc32(bytes(stage[lo : lo + size])) != entry.new_block_crc:
+            raise BlockCrcMismatch(entry.block_index)
+    if crc32(bytes(stage)) != pkg.new_image_crc:
+        raise ImageCrcMismatch("staged image fails the whole-image CRC")
+    return bytes(stage)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_delta_apply_commits_the_record_its_check_read(data):
+    """What DELTA_APPLY runs, ``apply_delta`` then ``program_delta``, over
+    growing and shrinking images with partial last blocks and several block
+    sizes: a good package commits ``AppMetadata.for_image(staged)`` byte for
+    byte, and a tampered one raises what the oracle raises."""
+    block_size = data.draw(st.sampled_from([64, 100, 256, KIB, 2 * KIB]))
+    longest = min(12 * KIB, MAX_TABLE_BLOCKS * block_size)
+    old_size = data.draw(st.integers(1, longest))
+    new_size = data.draw(st.integers(1, longest))
+    rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+    old = rng.randbytes(old_size)
+    new = bytearray(old[:new_size]) + rng.randbytes(max(0, new_size - old_size))
+    for _ in range(data.draw(st.integers(0, 6))):
+        new[rng.randrange(new_size)] ^= rng.randrange(1, 256)
+    pkg = build_delta(old, bytes(new), block_size)
+
+    if data.draw(st.booleans(), label="tamper"):
+        kinds = data.draw(st.lists(st.sampled_from(["keep", "crc", "data"]),
+                                   min_size=len(pkg.entries), max_size=len(pkg.entries)))
+        entries = [entry if kind == "keep"
+                   else tampered(entry) if kind == "data"
+                   else DeltaEntry(entry.block_index, entry.new_block_crc ^ 1, entry.tuples)
+                   for entry, kind in zip(pkg.entries, kinds)]
+        crc_flip = data.draw(st.sampled_from([0, 1, 0x80000000]))
+        pkg = with_entries(pkg, entries, pkg.new_image_crc ^ crc_flip)
+
+    try:
+        expected = apply_reference(old, pkg)
+    except DeltaError as exc:
+        with pytest.raises(DeltaError) as raised:
+            apply_delta(old, pkg)
+        assert type(raised.value) is type(exc)
+        assert getattr(raised.value, "block_index", None) == getattr(exc, "block_index", None)
+        return
+    staged = apply_delta(old, pkg)
+    assert staged == expected == bytes(new)
+    record = AppMetadata.for_image(expected, block_size).encode()
+    device = provisioned_device(old, block_size)
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
+    program_delta(device, staged, pkg)
+    assert device.read(METADATA_OFFSET, METADATA_SIZE)[0] == record.ljust(METADATA_SIZE, b"\xff")
+    start = device.layout.region(REGION_APPLICATION).start
+    assert device.read(start, new_size)[0] == expected
 
 
 def test_program_delta_rejects_mismatched_stage():

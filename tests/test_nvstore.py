@@ -148,6 +148,15 @@ def test_read_rejects_count_beyond_capacity():
         read_app_metadata(device)
 
 
+def test_read_rejects_a_zero_byte_count():
+    device = FlashDevice()
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
+    write_app_metadata(device, AppMetadata(byte_count=0, image_crc=crc32(b""),
+                                           table=BlockCrcTable(())))
+    with pytest.raises(MalformedMetadata):
+        read_app_metadata(device)
+
+
 @given(st.binary(min_size=1, max_size=2048))
 @settings(max_examples=60, deadline=None)
 def test_metadata_roundtrip_property(image):

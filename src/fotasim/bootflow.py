@@ -36,13 +36,15 @@ from .flashmodel import (
     FlashDevice,
     FlashError,
     MASS_ERASE_APPLICATION,
+    ProgramOnNonErased,
     Region,
     Sector,
 )
-from .integrity import crc32
+from .integrity import block_count, crc32
 from .nvstore import (
     APP_CAPACITY,
     APP_ENTER_REG,
+    MAX_TABLE_BLOCKS,
     UPDATER_ENTER_REG,
     BackupRegisters,
     BootFlag,
@@ -210,6 +212,10 @@ def _mem_write(ctx: EcuContext, payload: bytes, region: Region,
     try:
         ctx.ensure_flash_unlocked()
         ctx.device.program(address, data, ctx.now())
+    except ProgramOnNonErased:
+        # A resend after a lost ACK finds its own bytes there: the write landed.
+        if ctx.device.read(address, length)[0] != data:
+            return _nack(code, NACK_FLASH)
     except FlashError:
         return _nack(code, NACK_FLASH)
     return _ack(code)
@@ -265,8 +271,10 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             return _nack(code, NACK_SECURITY)
         try:
             pkg = decode_package(payload[1:])
-            if pkg.new_image_length > APP_CAPACITY:
-                return _nack(code, NACK_FLASH)  # before staging: a header can declare 4 GiB
+            # Before staging: a header can declare 4 GiB, or more blocks than the record holds.
+            if (pkg.new_image_length > APP_CAPACITY
+                    or block_count(pkg.new_image_length, pkg.block_size) > MAX_TABLE_BLOCKS):
+                return _nack(code, NACK_FLASH)
             base = b""
             try:
                 meta = read_app_metadata(ctx.device)

@@ -12,10 +12,12 @@ frame: the pending frame with the lowest id wins arbitration (FIFO order
 breaks ties).  A frame that lands goes straight into each accepting
 receiver's reassembly (:func:`_take`), which queues what completes or
 breaks a message.  Fault injection corrupts or drops the frame under
-transmission; a corrupted frame is signalled as an error frame and never
-reaches a receiver, and the sender retries it until its retransmit
-budget runs out; then the node counts a bus-off and skips the frame.  A
-stream is that step repeated for one sender's frame train, one per tick.
+transmission, settled by one draw of the bus's seeded RNG per frame when a
+fault can happen and by none on a fault-free bus (both probabilities zero);
+a corrupted frame is signalled as an error frame and never reaches a
+receiver, and the sender retries it until its retransmit budget runs out;
+then the node counts a bus-off and skips the frame.  A stream is that step
+repeated for one sender's frame train, one per tick.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ class BusConfig:
     rng_seed: int = 0
     # None lifts the budget entirely.
     max_auto_retransmit: int | None = 3
+
+    def __post_init__(self) -> None:
+        # One roll decides both faults, so their probabilities share [0, 1].
+        corrupt, drop = self.corruption_probability, self.drop_probability
+        if not (corrupt >= 0 and drop >= 0 and corrupt + drop <= 1):  # NaN fails each test
+            raise ValueError(f"corruption and drop probabilities {corrupt!r} and {drop!r} must "
+                             "be non-negative and sum to at most 1")
 
 
 @dataclass(slots=True)
@@ -207,9 +216,10 @@ class Bus:
         if sender is None:
             return None, 0
         entry = sender.tx[0]
-        landed = self._land(sender, entry, self.rng.random(), now_us,
-                            self._receivers(sender, entry.can_id))
-        return landed, self.config.frame_time_us
+        config = self.config
+        roll = self.rng.random() if config.corruption_probability + config.drop_probability else 1.0
+        landed = self._land(sender, entry, roll, now_us, self._receivers(sender, entry.can_id))
+        return landed, config.frame_time_us
 
     def stream(self, now_us: int, tick_us: int, max_frames: int) -> tuple[int, bool]:
         """Transmit the winning sender's frames back to back, one per tick of
@@ -251,7 +261,7 @@ class Bus:
             if index == 0 or None in states:  # lone: a header, a raw frame, or a fresh receiver
                 if not all(_is_quiet(state, _frame(entry, index)) for state in states):
                     return sent, True
-                self._land(sender, entry, random(), now_us, receivers)
+                self._land(sender, entry, random() if faulty_below else 1.0, now_us, receivers)
                 now_us += tick_us
                 sent += 1
                 continue
@@ -261,7 +271,8 @@ class Bus:
                 run = _quiet_run(state, (index - 1) & 0xFF, run, size)
             if not run:
                 return sent, True
-            clean = 0  # frames before the first fault, one draw each
+            # Frames before the first fault: one draw each, none on a fault-free bus.
+            clean = 0 if faulty_below else run
             while clean < run and (roll := random()) >= faulty_below:
                 clean += 1
             if clean:

@@ -234,13 +234,16 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
     gap_merge = _count(campaign, "gap_merge", CampaignPlan.gap_merge, "campaign.")
     if block_size < 1 or gap_merge < 0 or retry_budget < 0:
         raise ScenarioError("campaign.block_size must be positive, gap_merge and retry_budget >= 0")
-    # One roll decides both faults, so their probabilities share [0, 1].
     corrupt, drop = (bus_spec.get(k, 0.0) for k in ("corruption_probability", "drop_probability"))
-    if not (frame_time_us >= 1 and all(type(p) in (int, float) and p >= 0 for p in (corrupt, drop))
-            and corrupt + drop <= 1):
+    try:
+        if frame_time_us < 1 or not all(type(p) in (int, float) for p in (corrupt, drop)):
+            raise ValueError
+        # BusConfig checks the probabilities' range.
+        config = BusConfig(frame_time_us, float(corrupt), float(drop), seed, retransmit)
+    except (OverflowError, ValueError):  # OverflowError: an integer too large for a float
         raise ScenarioError("bus.frame_time_us must be at least 1, and the corruption and drop "
-                            "probabilities JSON numbers, not negative, summing to at most 1")
-    config = BusConfig(frame_time_us, float(corrupt), float(drop), seed, retransmit)
+                            "probabilities JSON numbers, not negative, summing to at most 1"
+                            ) from None
     mode_raw = campaign.get("mode", "delta")
     try:
         mode = CampaignMode(mode_raw)

@@ -281,6 +281,21 @@ def test_mem_write_on_dirty_flash_is_flash_nack():
         [NACK, BootloaderCommand.MEM_WRITE, NACK_FLASH])
 
 
+def test_a_mem_write_sent_twice_is_acked_twice_and_programs_once():
+    # The master resends a write whose ACK it lost; the bytes already sit there.
+    ctx = make_ctx()
+    unlock_session(ctx)
+    bootloader_serve(ctx, bytes([BootloaderCommand.FLASH_ERASE, MASS_ERASE_APPLICATION, 0]))
+    data = b"\x01\x02\x03\x04\x05"
+    payload = (bytes([BootloaderCommand.MEM_WRITE]) + (128 * KIB).to_bytes(4, "little")
+               + len(data).to_bytes(2, "little") + data)
+    assert bootloader_serve(ctx, payload) == bytes([ACK, BootloaderCommand.MEM_WRITE])
+    cells, busy = bytes(ctx.device.cells), ctx.device.busy_total_us
+    assert bootloader_serve(ctx, payload) == bytes([ACK, BootloaderCommand.MEM_WRITE])
+    assert bytes(ctx.device.cells) == cells
+    assert ctx.device.busy_total_us == busy
+
+
 def test_delta_apply_end_to_end():
     old = Random(8).randbytes(8 * KIB)
     new = bytearray(old)
@@ -367,6 +382,23 @@ def test_delta_apply_oversize_package_is_flash_nack_without_staging():
     assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_FLASH])
     assert peak < 1 << 20
     assert app_integrity(ctx.device)
+
+
+def test_delta_apply_of_a_table_past_the_record_is_flash_nack_before_staging():
+    # 128-byte blocks of a 64 KiB image make 512 block CRCs; the record holds 250.
+    old = Random(15).randbytes(64 * KIB)
+    new = bytearray(old)
+    new[1000] ^= 1
+    ctx = make_ctx(old)
+    unlock_session(ctx)
+    blob = encode_package(build_delta(old, bytes(new), block_size=128))
+    cells, busy = bytes(ctx.device.cells), ctx.device.busy_total_us
+    reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
+    assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_FLASH])
+    assert bytes(ctx.device.cells) == cells
+    assert ctx.device.busy_total_us == busy
+    assert ctx.sectors_erased == 0
+    assert read_app_metadata(ctx.device) == AppMetadata.for_image(old)
 
 
 def test_unknown_command_is_silent():

@@ -24,6 +24,8 @@ from fotasim.canbus import (
     wait_for,
 )
 from fotasim.integrity import crc32
+from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
+from fotasim.scenario import DEFAULT_SECRET, build_world, generate_image, mutate_blocks
 
 
 def two_node_bus(config=None):
@@ -201,14 +203,66 @@ def test_unlimited_retransmit_budget():
 
 
 def test_fault_lottery_is_single_roll():
-    # corruption 1.0 means the drop branch is unreachable: every fault is a
-    # corruption, never a drop.
-    bus, a, _ = two_node_bus(BusConfig(corruption_probability=1.0, drop_probability=1.0,
-                                       max_auto_retransmit=0))
-    bus.transmit(a, CanFrame(0x100, b"x"))
-    bus.step()
-    assert bus.stats.corrupted == 1
-    assert bus.stats.dropped == 0
+    # Probabilities summing to 1 fault every frame under one roll, some by
+    # corruption and some by drop; two independent rolls would let about a
+    # quarter of the frames land.
+    bus, a, _ = two_node_bus(BusConfig(corruption_probability=0.5, drop_probability=0.5,
+                                       max_auto_retransmit=0, rng_seed=4))
+    for i in range(40):
+        bus.transmit(a, CanFrame(0x100, bytes([i])))
+    while bus.pending():
+        assert bus.step()[0] is None
+    assert bus.stats.corrupted + bus.stats.dropped == 40
+    assert bus.stats.corrupted and bus.stats.dropped
+
+
+@pytest.mark.parametrize("corruption, drop", [
+    (-0.1, 0.0), (0.0, -0.3), (0.3, -0.3), (float("nan"), 0.0), (0.0, float("nan")),
+    (0.6, 0.5), (1.0, 1.0), (float("inf"), 0.0)])
+def test_bus_config_refuses_fault_probabilities_one_roll_cannot_hold(corruption, drop):
+    # One roll decides both faults, so each probability is non-negative and
+    # the pair shares [0, 1].
+    with pytest.raises(ValueError, match="probabilities"):
+        BusConfig(corruption_probability=corruption, drop_probability=drop)
+
+
+def test_a_fault_free_bus_never_draws():
+    """With both fault probabilities zero no frame can fault, so no step,
+    no lone frame of a stream and no clean run of one draws from the bus's
+    RNG: a whole campaign leaves its state as it was."""
+    old = generate_image(16 * 1024, seed=3)
+    world, _, _ = build_world(old_image=old, seed=3)
+    state = world.bus.rng.getstate()
+    plan = CampaignPlan(mode=CampaignMode.FULL, old_image=old,
+                        new_image=mutate_blocks(old, count=2, seed=4),
+                        shared_secret=DEFAULT_SECRET)
+    report = run_campaign(world, plan)
+    assert report.success and report.frames_sent > 0
+    assert world.bus.rng.getstate() == state
+
+    bus, a, b = two_node_bus()
+    state = bus.rng.getstate()
+    payloads = [bytes(range(n)) for n in (1, 7, 8, 200)]
+    for payload in payloads:
+        send_segmented(bus, a, 0x100, payload)
+        bus.transmit(a, CanFrame(0x101, b"x"))
+    now = 0
+    while bus.pending():  # streamed, with a step for each frame that lands a message
+        sent, lands = bus.stream(now, 500, 1000)
+        now += sent * 500
+        if lands:
+            bus.step(now)
+            now += 500
+    for payload in payloads:
+        send_segmented(bus, b, 0x200, payload)
+    while bus.pending():  # stepped
+        bus.step()
+    assert bus.rng.getstate() == state
+    assert bus.stats.frames_sent == 2 * sum(2 + (len(p) - 1) // 7 for p in payloads) + 4
+    # b also hears a's raw 1-byte frames, each a SequenceGap.
+    assert [(o.can_id, o.payload) for o in a.rx] == [(0x200, p) for p in payloads]
+    assert [(o.can_id, o.payload) for o in b.rx if not isinstance(o, CanError)] == \
+        [(0x100, p) for p in payloads]
 
 
 def test_seeded_faults_are_reproducible():

@@ -370,6 +370,7 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
 def _erase_bootloader(ctx: EcuContext) -> None:
     ctx.ensure_flash_unlocked()
     ctx.device.erase_sectors(BOOTLOADER_SECTORS[0].index, len(BOOTLOADER_SECTORS), ctx.now())
+    ctx.sectors_erased += len(BOOTLOADER_SECTORS)
 
 
 def _restore_backup(ctx: EcuContext, backup: bytes) -> None:
@@ -407,7 +408,6 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
         ctx._hook("backup")
         ctx._hook("erase")
         _erase_bootloader(ctx)
-        ctx.sectors_erased += len(BOOTLOADER_SECTORS)
         erased = True
         ctx._hook("program")
         ctx.device.program(BOOTLOADER_REGION.start, image, ctx.now())

@@ -8,21 +8,21 @@ Transport wire format (all frames dlc <= 8, payload <= 65535 bytes):
 The CRC in the header is CRC-32/MPEG-2 over the whole payload and is what
 receivers check after reassembly.  A queued message is one entry, and its
 frames are cut as they land (:func:`_frame`).  One bus step transmits one
-frame: the pending frame with the lowest id wins arbitration (FIFO order
-breaks ties).  A frame that lands goes straight into each accepting
-receiver's reassembly (:func:`_take`), which queues what completes or
-breaks a message.  Fault injection corrupts or drops the frame under
-transmission, settled by one draw of the bus's seeded RNG per frame when a
-fault can happen and by none on a fault-free bus (both probabilities zero);
-a corrupted frame is signalled as an error frame and never reaches a
-receiver, and the sender retries it until its retransmit budget runs out;
-then the node counts a bus-off and skips the frame.  A stream is that step
-repeated for one sender's frame train, one per tick.
+frame: of the queue heads, the entry with the lowest id wins arbitration,
+then the oldest entry, for every frame of that entry.  A frame that lands
+goes straight into each accepting receiver's reassembly (:func:`_take`),
+which queues what completes or breaks a message.  Fault injection corrupts
+or drops the frame under transmission, settled by one draw of the bus's
+seeded RNG per frame when a fault can happen and by none on a fault-free
+bus (both probabilities zero); a corrupted frame is signalled as an error
+frame and never reaches a receiver, and the sender retries it until its
+retransmit budget runs out; then the node counts a bus-off and skips the
+frame.  A stream is that step repeated for the winner's head entry, one
+frame per tick.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -106,8 +106,8 @@ class BusConfig:
 
 @dataclass(slots=True)
 class _TxEntry:
-    """A queued message or raw frame: frame ``index`` of ``count`` goes next,
-    in arbitration slot ``order``; the later frames hold the slots after it."""
+    """A queued message or raw frame: frame ``index`` of ``count`` goes next.
+    ``order`` numbers entries as they queue: one arbitration slot each."""
     can_id: int
     order: int
     head: bytes  # frame 0: a message's header, or a raw frame's data
@@ -171,18 +171,16 @@ class Bus:
     def __init__(self, config: BusConfig | None = None):
         self.config = config or BusConfig()
         self.rng = Random(self.config.rng_seed)
-        self.endpoints: dict[int, Endpoint] = {}
-        self._endpoints: tuple[Endpoint, ...] = ()  # attach order, for the per-frame loops
+        self._endpoints: tuple[Endpoint, ...] = ()  # in attach order
         self.stats = BusStats()
         self.trace: list[dict] = []
         self.trace_enabled = False
         self._order = 0
 
     def attach(self, node_id: int, filters: tuple[tuple[int, int], ...] = ACCEPT_ALL) -> Endpoint:
-        if node_id in self.endpoints:
+        if any(ep.node_id == node_id for ep in self._endpoints):
             raise DuplicateNode(f"node id {node_id} already attached")
         endpoint = Endpoint(node_id, filters)
-        self.endpoints[node_id] = endpoint
         self._endpoints += (endpoint,)
         return endpoint
 
@@ -191,14 +189,14 @@ class Bus:
 
     def _enqueue(self, endpoint: Endpoint, can_id: int, head: bytes, payload: bytes,
                  count: int) -> None:
-        endpoint.tx.append(_TxEntry(can_id, self._order + 1, head, payload, count))
-        self._order += count
+        self._order += 1
+        endpoint.tx.append(_TxEntry(can_id, self._order, head, payload, count))
 
     def pending(self) -> bool:
         return any(ep.tx for ep in self._endpoints)
 
     def _winner(self) -> Endpoint | None:
-        """The endpoint whose head frame wins arbitration, or None when idle."""
+        """The endpoint whose head entry wins arbitration, or None when idle."""
         sender = None
         for ep in self._endpoints:
             if ep.tx:
@@ -222,40 +220,31 @@ class Bus:
         return landed, config.frame_time_us
 
     def stream(self, now_us: int, tick_us: int, max_frames: int) -> tuple[int, bool]:
-        """Transmit the winning sender's frames back to back, one per tick of
-        ``tick_us`` starting at ``now_us``; returns ``(sent, lands)``.
+        """Transmit the frames of the winner's head entry back to back, one
+        per tick of ``tick_us`` from ``now_us``; returns ``(sent, lands)``.
 
         This is :meth:`step` repeated while the outcome of each step is
-        already known, and it only skips: the stream carries one sender and
-        one id, and stops after ``max_frames``, at a frame with another id,
-        at one that another sender's queued frame would beat, and before
-        one that would complete or break a message on any receiver
-        (``lands``: a step sends it).  Draws, statistics, trace rows,
-        retransmits and bus-offs are exactly those of the same steps.  A
-        lone frame lands through :meth:`_land`; the clean body frames of one
-        message before a fault go as one run, counted at once and reaching
-        each receiver as one payload slice.
+        already known, and it only skips: the stream carries the winner's
+        head entry, which wins every frame to its end since nothing queues
+        meanwhile, and stops after ``max_frames``, at the entry's end, and
+        before a frame that would complete or break a message on any
+        receiver (``lands``: a step sends it).  Draws, statistics, trace
+        rows, retransmits and bus-offs are exactly those of the same steps.
+        A lone frame lands through :meth:`_land`; the clean body frames of
+        one message before a fault go as one run, counted at once and
+        reaching each receiver as one payload slice.
         """
         sender = self._winner()
         if sender is None:
             return 0, False
-        tx = sender.tx
-        can_id = tx[0].can_id
-        # The sender keeps the bus until its next frame would lose to another
-        # sender's queued frame: one with a lower id, or the same id queued earlier.
-        rival = min(((ep.tx[0].can_id, ep.tx[0].order)
-                     for ep in self._endpoints if ep.tx and ep is not sender),
-                    default=(MAX_STANDARD_ID + 1, 0))
-        last_order = rival[1] if rival[0] == can_id else math.inf
+        entry = sender.tx[0]
+        can_id = entry.can_id
         receivers = self._receivers(sender, can_id)
         stats, random, trace = self.stats, self.rng.random, self.trace_enabled
         faulty_below = self.config.corruption_probability + self.config.drop_probability
         sent = 0
-        while sent < max_frames and tx:
-            entry = tx[0]
+        while sent < max_frames and entry.index < entry.count:
             index = entry.index
-            if entry.can_id != can_id or entry.order > last_order:
-                break
             run = min(entry.count - index, max_frames - sent)
             states = [ep._assembly.get(can_id) for ep in receivers]
             if index == 0 or None in states:  # lone: a header, a raw frame, or a fresh receiver
@@ -287,7 +276,7 @@ class Bus:
                 if trace:
                     for k in range(clean):
                         self._trace(now_us + k * tick_us, can_id, _frame(entry, index + k), "data")
-                _pass(tx, entry, clean)
+                _pass(sender.tx, entry, clean)
                 now_us += clean * tick_us
                 sent += clean
             if clean < run:  # the next frame drew a fault
@@ -315,9 +304,10 @@ class Bus:
         stats.payload_bytes += dlc
         stats.busy_time_us += self.config.frame_time_us
 
-        if roll < self.config.corruption_probability and dlc > 0:
+        if roll < self.config.corruption_probability:
             mangled = bytearray(data)
-            mangled[self.rng.randrange(dlc)] ^= 1 << self.rng.randrange(8)
+            if dlc:  # only the bit flip needs a byte
+                mangled[self.rng.randrange(dlc)] ^= 1 << self.rng.randrange(8)
             stats.corrupted += 1
             if self.trace_enabled:
                 self._trace(now_us, entry.can_id, mangled, "error")
@@ -375,7 +365,6 @@ def _frame(entry: _TxEntry, index: int) -> bytes:
 def _pass(tx: deque[_TxEntry], entry: _TxEntry, frames: int) -> None:
     """Move ``entry``, the head of ``tx``, past its next ``frames`` frames."""
     entry.index += frames
-    entry.order += frames
     entry.attempts = 0
     if entry.index == entry.count:
         tx.popleft()

@@ -50,7 +50,7 @@ from .integrity import (
     reflect,
     reflected_crc32,
 )
-from .nvstore import APP_CAPACITY, METADATA_OFFSET, AppMetadata, write_app_metadata
+from .nvstore import APP_CAPACITY, MAX_TABLE_BLOCKS, METADATA_OFFSET, AppMetadata, write_app_metadata
 
 MAGIC = b"FDP1"
 VERSION = 1
@@ -310,7 +310,7 @@ def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
     """
     if len(staged) != pkg.new_image_length:
         raise ValueError("staged image does not match the package length")
-    if len(staged) > APP_CAPACITY:
+    if len(staged) > APP_CAPACITY or block_count(len(staged), pkg.block_size) > MAX_TABLE_BLOCKS:
         raise ValueError("image does not fit the region alongside its metadata")
     start = APP_REGION.start
 

@@ -32,6 +32,7 @@ from fotasim.bootflow import (
 )
 from fotasim.delta import MAGIC, build_delta, encode_package
 from fotasim.flashmodel import (
+    BOOTLOADER_SECTORS,
     DEFAULT_UNLOCK_KEYS,
     KIB,
     MASS_ERASE_APPLICATION,
@@ -552,6 +553,31 @@ def test_updater_rollback_at_every_step(fault_step):
     assert old_bootloader_bytes(ctx) == before
     # Flags are disarmed either way, so the chain cannot loop back here.
     assert ctx.regs.read_flag(UPDATER_ENTER_REG) is BootFlag.NOT_ENTER
+
+
+@pytest.mark.parametrize("fault_step, erases", [(None, 1), ("erase", 0), ("program", 2),
+                                                ("verify", 2)])
+def test_updater_counts_every_bootloader_erase(fault_step, erases):
+    """``sectors_erased`` counts each erase of the bootloader region: the
+    update's, and the rollback's that restores the backup."""
+
+    def hook(step):
+        if step == fault_step:
+            raise InjectedFault(step)
+
+    ctx = make_ctx(updater_image=Random(21).randbytes(4 * KIB), fault_hook=hook)
+    seed_bootloader(ctx, b"OLD" * 1000)
+    erased = []
+    erase = ctx.device.erase_sectors
+
+    def counting_erase(start_sector, count=1, now_us=0):
+        erased.append(count)
+        return erase(start_sector, count, now_us)
+
+    ctx.device.erase_sectors = counting_erase
+    updater_silent(ctx)
+    assert erased == [len(BOOTLOADER_SECTORS)] * erases
+    assert ctx.sectors_erased == sum(erased)
 
 
 def test_updater_fault_after_verify_keeps_new_image():

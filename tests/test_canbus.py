@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -79,44 +80,80 @@ def test_equal_ids_resolve_in_enqueue_order():
     assert bus.step()[0] == b"second"
 
 
-_SEND = st.tuples(st.just("send"), st.integers(0, 3), st.integers(0, 0x7FF))
-_STEP = st.tuples(st.just("step"), st.booleans())  # True: the frame is dropped
+_SHARED_IDS = (0x100, 0x101, 0x300)
+# ("send", sender, can_id, payload length): 0 queues a raw 2-byte frame, more a message.
+_SEND = st.tuples(st.just("send"), st.integers(0, 3),
+                  st.one_of(st.integers(0, 0x7FF), st.sampled_from(_SHARED_IDS)), st.just(0))
+_SEND_MESSAGE = st.tuples(st.just("send"), st.integers(0, 3), st.sampled_from(_SHARED_IDS),
+                          st.integers(1, 40))
+_STEP = st.tuples(st.just("step"), st.booleans(), st.integers(1, 20))  # True: frames drop
 
 
-@given(st.integers(3, 4), st.lists(st.one_of(_SEND, _STEP), max_size=60))
+@given(st.integers(3, 4), st.booleans(),
+       st.lists(st.one_of(_SEND, _SEND_MESSAGE, _STEP), max_size=60))
 @settings(max_examples=150, deadline=None)
-def test_arbitration_picks_the_lowest_id_then_the_oldest_entry(n_endpoints, program):
-    """Each step the bus must send the queue head with the lowest
-    ``(can_id, enqueue order)``; a dropped frame keeps its slot."""
+def test_arbitration_picks_the_lowest_id_then_the_oldest_entry(n_endpoints, streamed, program):
+    """Every frame the bus sends comes from the queue head with the lowest
+    ``(can_id, enqueue order)``, each frame of a segmented message too,
+    whether ``step()`` alone drives the bus or ``stream()`` (up to the
+    step op's frame count) plus a ``step()`` for the frame a stream says
+    would land, as the world does; a dropped frame keeps its entry's slot."""
     bus = Bus(BusConfig(max_auto_retransmit=None))
+    bus.trace_enabled = True
     endpoints = [bus.attach(i + 1) for i in range(n_endpoints)]
-    queues = [[] for _ in endpoints]  # reference FIFOs of (can_id, order)
+    queues = [[] for _ in endpoints]  # reference FIFOs of [(can_id, order), frames left, raw]
     order = 0
     for op in program:
         if op[0] == "send":
-            _, index, can_id = op
+            _, index, can_id, length = op
             index %= n_endpoints
             order += 1
-            queues[index].append((can_id, order))
-            bus.transmit(endpoints[index], CanFrame(can_id, order.to_bytes(2, "little")))
+            if length:
+                payload = bytes((order + k) & 0xFF for k in range(length))
+                send_segmented(bus, endpoints[index], can_id, payload)
+                frames = [struct.pack("<BHIB", HEADER_MARKER, length, crc32(payload), 0)] + \
+                    [bytes((k,)) + payload[7 * k : 7 * k + 7] for k in range(-(-length // 7))]
+            else:
+                frames = [order.to_bytes(2, "little")]
+                bus.transmit(endpoints[index], CanFrame(can_id, frames[0]))
+            queues[index].append([(can_id, order), frames, not length])
             continue
-        heads = sorted((q[0], i) for i, q in enumerate(queues) if q)
-        bus.config = BusConfig(drop_probability=1.0 if op[1] else 0.0, max_auto_retransmit=None)
+        _, drop, max_frames = op
+        heads = sorted((q[0][0], i) for i, q in enumerate(queues) if q)
+        bus.config = BusConfig(drop_probability=1.0 if drop else 0.0, max_auto_retransmit=None)
+        open_ids = {can_id for ep in endpoints for can_id in ep._assembly}
         retransmissions = [ep.retransmissions for ep in endpoints]
         queued = [len(ep.rx) for ep in endpoints]
-        landed, _ = bus.step()
-        if not heads:
-            assert landed is None
-            continue
-        (can_id, expected), winner = heads[0]
-        if op[1]:
-            assert landed is None
-            assert [ep.retransmissions - r for ep, r in zip(endpoints, retransmissions)] == \
-                [int(i == winner) for i in range(n_endpoints)]
+        rows = len(bus.trace)
+        if streamed:
+            sent, lands = bus.stream(0, 500, max_frames)
+            if lands:
+                bus.step()
+            sent += lands
         else:
-            queues[winner].pop(0)
-            assert landed == expected.to_bytes(2, "little")
-            # A 2-byte frame is never a header: each receiver queues one gap naming its id.
+            sent = int(bus.step()[1] > 0)
+        if not heads:
+            assert sent == 0
+            continue
+        if drop:
+            assert len(bus.trace) == rows
+            assert [ep.retransmissions - r for ep, r in zip(endpoints, retransmissions)] == \
+                [sent * (i == heads[0][1]) for i in range(n_endpoints)]
+            continue
+        assert len(bus.trace) - rows == sent > 0
+        raw = None
+        for row in bus.trace[rows:]:
+            (can_id, _), winner = min((q[0][0], i) for i, q in enumerate(queues) if q)
+            entry = queues[winner][0]
+            assert (row["kind"], row["id"], row["data"]) == ("data", can_id, entry[1].pop(0).hex())
+            if not entry[1]:
+                queues[winner].pop(0)
+            if entry[2]:
+                raw = can_id, winner
+        if raw and raw[0] not in open_ids:
+            # A 2-byte frame is never a header, and a raw frame lands alone in a step:
+            # each receiver queues one gap naming its id.
+            can_id, winner = raw
             assert [len(ep.rx) - n for ep, n in zip(endpoints, queued)] == \
                 [int(i != winner) for i in range(n_endpoints)]
             assert all(f"on id 0x{can_id:X} " in str(ep.rx[-1])
@@ -180,6 +217,21 @@ def test_corruption_raises_error_frame_and_retransmits():
     assert bus.trace[-1]["kind"] == "error"
     assert a.retransmissions == 1
     assert a.tx                            # requeued at the front
+
+
+def test_a_zero_length_frame_that_draws_a_corruption_counts_as_corrupted():
+    """Only the bit flip needs a byte: an empty frame whose roll falls below
+    the corruption probability is an error frame, with the one draw."""
+    bus, a, _ = two_node_bus(BusConfig(corruption_probability=1.0, max_auto_retransmit=0))
+    bus.trace_enabled = True
+    bus.transmit(a, CanFrame(0x100, b""))
+    assert bus.step() == (None, 500)
+    stats = bus.stats
+    assert (stats.corrupted, stats.dropped, stats.bus_off_events) == (1, 0, 1)
+    assert [(row["dlc"], row["kind"]) for row in bus.trace] == [(0, "error")]
+    reference = Random(0)
+    reference.random()
+    assert bus.rng.getstate() == reference.getstate()
 
 
 def test_retransmit_budget_exhaustion_goes_bus_off():

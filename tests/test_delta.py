@@ -592,6 +592,22 @@ def test_program_delta_duration_accounts_erase_and_program():
     assert device.busy_total_us - busy_before == expected
 
 
+def test_program_delta_refuses_a_table_past_the_record_before_it_erases():
+    """128-byte blocks of a 64 KiB image need 512 block CRCs, more than the
+    record's ``MAX_TABLE_BLOCKS``: refused before any erase, so flash and
+    its time account are untouched."""
+    old, new = make_pair(64 * KIB, seed=41)
+    new[0] ^= 1
+    pkg = build_delta(old, bytes(new), block_size=128)
+    staged = apply_delta(old, pkg)
+    device = provisioned_device(old)
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
+    cells, busy = bytes(device.cells), device.busy_total_us
+    with pytest.raises(ValueError, match="does not fit"):
+        program_delta(device, staged, pkg)
+    assert (bytes(device.cells), device.busy_total_us) == (cells, busy)
+
+
 def apply_reference(base, pkg):
     """``apply_delta`` as a per-entry ``crc32`` loop over the staged image,
     kept as an oracle: the lowest bad block first, the image CRC last."""

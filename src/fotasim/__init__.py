@@ -10,7 +10,7 @@ from .canbus import Bus, BusConfig, CanFrame, recv_segmented, send_segmented
 from .delta import apply_delta, build_delta, decode_package, encode_package
 from .flashmodel import FlashDevice
 from .integrity import crc32
-from .lka import PidGains, pid_step, simulate
+from .lka import PidGains, simulate
 from .orchestrator import (
     CampaignMode,
     CampaignPlan,
@@ -49,7 +49,6 @@ __all__ = [
     "encode_package",
     "generate_image",
     "mutate_blocks",
-    "pid_step",
     "provision_application",
     "reduction_ratio",
     "run_campaign",

@@ -40,15 +40,14 @@ from .flashmodel import (
     Region,
     Sector,
 )
-from .integrity import block_count, crc32
+from .integrity import crc32
 from .nvstore import (
-    APP_CAPACITY,
     APP_ENTER_REG,
-    MAX_TABLE_BLOCKS,
     UPDATER_ENTER_REG,
     BackupRegisters,
     BootFlag,
     MalformedMetadata,
+    fits,
     read_app_metadata,
 )
 from .uds import SECURITY_SID, SecuritySession, server_handle
@@ -199,6 +198,17 @@ def _sectors_in(sectors: tuple[Sector, ...], start: int, count: int) -> bool:
     return count >= 1 and sectors[0].index <= start and start + count <= sectors[-1].index + 1
 
 
+def _erase(ctx: EcuContext, start: int, count: int) -> int:
+    """Erase sectors [start, start + count), or every application sector for
+    ``MASS_ERASE_APPLICATION`` (``count`` ignored), adding them to
+    ``ctx.sectors_erased``; returns how many.  FlashError propagates."""
+    ctx.ensure_flash_unlocked()
+    ctx.device.erase_sectors(start, count, ctx.now())
+    erased = len(APP_SECTORS) if start == MASS_ERASE_APPLICATION else count
+    ctx.sectors_erased += erased
+    return erased
+
+
 def _mem_write(ctx: EcuContext, payload: bytes, region: Region,
                malformed: bytes | None) -> bytes | None:
     """Program a MEM_WRITE payload, its header already checked, into
@@ -250,12 +260,9 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         if start != MASS_ERASE_APPLICATION and not _sectors_in(APP_SECTORS, start, count):
             return _nack(code, NACK_REGION)
         try:
-            ctx.ensure_flash_unlocked()
-            ctx.device.erase_sectors(start, count, ctx.now())
+            erased = _erase(ctx, start, count)
         except FlashError:
             return _nack(code, NACK_FLASH)
-        erased = len(APP_SECTORS) if start == MASS_ERASE_APPLICATION else count
-        ctx.sectors_erased += erased
         ctx.log("CommandServed", command="flash_erase", sectors=erased)
         return _ack(code)
 
@@ -272,8 +279,7 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         try:
             pkg = decode_package(payload[1:])
             # Before staging: a header can declare 4 GiB, or more blocks than the record holds.
-            if (pkg.new_image_length > APP_CAPACITY
-                    or block_count(pkg.new_image_length, pkg.block_size) > MAX_TABLE_BLOCKS):
+            if not fits(pkg.new_image_length, pkg.block_size):
                 return _nack(code, NACK_FLASH)
             base = b""
             try:
@@ -346,11 +352,9 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
         if not _sectors_in(BOOTLOADER_SECTORS, payload[1], payload[2]):
             return _nack(code, NACK_REGION)
         try:
-            ctx.ensure_flash_unlocked()
-            ctx.device.erase_sectors(payload[1], payload[2], ctx.now())
+            _erase(ctx, payload[1], payload[2])
         except FlashError:
             return _nack(code, NACK_FLASH)
-        ctx.sectors_erased += payload[2]
         return _ack(code)
 
     if code == UpdaterCommand.MEM_WRITE_BOOTLOADER:
@@ -367,14 +371,8 @@ def updater_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
     return None
 
 
-def _erase_bootloader(ctx: EcuContext) -> None:
-    ctx.ensure_flash_unlocked()
-    ctx.device.erase_sectors(BOOTLOADER_SECTORS[0].index, len(BOOTLOADER_SECTORS), ctx.now())
-    ctx.sectors_erased += len(BOOTLOADER_SECTORS)
-
-
 def _restore_backup(ctx: EcuContext, backup: bytes) -> None:
-    _erase_bootloader(ctx)
+    _erase(ctx, BOOTLOADER_SECTORS[0].index, len(BOOTLOADER_SECTORS))
     payload = backup.rstrip(b"\xff")  # trailing erased bytes need no programming
     if payload:
         ctx.device.program(BOOTLOADER_REGION.start, payload, ctx.now())
@@ -407,7 +405,7 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
     try:
         ctx._hook("backup")
         ctx._hook("erase")
-        _erase_bootloader(ctx)
+        _erase(ctx, BOOTLOADER_SECTORS[0].index, len(BOOTLOADER_SECTORS))
         erased = True
         ctx._hook("program")
         ctx.device.program(BOOTLOADER_REGION.start, image, ctx.now())

@@ -50,7 +50,7 @@ from .integrity import (
     reflect,
     reflected_crc32,
 )
-from .nvstore import APP_CAPACITY, MAX_TABLE_BLOCKS, METADATA_OFFSET, AppMetadata, write_app_metadata
+from .nvstore import METADATA_OFFSET, AppMetadata, fits, write_app_metadata
 
 MAGIC = b"FDP1"
 VERSION = 1
@@ -310,7 +310,7 @@ def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
     """
     if len(staged) != pkg.new_image_length:
         raise ValueError("staged image does not match the package length")
-    if len(staged) > APP_CAPACITY or block_count(len(staged), pkg.block_size) > MAX_TABLE_BLOCKS:
+    if not fits(len(staged), pkg.block_size):
         raise ValueError("image does not fit the region alongside its metadata")
     start = APP_REGION.start
 
@@ -320,7 +320,7 @@ def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
         hi = start + min((index + 1) * pkg.block_size, len(staged))
         for sector in LAYOUT.sectors_overlapping(lo, hi):
             changed[sector.index] = sector
-    meta_sector = LAYOUT.sector_at(METADATA_OFFSET)
+    (meta_sector,) = LAYOUT.sectors_overlapping(METADATA_OFFSET, METADATA_OFFSET + 1)
 
     erase_order = [meta_sector] + [s for _, s in sorted(changed.items()) if s.index != meta_sector.index]
     for sector in erase_order:

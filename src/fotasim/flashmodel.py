@@ -125,14 +125,6 @@ class FlashLayout:
     def region(self, name: str) -> Region:
         return self.regions[name]
 
-    def sector_at(self, address: int) -> Sector:
-        if not 0 <= address < self.size:
-            raise AddressOutOfRange(f"address 0x{address:06X} outside device")
-        for s in self.sectors:
-            if s.start <= address < s.end:
-                return s
-        raise AddressOutOfRange(f"address 0x{address:06X} outside device")  # unreachable
-
     def sectors_overlapping(self, start: int, end: int) -> list[Sector]:
         """Sectors intersecting the half-open byte range [start, end)."""
         return [s for s in self.sectors if s.start < end and s.end > start]

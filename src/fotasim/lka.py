@@ -163,18 +163,6 @@ def steer(state: SteeringState, gains: PidGains, target_deg: float, dt: float, s
     return command, SteeringState(position, integral, previous), steps, None
 
 
-def pid_step(state: SteeringState, gains: PidGains, error: float, dt: float) -> tuple[float, SteeringState]:
-    """One :func:`steer` step on ``error`` (from position 0); returns
-    ``(command, new_state)``.  The plant position is not touched."""
-    command, new, _, _ = steer(SteeringState(0.0, *state[1:]), gains, error, dt)
-    return command, SteeringState(state.position, new.integral, new.previous_error)
-
-
-def plant_step(state: SteeringState, gains: PidGains, target_deg: float, dt: float) -> SteeringState:
-    """One step of :func:`steer`; returns the new state."""
-    return steer(state, gains, target_deg, dt)[1]
-
-
 def simulate(gains: PidGains, target_deg: float, initial_deg: float,
              duration_s: float) -> list[tuple[float, float]]:
     """Run the loop against the first-order plant (1 deg/s per command unit)
@@ -186,7 +174,7 @@ def simulate(gains: PidGains, target_deg: float, initial_deg: float,
     steps = round(duration_s / SIMULATE_DT_S)
     t = 0.0
     for _ in range(steps):
-        state = plant_step(state, gains, target_deg, SIMULATE_DT_S)
+        state = steer(state, gains, target_deg, SIMULATE_DT_S)[1]
         t += SIMULATE_DT_S
         trace.append((t, abs(target_deg - state.position)))
     return trace

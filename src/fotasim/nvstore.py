@@ -7,7 +7,7 @@ record pins down what a valid application looks like: its byte count, its
 whole-image CRC and its per-block CRC table, stored in the last KiB of the
 application region (``METADATA_OFFSET``).  ``APP_CAPACITY`` is what that
 leaves for the image, and ``MAX_TABLE_BLOCKS`` is how many block CRCs the
-record holds.
+record holds; :func:`fits` states the two as one rule.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .flashmodel import APP_REGION, FlashDevice
-from .integrity import DEFAULT_BLOCK_SIZE, BlockCrcTable, MalformedTable, image_crcs
+from .integrity import DEFAULT_BLOCK_SIZE, BlockCrcTable, MalformedTable, block_count, image_crcs
 
 BACKUP_REGISTER_COUNT = 20
 
@@ -38,6 +38,15 @@ APP_CAPACITY = APP_REGION.size - METADATA_SIZE
 # Most block-CRC entries the record carries.  The slot also bounds image
 # size: an image needs ceil(len / block_size) <= MAX_TABLE_BLOCKS.
 MAX_TABLE_BLOCKS = (METADATA_SIZE - _COUNT_FIELD - 4 - 2) // 4
+
+
+def fits(image_length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> bool:
+    """Whether an image of ``image_length`` bytes, its CRC table cut in
+    ``block_size`` blocks, fits the application region beside its record:
+    it is not empty (:func:`read_app_metadata` refuses a zero count), it
+    leaves the record's slot free, and the record holds its table."""
+    return (1 <= image_length <= APP_CAPACITY
+            and block_count(image_length, block_size) <= MAX_TABLE_BLOCKS)
 
 
 class BootFlag(IntEnum):

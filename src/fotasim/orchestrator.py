@@ -33,7 +33,7 @@ from .canbus import MAX_SEGMENTED_PAYLOAD, await_reply, send_segmented, wait_for
 from .delta import DEFAULT_GAP_MERGE, DeltaPackage, build_delta, encode_package
 from .flashmodel import APP_REGION
 from .integrity import DEFAULT_BLOCK_SIZE, block_count, crc32
-from .nvstore import APP_CAPACITY, MAX_TABLE_BLOCKS, METADATA_OFFSET, AppMetadata, BootFlag
+from .nvstore import METADATA_OFFSET, AppMetadata, BootFlag, fits
 from .simruntime import Task, TaskPriority, World
 from .uds import client_unlock
 
@@ -182,8 +182,7 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport,
         """The campaign's steps in order, each a generator that yields
         deadlines and returns None or the reason the campaign failed.  A
         step is made only once the one before it has succeeded."""
-        total_blocks = block_count(len(plan.new_image), plan.block_size)
-        if len(plan.new_image) > APP_CAPACITY or total_blocks > MAX_TABLE_BLOCKS:
+        if not fits(len(plan.new_image), plan.block_size):
             yield refuse("image_too_large")
         mark = len(world.events)
         yield unlock(first=True)
@@ -203,7 +202,8 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport,
                           "metadata_write_refused")
         else:
             report.blocks_transferred = len(shipped.entries)
-            report.blocks_skipped = total_blocks - len(shipped.entries)
+            report.blocks_skipped = (block_count(len(plan.new_image), plan.block_size)
+                                     - len(shipped.entries))
             blob = bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(shipped)
             if len(blob) > MAX_SEGMENTED_PAYLOAD:
                 yield refuse("package_too_large")

@@ -39,14 +39,7 @@ from .delta import MAX_BLOCK_SIZE
 from .flashmodel import APP_REGION, DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, FlashDevice
 from .integrity import DEFAULT_BLOCK_SIZE, block_count
 from .lka import PidGains, pack_image, parse_gains
-from .nvstore import (
-    APP_CAPACITY,
-    APP_ENTER_REG,
-    MAX_TABLE_BLOCKS,
-    AppMetadata,
-    BootFlag,
-    write_app_metadata,
-)
+from .nvstore import APP_ENTER_REG, AppMetadata, BootFlag, fits, write_app_metadata
 from .orchestrator import (DEFAULT_REQUEST_ID, DEFAULT_RESPONSE_ID, MASTER_NODE,
                            MAX_FULL_BLOCK_SIZE, TARGET_NODE, CampaignMode, CampaignPlan)
 from .simruntime import Node, World
@@ -95,10 +88,9 @@ def provision_application(device: FlashDevice, image: bytes,
     Setup helper: erases the application region first and clears the busy
     horizon afterwards, so provisioning never bleeds into simulated time.
     """
-    if len(image) > APP_CAPACITY:
-        raise ScenarioError("image does not fit the application region")
-    if block_count(len(image), block_size) > MAX_TABLE_BLOCKS:
-        raise ScenarioError("image needs more block CRCs than the metadata slot holds")
+    if not fits(len(image), block_size):
+        raise ScenarioError("image is empty or does not fit the application region beside its "
+                            "metadata record")
     was_locked = device.locked
     if was_locked:
         device.unlock(*DEFAULT_UNLOCK_KEYS)

@@ -49,7 +49,6 @@ from .lka import (
     deviation_to_target,
     motor_order,
     parse_deviation_line,
-    plant_step,
     read_gains,
     steer,
 )
@@ -309,7 +308,7 @@ class Node:
             self.steering_target = deviation_to_target(deviation)
             self.motor = motor_order(deviation)
             self._steered_by = line
-        self.steering = plant_step(self.steering, self.gains, self.steering_target, _TICK_S)
+        self.steering = steer(self.steering, self.gains, self.steering_target, _TICK_S)[1]
 
     def _glide(self, ticks: int) -> int:
         """Steer up to ``ticks`` ticks as one :func:`~fotasim.lka.steer` loop; returns how
@@ -332,8 +331,7 @@ class World:
     def __init__(self, bus_config: BusConfig | None = None):
         self.bus = Bus(bus_config)
         self.clock_us = 0
-        self.nodes: dict[str, Node] = {}
-        self._nodes: tuple[Node, ...] = ()  # insertion order, for the tick loop
+        self.nodes: dict[str, Node] = {}  # insertion order is the tick order
         self.events: list[dict] = []
         self.last_tick_time = 0
         self._events_before_tick = 0  # len(events) when the last tick began
@@ -345,7 +343,6 @@ class World:
             raise ValueError(f"node name {name!r} already used")
         node = Node(self, name, node_id, **kwargs)
         self.nodes[name] = node
-        self._nodes += (node,)
         return node
 
     # -- time ----------------------------------------------------------------
@@ -360,7 +357,7 @@ class World:
         self._events_before_tick = len(self.events)
         self.last_tick_time = self.clock_us
         _, elapsed = self.bus.step(self.clock_us)
-        for node in self._nodes:
+        for node in self.nodes.values():
             node.run_tick()
         self.clock_us += max(elapsed, DEFAULT_TICK_US)
 
@@ -378,7 +375,7 @@ class World:
         now, span = self.clock_us, 0
         if len(self.events) == self._events_before_tick:
             wake, steering = _NEVER, []
-            for node in self._nodes:
+            for node in self.nodes.values():
                 quiet = node._quiet(now)
                 if quiet is None:
                     break

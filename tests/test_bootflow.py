@@ -100,7 +100,8 @@ def decide(intact, app_flag, upd_flag, monkeypatch):
         broken[0] ^= 0xFF
         ctx.device.program(app.start, bytes(broken))
     elif intact is None:
-        ctx.device.erase_sectors(ctx.device.layout.sector_at(METADATA_OFFSET).index)
+        (meta_sector,) = ctx.device.layout.sectors_overlapping(METADATA_OFFSET, METADATA_OFFSET + 1)
+        ctx.device.erase_sectors(meta_sector.index)
         assert ctx.device.read(app.start, len(image))[0] == image
     ctx.device.reset()
     ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER if app_flag else BootFlag.NOT_ENTER)

@@ -21,8 +21,6 @@ from fotasim.lka import (
     motor_order,
     pack_image,
     parse_deviation_line,
-    pid_step,
-    plant_step,
     read_gains,
     simulate,
     steer,
@@ -102,6 +100,12 @@ def test_deviation_to_target_gain_and_saturation():
 # -- PID core --------------------------------------------------------------------
 
 
+def pid_step(state, gains, error, dt):
+    """One :func:`steer` step from position 0, whose target is the error:
+    ``(command, new state)``."""
+    return steer(state._replace(position=0.0), gains, error, dt)[:2]
+
+
 def test_pid_step_formula():
     gains = PidGains(2.0, 0.1, 0.5)
     state = SteeringState(position=0.0, integral=1.0, previous_error=3.0)
@@ -112,7 +116,6 @@ def test_pid_step_formula():
     assert command == 100.0  # the derivative term saturates this one
     assert new.integral == pytest.approx(integral)
     assert new.previous_error == 5.0
-    assert new.position == state.position  # plant not integrated here
 
 
 def test_pid_command_clamp_both_sides():
@@ -226,12 +229,12 @@ def test_plant_step_matches_the_clamped_formula_bit_for_bit(state, gains, error,
     command, new = pid_step(state, gains, error, dt)
     reference_command, reference_new = reference_pid_step(state, gains, error, dt)
     assert float.hex(command) == float.hex(reference_command)
-    assert state_bits(new) == state_bits(reference_new)
+    assert state_bits(new)[1:] == state_bits(reference_new)[1:]  # integral, previous error
     if not math.isfinite(target - state.position):
         with pytest.raises(NonFiniteInput):
-            plant_step(state, gains, target, dt)
+            steer(state, gains, target, dt)
         return
-    assert state_bits(plant_step(state, gains, target, dt)) == \
+    assert state_bits(steer(state, gains, target, dt)[1]) == \
         state_bits(reference_plant_step(state, gains, target, dt))
 
 
@@ -275,13 +278,11 @@ def test_the_n_step_loop_is_n_reference_plant_steps_bit_for_bit(state, gains, ta
        st.sampled_from([math.nan, math.inf, -math.inf]))
 @settings(max_examples=60, deadline=None)
 def test_steps_still_reject_a_bad_dt_or_a_non_finite_error(state, gains, value, bad_dt, bad):
-    for step in (pid_step, plant_step):
+    for start in (state._replace(position=0.0), state):
         with pytest.raises(ValueError, match="dt"):
-            step(state, gains, value, bad_dt)
-    with pytest.raises(NonFiniteInput):
-        pid_step(state, gains, bad, 0.01)
-    with pytest.raises(NonFiniteInput):
-        plant_step(state, gains, bad, 0.01)
+            steer(start, gains, value, bad_dt)
+        with pytest.raises(NonFiniteInput):
+            steer(start, gains, bad, 0.01)
 
 
 # -- gains embedded in the image ------------------------------------------------------

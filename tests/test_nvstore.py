@@ -3,11 +3,11 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS, KIB, FlashDevice
-from fotasim.integrity import BlockCrcTable, crc32
+from fotasim.integrity import BlockCrcTable, block_count, crc32
 from fotasim.nvstore import (
     APP_ENTER_REG,
     BACKUP_REGISTER_COUNT,
@@ -17,12 +17,15 @@ from fotasim.nvstore import (
     BackupRegisters,
     BootFlag,
     APP_CAPACITY,
+    MAX_TABLE_BLOCKS,
     METADATA_OFFSET,
     MalformedMetadata,
     decode_flag,
+    fits,
     read_app_metadata,
     write_app_metadata,
 )
+from fotasim.scenario import ScenarioError, provision_application
 
 
 def test_flag_decoding_is_strict():
@@ -162,3 +165,35 @@ def test_read_rejects_a_zero_byte_count():
 def test_metadata_roundtrip_property(image):
     meta = AppMetadata.for_image(image, block_size=256)
     assert AppMetadata.decode(meta.encode().ljust(METADATA_SIZE, b"\xff")) == meta
+
+
+def record_encodes(image_length, blocks):
+    """Whether a record for ``image_length`` bytes with ``blocks`` table
+    entries encodes within its ``METADATA_SIZE`` slot."""
+    try:
+        AppMetadata(image_length, 0, BlockCrcTable((0,) * blocks)).encode()
+    except ValueError:  # the slot overflows, or the table's u16 count does
+        return False
+    return True
+
+
+@given(st.integers(0, APP_CAPACITY + 2 * KIB), st.integers(1, 0x10000))
+@settings(max_examples=200, deadline=None)
+@example(APP_CAPACITY, 2 * KIB)
+@example(APP_CAPACITY + 1, 2 * KIB)
+@example(MAX_TABLE_BLOCKS * KIB, KIB)
+@example(MAX_TABLE_BLOCKS * KIB + 1, KIB)
+@example(0, KIB)
+def test_an_image_fits_when_it_is_not_empty_and_region_and_record_hold_it(length, block_size):
+    assert fits(length, block_size) is (1 <= length <= APP_CAPACITY
+                                        and record_encodes(length, block_count(length, block_size)))
+
+
+def test_provisioning_refuses_an_empty_image_before_it_touches_the_device():
+    device = FlashDevice()
+    provision_application(device, b"\x37" * 5000)
+    before = (bytes(device.cells), device.locked, device.busy_until_us, device.busy_total_us)
+    with pytest.raises(ScenarioError, match="empty"):
+        provision_application(device, b"")
+    assert (bytes(device.cells), device.locked, device.busy_until_us,
+            device.busy_total_us) == before

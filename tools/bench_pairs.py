@@ -16,9 +16,13 @@ for neither side), the digests and fail shares, the machine, and each
 tree's ``src_sha256``: the SHA-256 over each ``src/**/*.py`` file's path
 relative to the tree (``src/fotasim/...``), a NUL byte and its bytes, in
 sorted path order.  ``--extra FILE`` adds a JSON value under ``"extra"``.
+Before the pairs it runs each tree's tier-1 suite once, ``python -m pytest
+-q -p no:cacheprovider`` with ``src`` first on ``PYTHONPATH``, and records
+its exit status, wall time and last output line under ``"suite"``.
 
-Exits 1 when any run exits non-zero, prints no result or reports
-``correct: false``; the file is written either way.  Standard library only.
+Exits 1 when any run or either suite exits non-zero, or a run prints no
+result or reports ``correct: false``; the file is written either way.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -57,6 +62,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except ValueError:  # fewer than two lines, or not JSON
         run["stderr_tail"] = proc.stderr[-2000:]
     return run
+
+
+def run_suite(tree: Path) -> dict:
+    """The tree's tier-1 suite, once: its exit status, wall time and last
+    line of output (pytest's count of passes and failures)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    wall_s = round(time.perf_counter() - start, 3)
+    return {"exit": proc.returncode, "wall_s": wall_s,
+            "last_line": (proc.stdout.strip().splitlines() or [""])[-1]}
 
 
 def spread(values: list[float]) -> dict:
@@ -133,7 +151,11 @@ def main(argv: list[str] | None = None) -> int:
              if spec_path.is_file() else {})
     extra = json.loads(args.extra.read_text()) if args.extra else None
 
-    results, ok = {}, True
+    suite = {side: run_suite(tree) for side, tree in trees.items()}
+    ok = all(run["exit"] == 0 for run in suite.values())
+    print("tier-1 suite: " + ", ".join(f"{side} exit {run['exit']} in {run['wall_s']} s"
+                                       for side, run in suite.items()), file=sys.stderr, flush=True)
+    results = {}
     for workload in args.workload:
         for seed in args.seed:
             pairs = []
@@ -161,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine([p for r in results.values() for p in r["runs"]]),
         "parent": {"src_sha256": src_sha256(trees["parent"])},
         "change": {"src_sha256": src_sha256(trees["change"])},
+        "suite": {"command": "PYTHONPATH=src python -m pytest -q -p no:cacheprovider", **suite},
         "pairs_per_workload": args.pairs,
         "workloads": results,
     }

@@ -63,14 +63,19 @@ def test_regions_cover_expected_sectors():
     assert FlashDevice().layout is LAYOUT
 
 
+def test_sector_at_boundaries():
+    # The sector holding one byte is the one-byte range [address, address + 1);
+    # a byte past either end of the device lies in no sector.
+    layout = LAYOUT
+    for address, indices in ((0, [0]), (16 * KIB - 1, [0]), (16 * KIB, [1]),
+                             (512 * KIB - 1, [7]), (512 * KIB, []), (-1, [])):
+        assert [s.index for s in layout.sectors_overlapping(address, address + 1)] == indices
+
+
 def test_sectors_overlapping_partial_range():
     layout = LAYOUT
     touched = layout.sectors_overlapping(16 * KIB - 1, 16 * KIB + 1)
     assert [s.index for s in touched] == [0, 1]
-    # One-byte ranges at the sector boundaries and past either end of the device.
-    for address, indices in ((0, [0]), (16 * KIB - 1, [0]), (16 * KIB, [1]),
-                             (512 * KIB - 1, [7]), (512 * KIB, []), (-1, [])):
-        assert [s.index for s in layout.sectors_overlapping(address, address + 1)] == indices
 
 
 def test_region_contains():

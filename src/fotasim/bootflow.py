@@ -290,12 +290,14 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             staged = apply_delta(base, pkg)
         except DeltaError:
             return _nack(code, NACK_DELTA)
+
+        def count(sectors: int) -> None:  # counted even if a program then fails
+            ctx.sectors_erased += sectors
         try:
             ctx.ensure_flash_unlocked()
-            erased = program_delta(ctx.device, staged, pkg, ctx.now())
+            erased = program_delta(ctx.device, staged, pkg, ctx.now(), count)
         except (FlashError, ValueError):
             return _nack(code, NACK_FLASH)
-        ctx.sectors_erased += erased
         ctx.log("CommandServed", command="delta_apply", blocks=len(pkg.entries), sectors=erased)
         return _ack(code)
 

@@ -5,27 +5,28 @@ Transport wire format (all frames dlc <= 8, payload <= 65535 bytes):
     header frame:  A0 | len_lo len_hi | crc32 (4 bytes, little-endian) | 00
     body frame:    seq (mod 256, from 0) | up to 7 payload bytes
 
-The CRC in the header is CRC-32/MPEG-2 over the whole payload and is what
-receivers check after reassembly.  A queued message is one entry, and its
-frames are cut as they land (:func:`_frame`).  One bus step transmits one
-frame: of the queue heads, the entry with the lowest id wins arbitration,
-then the oldest entry, for every frame of that entry.  A frame that lands
-goes straight into each accepting receiver's reassembly (:func:`_take`),
-which queues what completes or breaks a message.  Fault injection corrupts
-or drops the frame under transmission, settled by one draw of the bus's
-seeded RNG per frame when a fault can happen and by none on a fault-free
-bus (both probabilities zero); a corrupted frame is signalled as an error
-frame and never reaches a receiver, and the sender retries it until its
-retransmit budget runs out; then the node counts a bus-off and skips the
-frame.  A stream is that step repeated for the winner's head entry, one
-frame per tick.
+The CRC in the header is CRC-32/MPEG-2 over the whole payload; a receiver
+checks it after reassembly, unless it assembled the very payload whose own
+header opened the assembly, which it then queues with no copy and no second
+CRC.  A queued message is one entry, and its frames are cut as they land
+(:func:`_frame`).  One bus step transmits one frame: of the queue heads, the
+entry with the lowest id wins arbitration, then the oldest entry, for every
+frame of that entry.  A frame that lands goes straight into each accepting
+receiver's reassembly (:func:`_take`), which queues what completes or breaks
+a message.  Fault injection corrupts or drops the frame under transmission,
+settled by one draw of the bus's seeded RNG per frame when a fault can
+happen and by none on a fault-free bus (both probabilities zero); a
+corrupted frame is signalled as an error frame and never reaches a receiver,
+and the sender retries it until its retransmit budget runs out; then the
+node counts a bus-off and skips the frame.  A stream is that step repeated
+for the winner's head entry, one frame per tick.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .integrity import crc32
@@ -117,14 +118,13 @@ class _TxEntry:
     attempts: int = 0  # retransmits of frame ``index`` so far
 
 
+@dataclass(slots=True, eq=False)
 class _Assembly:
-    __slots__ = ("expected", "crc", "buf", "seq")
-
-    def __init__(self, expected: int, crc: int):
-        self.expected = expected
-        self.crc = crc
-        self.buf = bytearray()
-        self.seq = 0
+    expected: int
+    crc: int
+    sent: bytes | None  # the payload of the queued message whose own header opened it
+    buf: bytearray = field(default_factory=bytearray)
+    seq: int = 0
 
 
 class Endpoint:
@@ -230,9 +230,10 @@ class Bus:
         before a frame that would complete or break a message on any
         receiver (``lands``: a step sends it).  Draws, statistics, trace
         rows, retransmits and bus-offs are exactly those of the same steps.
-        A lone frame lands through :meth:`_land`; the clean body frames of
-        one message before a fault go as one run, counted at once and
-        reaching each receiver as one payload slice.
+        A message's clean frames before a fault go as one run, counted at
+        once and reaching each receiver as one payload slice, led by its
+        header when no receiver has an assembly open on the id.  Any other
+        frame, and each frame that draws a fault, lands alone by :meth:`_land`.
         """
         sender = self._winner()
         if sender is None:
@@ -244,45 +245,52 @@ class Bus:
         faulty_below = self.config.corruption_probability + self.config.drop_probability
         sent = 0
         while sent < max_frames and entry.index < entry.count:
-            index = entry.index
-            run = min(entry.count - index, max_frames - sent)
+            first = index = entry.index
             states = [ep._assembly.get(can_id) for ep in receivers]
-            if index == 0 or None in states:  # lone: a header, a raw frame, or a fresh receiver
-                if not all(_is_quiet(state, _frame(entry, index)) for state in states):
+            header = index == 0 and entry.count > 1 and not any(states)  # a message's, opening
+            if index == 0 or None in states:  # a header, a raw frame, or a fresh receiver
+                if not header and not all(_is_quiet(state, _frame(entry, index)) for state in states):
                     return sent, True
-                self._land(sender, entry, random() if faulty_below else 1.0, now_us, receivers)
-                now_us += tick_us
-                sent += 1
-                continue
+                roll = random() if faulty_below else 1.0
+                if not header or roll < faulty_below:  # it lands alone
+                    self._land(sender, entry, roll, now_us, receivers)
+                    now_us += tick_us
+                    sent += 1
+                    continue
+                for ep in receivers:
+                    _take(ep, can_id, entry.head, entry.payload)
+                states = [ep._assembly[can_id] for ep in receivers]
+                index = 1  # the header leads the run
+            run = want = min(entry.count - index, max_frames - sent - (index - first))
             start = (index - 1) * BODY_CHUNK
             for state in states:
                 size = min(start + run * BODY_CHUNK, len(entry.payload)) - start
                 run = _quiet_run(state, (index - 1) & 0xFF, run, size)
-            if not run:
-                return sent, True
             # Frames before the first fault: one draw each, none on a fault-free bus.
             clean = 0 if faulty_below else run
             while clean < run and (roll := random()) >= faulty_below:
                 clean += 1
-            if clean:
+            if landed := index - first + clean:
                 end = min(start + clean * BODY_CHUNK, len(entry.payload))
-                stats.payload_bytes += clean + end - start
+                stats.payload_bytes += (index - first) * _HEADER.size + clean + end - start
                 for state in states:
                     state.buf += entry.payload[start:end]
                     state.seq += clean
-                stats.frames_sent += clean
-                stats.busy_time_us += clean * self.config.frame_time_us
-                stats.deliveries += clean * len(receivers)
+                stats.frames_sent += landed
+                stats.busy_time_us += landed * self.config.frame_time_us
+                stats.deliveries += landed * len(receivers)
                 if trace:
-                    for k in range(clean):
-                        self._trace(now_us + k * tick_us, can_id, _frame(entry, index + k), "data")
-                _pass(sender.tx, entry, clean)
-                now_us += clean * tick_us
-                sent += clean
+                    for k in range(landed):
+                        self._trace(now_us + k * tick_us, can_id, _frame(entry, first + k), "data")
+                _pass(sender.tx, entry, landed)
+                now_us += landed * tick_us
+                sent += landed
             if clean < run:  # the next frame drew a fault
                 self._land(sender, entry, roll, now_us, receivers)
                 now_us += tick_us
                 sent += 1
+            elif run < want:  # the next frame completes or breaks a message
+                return sent, True
         return sent, False
 
     def _receivers(self, sender: Endpoint, can_id: int) -> list[Endpoint]:
@@ -297,6 +305,7 @@ class Bus:
         it and feed it to each of ``receivers`` (:meth:`_receivers`, which
         the caller holds) with :func:`_take`; returns its data when it
         lands.  The one path of a frame that lands alone."""
+        sent = entry.payload if entry.index == 0 and entry.count > 1 else None  # its header
         data = _frame(entry, entry.index)
         dlc = len(data)
         stats = self.stats
@@ -318,7 +327,7 @@ class Bus:
                 self._trace(now_us, entry.can_id, data, "data")
             _pass(sender.tx, entry, 1)
             for ep in receivers:
-                _take(ep, entry.can_id, data)
+                _take(ep, entry.can_id, data, sent)
             stats.deliveries += len(receivers)
             return data
         budget = self.config.max_auto_retransmit
@@ -393,17 +402,19 @@ def _is_quiet(state: _Assembly | None, data: bytes) -> bool:
     return bool(data) and _quiet_run(state, data[0], 1, len(data) - 1) == 1
 
 
-def _take(endpoint: Endpoint, can_id: int, data: bytes) -> None:
-    """Feed one landed frame into the endpoint's reassembly on ``can_id``.
-    A frame that completes a message queues it on ``endpoint.rx``; one that
-    breaks a message queues the :class:`SequenceGap` (a body frame missing,
-    out of phase or without a header) or :class:`ChecksumMismatch` (a
-    payload that fails its CRC), and the partial payload is discarded."""
+def _take(endpoint: Endpoint, can_id: int, data: bytes, sent: bytes | None) -> None:
+    """Feed one landed frame into the endpoint's reassembly on ``can_id``;
+    ``sent`` is the queued payload when ``data`` is its header, else None.
+    A frame that completes a message queues it on ``endpoint.rx``, as
+    ``sent`` when it assembled those bytes; one that breaks a message queues
+    the :class:`SequenceGap` (a body frame missing, out of phase or without a
+    header) or :class:`ChecksumMismatch` (a payload that fails its CRC), and
+    the partial payload is discarded."""
     state = endpoint._assembly.get(can_id)
     if _is_quiet(state, data):
         if state is None:
             _, length, crc, _ = _HEADER.unpack(data)
-            endpoint._assembly[can_id] = _Assembly(length, crc)
+            endpoint._assembly[can_id] = _Assembly(length, crc, sent)
         else:
             state.buf += data[1:]
             state.seq += 1
@@ -414,11 +425,13 @@ def _take(endpoint: Endpoint, can_id: int, data: bytes) -> None:
         outcome = SequenceGap(f"expected seq {state.seq & 0xFF}, got {data[0] if data else None}")
     else:
         state.buf += data[1:]
-        payload = bytes(state.buf[: state.expected])
-        if len(state.buf) != state.expected or crc32(payload) != state.crc:
-            outcome = ChecksumMismatch(f"payload on id 0x{can_id:X} failed its checksum")
-        else:
+        whole = len(state.buf) == state.expected
+        if whole and state.buf == state.sent:
+            outcome = SegmentedMessage(can_id, state.sent)
+        elif whole and crc32(payload := bytes(state.buf)) == state.crc:
             outcome = SegmentedMessage(can_id, payload)
+        else:
+            outcome = ChecksumMismatch(f"payload on id 0x{can_id:X} failed its checksum")
     endpoint._assembly.pop(can_id, None)
     endpoint.rx.append(outcome)
 

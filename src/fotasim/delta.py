@@ -37,6 +37,7 @@ single walk over entries and tuples.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .flashmodel import APP_REGION, LAYOUT, FlashDevice
@@ -294,7 +295,7 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
 
 
 def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
-                  now_us: int = 0) -> int:
+                  now_us: int = 0, erased: Callable[[int], object] = lambda n: None) -> int:
     """Write the image :func:`apply_delta` staged into the application region.
 
     Erases the metadata sector first, so an interruption can never leave a
@@ -303,7 +304,8 @@ def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
     staged image.  The refreshed metadata record, :attr:`StagedImage.meta`,
     is programmed last: it is the commit point.
 
-    Returns the number of sectors erased because they held changed blocks;
+    Returns the number of sectors erased because they held changed blocks,
+    and hands it to ``erased`` once they are, before a program can fail;
     the metadata sector's refresh is part of every programming pass and is
     not counted.  Erase and program time is summed by the device
     (:attr:`~fotasim.flashmodel.FlashDevice.busy_total_us`).
@@ -325,6 +327,7 @@ def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
     erase_order = [meta_sector] + [s for _, s in sorted(changed.items()) if s.index != meta_sector.index]
     for sector in erase_order:
         device.erase_sectors(sector.index, 1, now_us)
+    erased(len(changed))
 
     image_end = start + len(staged)
     for sector in sorted(erase_order, key=lambda s: s.index):

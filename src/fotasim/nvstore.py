@@ -44,9 +44,10 @@ def fits(image_length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> bool:
     """Whether an image of ``image_length`` bytes, its CRC table cut in
     ``block_size`` blocks, fits the application region beside its record:
     it is not empty (:func:`read_app_metadata` refuses a zero count), it
-    leaves the record's slot free, and the record holds its table."""
-    return (1 <= image_length <= APP_CAPACITY
-            and block_count(image_length, block_size) <= MAX_TABLE_BLOCKS)
+    leaves the record's slot free, and the record holds its table.  A
+    ``block_size`` below 1 raises ValueError, whatever the length."""
+    return (block_count(image_length, block_size) <= MAX_TABLE_BLOCKS
+            and 1 <= image_length <= APP_CAPACITY)
 
 
 class BootFlag(IntEnum):

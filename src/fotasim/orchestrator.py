@@ -102,9 +102,9 @@ class CampaignReport:
 
 
 def _campaign(world: World, plan: CampaignPlan, report: CampaignReport,
-              shipped: AppMetadata | DeltaPackage):
-    """The master's side of a campaign that ships ``shipped``, as a generator
-    that yields its deadlines and fills in ``report``."""
+              shipped: AppMetadata | DeltaPackage | None):
+    """The master's side of a campaign that ships ``shipped`` (None: too large
+    to fit), as a generator that yields its deadlines and fills in ``report``."""
     bus = world.bus
     endpoint = world.nodes[MASTER_NODE].endpoint
     target = world.nodes[TARGET_NODE]
@@ -182,7 +182,7 @@ def _campaign(world: World, plan: CampaignPlan, report: CampaignReport,
         """The campaign's steps in order, each a generator that yields
         deadlines and returns None or the reason the campaign failed.  A
         step is made only once the one before it has succeeded."""
-        if not fits(len(plan.new_image), plan.block_size):
+        if shipped is None:
             yield refuse("image_too_large")
         mark = len(world.events)
         yield unlock(first=True)
@@ -226,11 +226,14 @@ def start_campaign(world: World, plan: CampaignPlan) -> Task:
     ``result`` is the campaign's report from the start and fills in as the
     campaign runs; ``cancel()`` abandons it mid-flight (the target is not
     told).  What the campaign ships is built here, so a plan that cannot
-    be built raises before any traffic."""
-    if plan.mode is CampaignMode.FULL:
-        if plan.block_size > MAX_FULL_BLOCK_SIZE:
-            raise ValueError(f"block_size {plan.block_size} exceeds {MAX_FULL_BLOCK_SIZE}: "
-                             "a full campaign's block rides in one MEM_WRITE")
+    be built raises before any traffic; an image that does not
+    :func:`~fotasim.nvstore.fits` is refused by the first step, unbuilt."""
+    if plan.mode is CampaignMode.FULL and plan.block_size > MAX_FULL_BLOCK_SIZE:
+        raise ValueError(f"block_size {plan.block_size} exceeds {MAX_FULL_BLOCK_SIZE}: "
+                         "a full campaign's block rides in one MEM_WRITE")
+    if plan.new_image and not fits(len(plan.new_image), plan.block_size):
+        shipped, new_image_crc = None, crc32(plan.new_image)
+    elif plan.mode is CampaignMode.FULL:
         shipped = AppMetadata.for_image(plan.new_image, plan.block_size)
         new_image_crc = shipped.image_crc
     else:

@@ -36,8 +36,10 @@ from fotasim.flashmodel import (
     DEFAULT_UNLOCK_KEYS,
     KIB,
     MASS_ERASE_APPLICATION,
+    LAYOUT,
     REGION_BOOTLOADER,
     FlashDevice,
+    FlashError,
 )
 from fotasim.integrity import BlockCrcTable, crc32
 from fotasim.nvstore import (
@@ -401,6 +403,35 @@ def test_delta_apply_of_a_table_past_the_record_is_flash_nack_before_staging():
     assert ctx.device.busy_total_us == busy
     assert ctx.sectors_erased == 0
     assert read_app_metadata(ctx.device) == AppMetadata.for_image(old)
+
+
+def test_a_delta_apply_whose_flash_fails_after_its_erases_counts_them(monkeypatch):
+    # Changed blocks in the first two 128 KiB application sectors.
+    old = Random(16).randbytes(200 * KIB)
+    new = bytearray(old)
+    new[1000] ^= 1
+    new[150 * KIB] ^= 1
+    ctx = make_ctx(old)
+    unlock_session(ctx)
+    blob = encode_package(build_delta(old, bytes(new)))
+    erased = []
+    erase = ctx.device.erase_sectors
+
+    def recorded(start, count=1, now_us=0):
+        erased.append(start)
+        return erase(start, count, now_us)
+
+    def failing(address, data, now_us=0):
+        raise FlashError("program failed")
+
+    monkeypatch.setattr(ctx.device, "erase_sectors", recorded)
+    monkeypatch.setattr(ctx.device, "program", failing)
+    reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
+    assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_FLASH])
+    (meta_sector,) = LAYOUT.sectors_overlapping(METADATA_OFFSET, METADATA_OFFSET + 1)
+    changed = [index for index in erased if index != meta_sector.index]
+    assert erased[0] == meta_sector.index and len(changed) == 2
+    assert ctx.sectors_erased == len(changed)  # the metadata refresh is not counted
 
 
 def test_unknown_command_is_silent():

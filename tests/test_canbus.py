@@ -5,7 +5,7 @@ import struct
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fotasim.canbus import (
@@ -24,6 +24,7 @@ from fotasim.canbus import (
     send_segmented,
     wait_for,
 )
+from conftest import crc32_bitwise
 from fotasim.integrity import crc32
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
 from fotasim.scenario import DEFAULT_SECRET, build_world, generate_image, mutate_blocks
@@ -604,6 +605,127 @@ def test_streams_replay_step_by_step_byte_for_byte(
     for side in (stepped, streamed):
         side.drain(side.endpoints)
     assert streamed.observed() == stepped.observed()
+
+
+_ORACLE_IDS = (0x100, 0x101)
+_ORACLE_OPS = st.one_of(
+    # A message, and perhaps a raw body frame queued right after it on its id, with the
+    # sequence byte and chunk length of its body frame ``back`` from the end: its own
+    # bytes, or others (it completes the message if that frame was lost to a fault).
+    st.tuples(st.just("message"), st.integers(0, 2), st.sampled_from(_ORACLE_IDS),
+              st.binary(min_size=1, max_size=30),
+              st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans(),
+                                    st.binary(min_size=7, max_size=7))),
+    st.tuples(st.just("frame"), st.integers(0, 2), st.sampled_from(_ORACLE_IDS), _RAW, st.none()),
+    st.tuples(st.just("drain"), st.integers(1, 40), st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+# The message's one body frame is lost to a fault; a raw frame with its sequence byte but
+# other bytes completes it, and must fail the CRC.
+@example(filtered=[False] * 3, corruption=0.25, drop=0.0, seed=7,
+         program=[("message", 0, 0x100, b"fotasim", (1, 0, False, b"FOTASIM"))])
+# A raw frame that looks like the header of an empty payload, and the body frame that
+# completes it: no queued payload stands behind that header, so its CRC decides.
+@example(filtered=[False] * 3, corruption=0.0, drop=0.0, seed=0,
+         program=[("frame", 0, 0x100, struct.pack("<BHIB", HEADER_MARKER, 0, 0, 0), None),
+                  ("frame", 1, 0x100, b"\x00", None)])
+@given(filtered=st.lists(st.booleans(), min_size=3, max_size=3),
+       corruption=st.sampled_from([0.0, 0.25]),
+       drop=st.sampled_from([0.0, 0.1]),
+       seed=st.integers(0, 2**32 - 1),
+       program=st.lists(_ORACLE_OPS, max_size=40))
+def test_receivers_match_an_independent_reassembly_of_the_landed_frames(
+        filtered, corruption, drop, seed, program):
+    """Random traffic (messages, raw frames that may look like headers, body
+    frames spliced in with a message's sequence byte, two senders on one id)
+    on a bus that skips every faulted frame, drained by ``step()`` alone or
+    by ``stream()`` plus the ``step()`` for the frame a stream says would
+    land.  Every frame that landed, read back from the trace's ``data`` rows
+    with the sender the test saw send it, is replayed through each other
+    endpoint's filters into a reassembly written here that always checks
+    the CRC (bit by bit); each endpoint's receive queue holds exactly the
+    outcomes, by type and payload, that this reassembly produces."""
+    bus = Bus(BusConfig(corruption_probability=corruption, drop_probability=drop,
+                        rng_seed=seed, max_auto_retransmit=0))
+    bus.trace_enabled = True
+    endpoints = [bus.attach(i + 1, ((0x7FF, _ORACLE_IDS[i % 2]),) if filtered[i] else ACCEPT_ALL)
+                 for i in range(3)]
+    landed = []  # (sender, can_id, data) for every frame that reached the receivers
+
+    def frames_left(ep):
+        return sum(entry.count - entry.index for entry in ep.tx)
+
+    def run(call):
+        before, rows = [frames_left(ep) for ep in endpoints], len(bus.trace)
+        result = call()
+        senders = [ep for ep, n in zip(endpoints, before) if frames_left(ep) < n]
+        new = [row for row in bus.trace[rows:] if row["kind"] == "data"]
+        assert len(senders) == 1 or not new
+        landed.extend((senders[0], row["id"], bytes.fromhex(row["data"])) for row in new)
+        return result
+
+    now = 0
+    for op in program + [("drain", 10**6, True)]:
+        kind, sender, can_id, data, splice = op if op[0] != "drain" else (*op[:1], 0, 0, op[1:], 0)
+        if kind == "message":
+            send_segmented(bus, endpoints[sender], can_id, data)
+            if splice is not None:
+                splicer, back, own, other = splice
+                index = max(0, -(-len(data) // 7) - 1 - back)
+                chunk = data[7 * index : 7 * index + 7]
+                body = bytes([index & 0xFF]) + (chunk if own else other[: len(chunk)])
+                bus.transmit(endpoints[splicer], CanFrame(can_id, body))
+        elif kind == "frame":
+            bus.transmit(endpoints[sender], CanFrame(can_id, data))
+        else:
+            ticks, streamed = data
+            while ticks and bus.pending():
+                if streamed:
+                    sent, lands = run(lambda: bus.stream(now, _TICK_US, ticks))
+                    if lands:
+                        run(lambda: bus.step(now + sent * _TICK_US))
+                        sent += 1
+                else:
+                    sent = 1
+                    run(lambda: bus.step(now))
+                now += sent * _TICK_US
+                ticks -= sent
+
+    expected = {ep.node_id: [] for ep in endpoints}
+    for ep in endpoints:
+        open_ = {}  # can_id -> [expected length, crc, buffer, next sequence byte]
+        for sender, can_id, data in landed:
+            if sender is ep or not any(can_id & mask == match for mask, match in ep.filters):
+                continue
+            state = open_.get(can_id)
+            if state is None:
+                if len(data) == 8 and data[0] == HEADER_MARKER:
+                    _, length, crc, _ = struct.unpack("<BHIB", data)
+                    open_[can_id] = [length, crc, b"", 0]
+                else:
+                    expected[ep.node_id].append("SequenceGap")
+                continue
+            length, crc, buf, seq = state
+            if not data or data[0] != seq:
+                expected[ep.node_id].append("SequenceGap")
+                del open_[can_id]
+                continue
+            state[2], state[3] = buf + data[1:], (seq + 1) & 0xFF
+            if len(state[2]) >= length:
+                whole = len(state[2]) == length and crc32_bitwise(state[2]) == crc
+                expected[ep.node_id].append((can_id, state[2]) if whole else "ChecksumMismatch")
+                del open_[can_id]
+    for ep in endpoints:
+        outcomes = []
+        while ep.rx:
+            try:
+                msg = recv_segmented(ep)
+            except CanError as exc:
+                outcomes.append(type(exc).__name__)
+            else:
+                outcomes.append((msg.can_id, msg.payload))
+        assert outcomes == expected[ep.node_id]
 
 
 def test_wait_for_returns_the_first_poll_result_or_none_at_its_deadline():

@@ -189,6 +189,13 @@ def test_an_image_fits_when_it_is_not_empty_and_region_and_record_hold_it(length
                                         and record_encodes(length, block_count(length, block_size)))
 
 
+@pytest.mark.parametrize("length", [0, 1, APP_CAPACITY + 1])
+def test_a_block_size_below_one_is_refused_whatever_the_length(length):
+    # So a campaign plan with such a block size raises, even for an image too large to build.
+    with pytest.raises(ValueError):
+        fits(length, 0)
+
+
 def test_provisioning_refuses_an_empty_image_before_it_touches_the_device():
     device = FlashDevice()
     provision_application(device, b"\x37" * 5000)

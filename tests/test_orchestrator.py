@@ -7,7 +7,7 @@ import pytest
 from fotasim import simruntime
 from fotasim.bootflow import ACK, MEM_WRITE_HEADER, NACK, NACK_FLASH, BootloaderCommand
 from fotasim.canbus import BusConfig
-from fotasim.integrity import EmptyImage
+from fotasim.integrity import EmptyImage, crc32
 from fotasim.nvstore import METADATA_OFFSET
 from fotasim.orchestrator import (
     MASTER_NODE,
@@ -125,6 +125,19 @@ def test_image_exceeding_the_metadata_table_fails_early():
     plan = plan_for(CampaignMode.FULL, old, generate_image(300 * KIB, seed=2))
     report = run_campaign(world, plan)
     assert (report.outcome, report.reason) == ("failed", "image_too_large")
+    assert report.frames_sent == 0
+
+
+@pytest.mark.parametrize("mode", [CampaignMode.FULL, CampaignMode.DELTA])
+@pytest.mark.parametrize("block_size", [256, 1])
+def test_an_image_that_does_not_fit_fails_its_first_step_whatever_its_block_size(mode,
+                                                                               block_size):
+    # 70 KiB needs 280 blocks of 256 bytes, or 71,680 of one byte; the record holds 250.
+    old, new = generate_image(8 * KIB, seed=1), generate_image(70 * KIB, seed=2)
+    world, _, _ = build_world(old_image=old, seed=1)
+    report = run_campaign(world, plan_for(mode, old, new, block_size=block_size))
+    assert (report.outcome, report.reason) == ("failed", "image_too_large")
+    assert report.new_image_crc == crc32(new)
     assert report.frames_sent == 0
 
 

@@ -18,10 +18,15 @@ relative to the tree (``src/fotasim/...``), a NUL byte and its bytes, in
 sorted path order.  ``--extra FILE`` adds a JSON value under ``"extra"``.
 Before the pairs it runs each tree's tier-1 suite once, ``python -m pytest
 -q -p no:cacheprovider`` with ``src`` first on ``PYTHONPATH``, and records
-its exit status, wall time and last output line under ``"suite"``.
+its exit status, wall time and last output line under ``"suite"``.  Per
+workload and seed it also runs each tree once with ``--seconds 0 --trace
+1``, records both runs' metrics under ``"traced"``, and prints every count
+row (units ``count/op``, ``B/op`` and ``us/op``) whose value differs
+between the trees.
 
-Exits 1 when any run or either suite exits non-zero, or a run prints no
-result or reports ``correct: false``; the file is written either way.
+Exits 1 when any run (traced ones too) or either suite exits non-zero, or
+a run prints no result or reports ``correct: false``; the file is written
+either way.
 Standard library only.
 """
 
@@ -39,6 +44,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+COUNT_UNITS = ("count/op", "B/op", "us/op")
 
 
 def src_sha256(tree: Path) -> str:
@@ -48,11 +54,11 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark process in ``tree``: its exit status, wall time and
     last two JSON lines, or its stderr tail when it printed none."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
     start = time.perf_counter()
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     run = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 3)}
@@ -75,6 +81,26 @@ def run_suite(tree: Path) -> dict:
     wall_s = round(time.perf_counter() - start, 3)
     return {"exit": proc.returncode, "wall_s": wall_s,
             "last_line": (proc.stdout.strip().splitlines() or [""])[-1]}
+
+
+def traced(trees: dict[str, Path], workload: str, seed: int) -> dict:
+    """One ``--seconds 0 --trace 1`` run per tree: each side's exit status,
+    correctness and metrics, and the count rows whose values differ."""
+    out, metrics = {}, {}
+    for side, tree in trees.items():
+        run = run_once(tree, workload, seed, 0, trace=1)
+        summary = run.get("summary", {})
+        metrics[side] = summary.get("metrics", {})
+        out[side] = {"exit": run["exit"], "correct": summary.get("correct"),
+                     "metrics": metrics[side]}
+        if "stderr_tail" in run:
+            out[side]["stderr_tail"] = run["stderr_tail"]
+    out["count_rows_differ"] = {
+        name: {side: metrics[side].get(name, {}).get("value") for side in SIDES}
+        for name in sorted(set(metrics["parent"]) | set(metrics["change"]))
+        if any(metrics[side].get(name, {}).get("unit") in COUNT_UNITS for side in SIDES)
+        and metrics["parent"].get(name) != metrics["change"].get(name)}
+    return out
 
 
 def spread(values: list[float]) -> dict:
@@ -158,6 +184,13 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     for workload in args.workload:
         for seed in args.seed:
+            trace = traced(trees, workload, seed)
+            ok &= all(trace[side]["exit"] == 0 and trace[side]["correct"] is True
+                      for side in SIDES)
+            differ = trace["count_rows_differ"]
+            print(f"{workload} seed {seed} traced: " + ("; ".join(
+                f"{name} {row['parent']} -> {row['change']}" for name, row in differ.items())
+                or "every count row matches"), file=sys.stderr, flush=True)
             pairs = []
             for number in range(1, args.pairs + 1):
                 order = SIDES if number % 2 else SIDES[::-1]
@@ -172,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
                     for name, metric in pair[side].get("summary", {}).get("metrics", {}).items()),
                     file=sys.stderr, flush=True)
             results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed,
-                                                 **summarise(pairs, gates), "runs": pairs}
+                                                 **summarise(pairs, gates), "runs": pairs,
+                                                 "traced": trace}
 
     report = {
         "what": "End-to-end rows of perfbench/run.py on two source trees, in alternating pairs "

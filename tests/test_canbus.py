@@ -667,19 +667,8 @@ def test_receivers_match_an_independent_reassembly_of_the_landed_frames(
 
     now = 0
     for op in program + [("drain", 10**6, True)]:
-        kind, sender, can_id, data, splice = op if op[0] != "drain" else (*op[:1], 0, 0, op[1:], 0)
-        if kind == "message":
-            send_segmented(bus, endpoints[sender], can_id, data)
-            if splice is not None:
-                splicer, back, own, other = splice
-                index = max(0, -(-len(data) // 7) - 1 - back)
-                chunk = data[7 * index : 7 * index + 7]
-                body = bytes([index & 0xFF]) + (chunk if own else other[: len(chunk)])
-                bus.transmit(endpoints[splicer], CanFrame(can_id, body))
-        elif kind == "frame":
-            bus.transmit(endpoints[sender], CanFrame(can_id, data))
-        else:
-            ticks, streamed = data
+        if op[0] == "drain":
+            _, ticks, streamed = op
             while ticks and bus.pending():
                 if streamed:
                     sent, lands = run(lambda: bus.stream(now, _TICK_US, ticks))
@@ -691,6 +680,18 @@ def test_receivers_match_an_independent_reassembly_of_the_landed_frames(
                     run(lambda: bus.step(now))
                 now += sent * _TICK_US
                 ticks -= sent
+            continue
+        kind, sender, can_id, data, splice = op
+        if kind == "frame":
+            bus.transmit(endpoints[sender], CanFrame(can_id, data))
+            continue
+        send_segmented(bus, endpoints[sender], can_id, data)
+        if splice is not None:
+            splicer, back, own, other = splice
+            index = max(0, -(-len(data) // 7) - 1 - back)
+            chunk = data[7 * index : 7 * index + 7]
+            body = bytes([index & 0xFF]) + (chunk if own else other[: len(chunk)])
+            bus.transmit(endpoints[splicer], CanFrame(can_id, body))
 
     expected = {ep.node_id: [] for ep in endpoints}
     for ep in endpoints:

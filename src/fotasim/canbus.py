@@ -98,6 +98,13 @@ class BusConfig:
     max_auto_retransmit: int | None = 3
 
     def __post_init__(self) -> None:
+        if not (type(self.frame_time_us) is int and self.frame_time_us >= 1):
+            raise ValueError(f"frame_time_us must be an integer of at least 1, "
+                             f"got {self.frame_time_us!r}")
+        budget = self.max_auto_retransmit
+        if not (budget is None or type(budget) is int and budget >= 0):
+            raise ValueError(f"max_auto_retransmit must be an integer of at least 0, or None "
+                             f"for no budget, got {budget!r}")
         # One roll decides both faults, so their probabilities share [0, 1].
         corrupt, drop = self.corruption_probability, self.drop_probability
         if not (corrupt >= 0 and drop >= 0 and corrupt + drop <= 1):  # NaN fails each test

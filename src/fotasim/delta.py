@@ -254,9 +254,10 @@ def decode_package(blob: bytes) -> DeltaPackage:
     return DeltaPackage(block_size, new_length, new_crc, tuple(entries))
 
 
-class StagedImage(bytes):
+class StagedImage(bytearray):
     """A staged image that passed its package's checks, holding the image
-    CRC and block CRCs those checks read."""
+    CRC and block CRCs those checks read.  It is the buffer the package was
+    applied in, not a copy of it."""
 
     image_crc: int
     block_crcs: tuple[int, ...]
@@ -277,13 +278,12 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
     whole-image CRC.  The staged image keeps the CRCs it passed with."""
     n = pkg.new_image_length
     size = pkg.block_size
-    stage = bytearray(base[:n])
-    stage += b"\xff" * (n - len(stage))  # empty unless base is short
+    staged = StagedImage(memoryview(base)[:n])
+    staged += b"\xff" * (n - len(staged))  # empty unless base is short
     for entry in pkg.entries:
         lo = entry.block_index * size
         for offset, data in entry.tuples:
-            stage[lo + offset : lo + offset + len(data)] = data
-    staged = StagedImage(stage)
+            staged[lo + offset : lo + offset + len(data)] = data
     image_crc, block_crcs = image_crcs(staged, size)
     for entry in pkg.entries:
         if block_crcs[entry.block_index] != entry.new_block_crc:

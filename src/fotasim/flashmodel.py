@@ -44,6 +44,9 @@ MASS_ERASE_APPLICATION = 0xFF
 
 ERASED_BYTE = 0xFF
 
+# One erased sector of each size, which every erase copies from.
+_ERASED = {size: bytes([ERASED_BYTE]) * size for size in ERASE_US}
+
 
 def program_cost(length: int) -> int:
     """Programming ``length`` bytes costs ceil(length / 4) words."""
@@ -207,7 +210,7 @@ class FlashDevice:
             sectors = LAYOUT.sectors[start_sector : start_sector + count]
         duration = 0
         for s in sectors:
-            self.cells[s.start : s.end] = bytes([ERASED_BYTE]) * s.size
+            self.cells[s.start : s.end] = _ERASED[s.size]
             duration += ERASE_US[s.size]
         self._occupy(now_us, duration)
         return duration
@@ -227,12 +230,12 @@ class FlashDevice:
             raise AddressOutOfRange(
                 f"program of {n} bytes at 0x{address:06X} leaves the device"
             )
-        window = self.cells[address : address + n]
-        if window.count(ERASED_BYTE) != n:
-            for i, b in enumerate(window):
-                if b != ERASED_BYTE:
-                    raise ProgramOnNonErased(address + i)
-        self.cells[address : address + n] = data
+        cells = self.cells
+        if cells.count(ERASED_BYTE, address, address + n) != n:
+            for i in range(address, address + n):
+                if cells[i] != ERASED_BYTE:
+                    raise ProgramOnNonErased(i)
+        cells[address : address + n] = data
         duration = program_cost(n)
         self._occupy(now_us, duration)
         return duration

@@ -61,9 +61,9 @@ def crc32(data: bytes) -> int:
 
 def reflect(data: bytes) -> bytes:
     """``data`` with the bits of every byte reversed, the input form that
-    :func:`reflected_crc32` reads.  Bytes, a subclass too, are read in
-    place; other buffers are copied to bytes first."""
-    if not isinstance(data, bytes):
+    :func:`reflected_crc32` reads.  Bytes and bytearrays, subclasses too,
+    are read in place; other buffers are copied to bytes first."""
+    if not isinstance(data, (bytes, bytearray)):
         data = bytes(data)
     return data.translate(_BITREV_BYTES)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
@@ -246,8 +247,9 @@ def start_campaign(world: World, plan: CampaignPlan) -> Task:
         old_image_length=len(plan.old_image),
         new_image_length=len(plan.new_image),
     )
+    # The campaign reaches its world weakly: the world holds its task.
     task = Task.from_generator("campaign", TaskPriority.COMM,
-                               _campaign(world, plan, report, shipped))
+                               _campaign(weakref.proxy(world), plan, report, shipped))
     task.result = report
     world.nodes[MASTER_NODE].add_task(task)
     return task

@@ -217,8 +217,6 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
     """Build a runnable world plus its campaign plan from a scenario dict."""
     bus_spec, campaign = _section(spec, "bus"), _section(spec, "campaign")
     retransmit = bus_spec.get("max_auto_retransmit", BusConfig.max_auto_retransmit)
-    if retransmit is not None and not (type(retransmit) is int and retransmit >= 0):
-        raise ScenarioError("bus.max_auto_retransmit must be a non-negative integer or null")
     seed = _count(spec, "seed", 0) if seed_override is None else seed_override
     frame_time_us = _count(bus_spec, "frame_time_us", BusConfig.frame_time_us, "bus.")
     block_size = _count(campaign, "block_size", DEFAULT_BLOCK_SIZE, "campaign.")
@@ -228,14 +226,16 @@ def world_from_scenario(spec: dict, seed_override: int | None = None
         raise ScenarioError("campaign.block_size must be positive, gap_merge and retry_budget >= 0")
     corrupt, drop = (bus_spec.get(k, 0.0) for k in ("corruption_probability", "drop_probability"))
     try:
-        if frame_time_us < 1 or not all(type(p) in (int, float) for p in (corrupt, drop)):
-            raise ValueError
-        # BusConfig checks the probabilities' range.
+        if not all(type(p) in (int, float) for p in (corrupt, drop)):
+            raise ValueError(f"corruption and drop probabilities {corrupt!r} and {drop!r} "
+                             "must be JSON numbers")
+        # BusConfig checks the frame time, the budget and the probabilities' range.
         config = BusConfig(frame_time_us, float(corrupt), float(drop), seed, retransmit)
-    except (OverflowError, ValueError):  # OverflowError: an integer too large for a float
-        raise ScenarioError("bus.frame_time_us must be at least 1, and the corruption and drop "
-                            "probabilities JSON numbers, not negative, summing to at most 1"
+    except OverflowError:  # an integer too large for a float
+        raise ScenarioError("bus: corruption and drop probabilities must sum to at most 1"
                             ) from None
+    except ValueError as exc:
+        raise ScenarioError(f"bus: {exc}") from None
     mode_raw = campaign.get("mode", "delta")
     try:
         mode = CampaignMode(mode_raw)

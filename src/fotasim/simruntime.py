@@ -27,13 +27,21 @@ decide, then serve as application, bootloader or updater until the next
 reset.  An updater that holds an embedded image installs it as the
 bootloader at once; one that holds none serves host commands.  A software
 reset preserves backup registers; a power cycle clears them.  A host (the
-update master) is an endpoint and the tasks installed on it, nothing more.
+update master) is an endpoint and the tasks installed on it, nothing more;
+it has nothing to reset.
+
+No reference cycle runs through a world.  An ECU holds its world, and its
+callbacks hold the ECU, through :func:`weakref.proxy`, and a generator
+task's step holds its task the same way, so a dropped world frees at once,
+flash included, without waiting for the cyclic collector.  An ECU used
+after its world is gone raises :class:`ReferenceError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
@@ -86,13 +94,14 @@ class Task:
     @classmethod
     def from_generator(cls, name: str, priority: TaskPriority, gen) -> "Task":
         task = cls(name, priority, lambda: None)
+        this = weakref.proxy(task)  # a step that held the task would make a cycle
 
         def advance() -> None:
             try:
-                task.wake_us = next(gen)
+                this.wake_us = next(gen)
             except StopIteration as stop:
-                task.result = stop.value
-                task.done = True
+                this.result = stop.value
+                this.done = True
 
         task.step = advance
         return task
@@ -141,7 +150,7 @@ class Node:
         if role == "host":
             return
 
-        self.world = world
+        self.world = world = weakref.proxy(world)  # no cycle (see the module docstring)
         self.reply_id = reply_id
         self.device = FlashDevice()
         self.regs = BackupRegisters()
@@ -150,14 +159,15 @@ class Node:
         self.mode = NodeMode.BOOT
         self.pending_reset = False
         self.boot_count = 0
+        node = weakref.proxy(self)
         self.ctx = EcuContext(
             device=self.device,
             regs=self.regs,
             session=self.session,
             updater_image=updater_image,
-            now=lambda: self.world.clock_us,
-            log=lambda event, **detail: self.world.log(self.name, event, **detail),
-            request_reset=self._request_reset,
+            now=lambda: world.clock_us,
+            log=lambda event, **detail: world.log(name, event, **detail),
+            request_reset=lambda: setattr(node, "pending_reset", True),
             fault_hook=fault_hook,
         )
         # Steering loop state, live while the node runs as an application.
@@ -173,9 +183,6 @@ class Node:
     def busy_until_us(self) -> int:
         """When the node's flash device leaves its busy window."""
         return self.device.busy_until_us
-
-    def _request_reset(self) -> None:
-        self.pending_reset = True
 
     def _reset(self, kind: str) -> None:
         # Backup registers survive on purpose; everything volatile goes.
@@ -432,12 +439,18 @@ class World:
 
     # -- resets ----------------------------------------------------------------
 
+    def _ecu(self, name: str) -> Node:
+        node = self.nodes[name]
+        if node.role != "ecu":
+            raise ValueError(f"node {name!r} is a host: a host has nothing to reset")
+        return node
+
     def software_reset(self, name: str) -> None:
         """Out-of-band reset: volatile state goes, backup registers stay."""
-        self.nodes[name]._reset("software")
+        self._ecu(name)._reset("software")
 
     def power_cycle(self, name: str) -> None:
-        node = self.nodes[name]
+        node = self._ecu(name)
         node.regs.clear()
         node.device.busy_until_us = 0
         node._reset("power")

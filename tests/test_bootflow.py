@@ -5,6 +5,8 @@ import tracemalloc
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fotasim import bootflow, delta, integrity
 from fotasim.bootflow import (
@@ -27,11 +29,14 @@ from fotasim.bootflow import (
     app_serve,
     boot_decide,
     bootloader_serve,
+    mem_write_request,
     updater_serve,
     updater_silent,
 )
 from fotasim.delta import MAGIC, build_delta, encode_package
 from fotasim.flashmodel import (
+    APP_REGION,
+    BOOTLOADER_REGION,
     BOOTLOADER_SECTORS,
     DEFAULT_UNLOCK_KEYS,
     KIB,
@@ -50,6 +55,7 @@ from fotasim.nvstore import (
     AppMetadata,
     BackupRegisters,
     BootFlag,
+    MalformedMetadata,
     read_app_metadata,
     write_app_metadata,
 )
@@ -453,6 +459,108 @@ def test_bootloader_fuzz_never_mutates_boot_manager():
         payload = rng.randbytes(rng.randint(0, 40))
         bootloader_serve(ctx, payload)
         assert ctx.device.read(0, 64 * KIB)[0] == boot_region
+
+
+# The command contract: a refusal (a NACK, a negative security response or
+# silence) leaves the flash as it was.
+
+CONTRACT_IMAGE = Random(31).randbytes(6 * KIB)
+CONTRACT_PACKAGES = [  # each encoded against CONTRACT_IMAGE unless it says otherwise
+    encode_package(build_delta(CONTRACT_IMAGE, new, block_size))
+    for new, block_size in (
+        (CONTRACT_IMAGE[:2048] + Random(32).randbytes(512) + CONTRACT_IMAGE[2560:], 1024),
+        (CONTRACT_IMAGE + Random(33).randbytes(2 * KIB), 256),  # grows
+        (CONTRACT_IMAGE[: 3 * KIB], 1024),  # shrinks
+    )
+] + [encode_package(build_delta(Random(34).randbytes(6 * KIB), CONTRACT_IMAGE[:4096], 512))]
+KNOWN_CODES = {0x27, *BootloaderCommand}
+
+
+class WatchedDevice(FlashDevice):
+    """A flash device that counts its erases, so the one refusal allowed to
+    change flash (a flash fault after the first erase) can be told apart."""
+
+    erases = 0
+
+    def erase_sectors(self, start_sector, count=1, now_us=0):
+        duration = super().erase_sectors(start_sector, count, now_us)
+        self.erases += 1
+        return duration
+
+
+def _mem_write_payloads():
+    address = st.one_of(
+        st.integers(APP_REGION.start - 64, APP_REGION.start + 8 * KIB),
+        st.sampled_from([0, BOOTLOADER_REGION.start, METADATA_OFFSET - 8, APP_REGION.end - 16,
+                         LAYOUT.size - 4]),
+        st.integers(0, 0xFFFFFFFF))
+
+    def request(address, length, fill):
+        offset = address - APP_REGION.start
+        data = (CONTRACT_IMAGE[offset : offset + length] if fill is None and offset >= 0
+                else bytes([fill or 0]) * length)  # None: the bytes already there, if any
+        return mem_write_request(address, data)
+    return st.builds(request, address, st.integers(0, 64),
+                     st.one_of(st.none(), st.integers(0, 255)))
+
+
+WELL_FORMED_COMMANDS = st.one_of(
+    _mem_write_payloads(),
+    st.tuples(st.sampled_from([*range(10), MASS_ERASE_APPLICATION]), st.integers(0, 9)).map(
+        lambda erase: bytes([BootloaderCommand.FLASH_ERASE, *erase])),
+    st.sampled_from(CONTRACT_PACKAGES).map(
+        lambda blob: bytes([BootloaderCommand.DELTA_APPLY]) + blob),
+    st.binary(min_size=2, max_size=2).map(lambda regs: bytes([BootloaderCommand.GO_TO_ADDR]) + regs),
+    st.binary(max_size=20).map(lambda tail: b"\x27" + tail),
+)
+
+
+@st.composite
+def mangled_commands(draw):
+    payload = bytearray(draw(WELL_FORMED_COMMANDS))
+    how = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if how == "flip":
+        payload[draw(st.integers(0, len(payload) - 1))] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    else:
+        payload += draw(st.binary(min_size=1, max_size=8))
+    return bytes(payload)
+
+
+COMMANDS = st.one_of(
+    WELL_FORMED_COMMANDS,
+    mangled_commands(),
+    st.tuples(st.integers(0, 255).filter(lambda code: code not in KNOWN_CODES),
+              st.binary(max_size=16)).map(lambda unknown: bytes([unknown[0]]) + unknown[1]),
+)
+
+
+def _flash_state(ctx):
+    try:
+        record = read_app_metadata(ctx.device)
+    except MalformedMetadata:
+        record = None
+    return bytes(ctx.device.cells), record, ctx.device.busy_total_us, ctx.sectors_erased
+
+
+@given(unlocked=st.booleans(), payloads=st.lists(COMMANDS, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_a_refused_command_leaves_the_flash_as_it_was(unlocked, payloads):
+    ctx = make_ctx()
+    ctx.device = WatchedDevice()
+    provision_application(ctx.device, CONTRACT_IMAGE)
+    if unlocked:
+        unlock_session(ctx)
+    for payload in payloads:
+        before = _flash_state(ctx)
+        ctx.device.erases = 0
+        reply = bootloader_serve(ctx, payload)
+        if reply is not None and reply[0] not in (NACK, 0x7F):  # 0x7F: a negative response
+            continue
+        if reply is not None and reply[2:] == bytes([NACK_FLASH]) and ctx.device.erases:
+            continue  # a flash fault after the first erase
+        assert _flash_state(ctx) == before, (payload.hex(), reply)
 
 
 # -- application server ------------------------------------------------------------

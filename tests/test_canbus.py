@@ -279,6 +279,22 @@ def test_bus_config_refuses_fault_probabilities_one_roll_cannot_hold(corruption,
         BusConfig(corruption_probability=corruption, drop_probability=drop)
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("frame_time_us", -500), ("frame_time_us", 0), ("frame_time_us", 1500.5),
+    ("frame_time_us", True), ("frame_time_us", "500"),
+    ("max_auto_retransmit", -1), ("max_auto_retransmit", 1.5), ("max_auto_retransmit", "x"),
+    ("max_auto_retransmit", False)])
+def test_bus_config_refuses_a_frame_time_or_budget_a_bus_cannot_run(setting, value):
+    # A negative frame time made durations negative; a fractional one made them floats.
+    with pytest.raises(ValueError, match=setting):
+        BusConfig(**{setting: value})
+
+
+def test_bus_config_takes_the_least_frame_time_and_budget_and_no_budget():
+    assert BusConfig(frame_time_us=1, max_auto_retransmit=0).frame_time_us == 1
+    assert BusConfig(max_auto_retransmit=None).max_auto_retransmit is None
+
+
 def test_a_fault_free_bus_never_draws():
     """With both fault probabilities zero no frame can fault, so no step,
     no lone frame of a stream and no clean run of one draws from the bus's

@@ -1,24 +1,30 @@
 """World scheduler: tick clock, task ordering, boot dispatch, resets, logs."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
+import types
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fotasim
+from fotasim import orchestrator
 from fotasim.bootflow import ACK, NACK, NACK_REGION, BootloaderCommand, UpdaterCommand
 from fotasim.canbus import BusConfig, CanFrame, recv_segmented, send_segmented, wait_for
 from fotasim.flashmodel import DEFAULT_UNLOCK_KEYS
 from fotasim.lka import (MOTOR_LEFT, MOTOR_RIGHT, PARAM_OFFSET, NonFiniteInput, PidGains,
                          pack_image)
 from fotasim.nvstore import APP_ENTER_REG, UPDATER_ENTER_REG, BootFlag
-from fotasim.orchestrator import (DEFAULT_REQUEST_ID, CampaignMode, CampaignPlan, run_campaign,
-                                  start_campaign)
+from fotasim.orchestrator import (DEFAULT_REQUEST_ID, TARGET_NODE, CampaignMode, CampaignPlan,
+                                  run_campaign, start_campaign)
 from fotasim.scenario import (DEFAULT_SECRET, build_world, generate_image, mutate_blocks,
                               provision_application, world_from_scenario)
 from fotasim.simruntime import (
@@ -30,6 +36,7 @@ from fotasim.simruntime import (
     TaskPriority,
     World,
 )
+from test_golden import updater_rollback
 
 KIB = 1024
 
@@ -359,6 +366,116 @@ def test_power_cycle_clears_backup_registers_and_busy_time():
     assert node.regs.read(5) == 0
     assert node.device.busy_until_us == 0
     assert node.mode is NodeMode.BOOT
+
+
+@pytest.mark.parametrize("reset", ["software_reset", "power_cycle"])
+def test_resetting_a_host_names_the_node(reset):
+    world, _ = host_world()
+    with pytest.raises(ValueError, match="'box' is a host: a host has nothing to reset"):
+        getattr(world, reset)("box")
+
+
+# -- memory: a dropped world frees at once ------------------------------------
+
+
+def _lossy_campaign(mode):
+    old = generate_image(16 * KIB, seed=41, gains=PidGains())
+    bus = BusConfig(corruption_probability=0.05, rng_seed=41)
+    world, _, _ = build_world(old_image=old, seed=41, bus=bus)
+    report = run_campaign(world, CampaignPlan(mode=mode, old_image=old,
+                                              new_image=mutate_blocks(old, 3, seed=42),
+                                              shared_secret=DEFAULT_SECRET))
+    assert report.success and world.bus.stats.corrupted
+    return world
+
+
+def _steering_soak():
+    old = generate_image(16 * KIB, seed=43, gains=PidGains())
+    world, _, _ = build_world(old_image=old, seed=43, deviation_lines=itertools.repeat("0.10\n"))
+    run_campaign(world, CampaignPlan(mode=CampaignMode.FULL, old_image=old,
+                                     new_image=mutate_blocks(old, 2, seed=44),
+                                     shared_secret=DEFAULT_SECRET))
+    world.run_ticks(500)
+    assert world.nodes[TARGET_NODE].steering.position > 0
+    return world
+
+
+def _campaign_in_flight():
+    old = generate_image(16 * KIB, seed=46, gains=PidGains())
+    world, _, _ = build_world(old_image=old, seed=46)
+    task = orchestrator.start_campaign(world, CampaignPlan(
+        mode=CampaignMode.DELTA, old_image=old, new_image=mutate_blocks(old, 3, seed=47),
+        shared_secret=DEFAULT_SECRET))
+    world.run_ticks(50)
+    assert not task.done
+    return world
+
+
+def _power_cycle():
+    world, _, _ = build_world(old_image=generate_image(4 * KIB, seed=45), seed=45)
+    world.run_ticks(20)
+    world.power_cycle(TARGET_NODE)
+    world.run_ticks(20)
+    return world
+
+
+def _updater_rollback():
+    return updater_rollback()[0]
+
+
+def _of_fotasim(obj) -> bool:
+    if isinstance(obj, types.FunctionType):
+        return obj.__module__.startswith("fotasim")
+    if isinstance(obj, (types.GeneratorType, types.FrameType)):
+        code = obj.gi_code if isinstance(obj, types.GeneratorType) else obj.f_code
+        return os.path.dirname(code.co_filename) == os.path.dirname(fotasim.__file__)
+    return type(obj).__module__.startswith("fotasim")
+
+
+@pytest.mark.parametrize("scenario, campaigns", [
+    (lambda: _lossy_campaign(CampaignMode.FULL), 1),
+    (lambda: _lossy_campaign(CampaignMode.DELTA), 1),
+    (_steering_soak, 1),
+    (_campaign_in_flight, 1),
+    (_power_cycle, 0),
+    (_updater_rollback, 1),
+], ids=["full-lossy", "delta-lossy", "steering-soak", "campaign-in-flight", "power-cycle",
+        "updater-rollback"])
+def test_a_dropped_world_frees_at_once(scenario, campaigns, monkeypatch):
+    """No reference cycle runs through a world: with the cyclic collector
+    off, dropping the world frees it, its nodes, the target's flash and the
+    campaign's task, done or not, and a collection then finds no fotasim
+    object."""
+    tasks = []
+
+    def start(world, plan):
+        task = start_campaign(world, plan)
+        tasks.append(weakref.ref(task))
+        return task
+
+    monkeypatch.setattr(orchestrator, "start_campaign", start)
+    gc.collect()
+    gc.disable()
+    try:
+        world = scenario()
+        assert len(tasks) == campaigns
+        refs = [weakref.ref(world), *map(weakref.ref, world.nodes.values()),
+                weakref.ref(world.nodes[TARGET_NODE].device), *tasks]
+        del world
+        assert [ref() for ref in refs] == [None] * len(refs)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert [type(obj) for obj in gc.garbage if _of_fotasim(obj)] == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_an_ecu_used_after_its_world_is_gone_says_so():
+    node = World().add_node("ecu", 2)
+    with pytest.raises(ReferenceError):
+        node.run_tick()
 
 
 # -- flash stalls ----------------------------------------------------------

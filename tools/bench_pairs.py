@@ -12,10 +12,11 @@ first, even pairs the change first.  The file records both JSON lines each
 run prints last ('details' and 'summary'), and per workload and seed each
 side's median, quartiles (``statistics.quantiles``, inclusive), range and
 run count of every gated metric, how many pairs the change won (ties count
-for neither side), the digests and fail shares, the machine, and each
-tree's ``src_sha256``: the SHA-256 over each ``src/**/*.py`` file's path
-relative to the tree (``src/fotasim/...``), a NUL byte and its bytes, in
-sorted path order.  ``--extra FILE`` adds a JSON value under ``"extra"``.
+for neither side), the same spread of the ungated ``peak_rss_setup_mb``
+(the peak once set-up is done, from the 'details' line; also printed), the
+digests and fail shares, the machine, and each tree's ``src_sha256``: the
+SHA-256 over each ``src/**/*.py`` file's path relative to the tree
+(``src/fotasim/...``), a NUL byte and its bytes, in sorted path order.  ``--extra FILE`` adds a JSON value under ``"extra"``.
 Before the pairs it runs each tree's tier-1 suite once, ``python -m pytest
 -q -p no:cacheprovider`` with ``src`` first on ``PYTHONPATH``, and records
 its exit status, wall time and last output line under ``"suite"``.  Per
@@ -132,6 +133,10 @@ def summarise(pairs: list[dict], gates: dict[str, dict]) -> dict:
             "within_bound": (None if gate.get("bound") is None else
                              (gap if lower else -gap) <= gate["bound"] * abs(parent["median"])),
         }
+    if complete:  # ungated: the peak the set-up alone reaches, to see where a memory gain lands
+        out["peak_rss_setup_mb"] = {
+            side: spread([p[side]["details"]["peak_rss_setup_mb"] for p in complete])
+            for side in SIDES}
     for side in SIDES:
         runs = [p[side] for p in pairs]
         out[side] = {
@@ -204,9 +209,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"{side} {name} {metric['value']:.4g}" for side in SIDES
                     for name, metric in pair[side].get("summary", {}).get("metrics", {}).items()),
                     file=sys.stderr, flush=True)
-            results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed,
-                                                 **summarise(pairs, gates), "runs": pairs,
-                                                 "traced": trace}
+            summary = summarise(pairs, gates)
+            results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed, **summary,
+                                                 "runs": pairs, "traced": trace}
+            print(f"{workload} seed {seed} peak_rss_setup_mb median [q1, q3]: " + ", ".join(
+                f"{side} {row['median']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}]"
+                for side, row in summary.get("peak_rss_setup_mb", {}).items()),
+                file=sys.stderr, flush=True)
 
     report = {
         "what": "End-to-end rows of perfbench/run.py on two source trees, in alternating pairs "

@@ -17,6 +17,13 @@ little-endian), then the data.  Replies are ``[0x79, code, ...]`` for ACK
 and ``[0x1F, code, reason]`` for NACK.  The updater answers no security
 service and silently ignores unknown commands; both facts are modelled
 weaknesses of the chain being reproduced, not oversights.
+
+DELTA_APPLY stages and verifies the new image in RAM
+(:func:`~fotasim.delta.apply_delta`) before anything touches flash, then
+erases only the sectors that hold changed blocks and reprograms them in
+full, which reconciles the block-granular diff with the much coarser erase
+granularity of the device, and commits the metadata record built from the
+CRCs that verification read.
 """
 
 from __future__ import annotations
@@ -26,13 +33,14 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
 
-from .delta import DeltaError, apply_delta, decode_package, program_delta
+from .delta import DeltaError, DeltaPackage, StagedImage, apply_delta, decode_package
 from .flashmodel import (
     APP_REGION,
     APP_SECTORS,
     BOOTLOADER_REGION,
     BOOTLOADER_SECTORS,
     DEFAULT_UNLOCK_KEYS,
+    LAYOUT,
     FlashDevice,
     FlashError,
     MASS_ERASE_APPLICATION,
@@ -40,15 +48,18 @@ from .flashmodel import (
     Region,
     Sector,
 )
-from .integrity import crc32
+from .integrity import BlockCrcTable, crc32
 from .nvstore import (
     APP_ENTER_REG,
+    METADATA_OFFSET,
     UPDATER_ENTER_REG,
+    AppMetadata,
     BackupRegisters,
     BootFlag,
     MalformedMetadata,
     fits,
     read_app_metadata,
+    write_app_metadata,
 )
 from .uds import SECURITY_SID, SecuritySession, server_handle
 
@@ -209,6 +220,32 @@ def _erase(ctx: EcuContext, start: int, count: int) -> int:
     return erased
 
 
+def _commit_delta(ctx: EcuContext, staged: StagedImage, pkg: DeltaPackage) -> int:
+    """Commit what :func:`~fotasim.delta.apply_delta` staged from ``pkg``
+    (see the module docstring); returns how many sectors held changed
+    blocks.  The record's sector is erased first, so no stale record can
+    vouch for a half-written image, and the record is programmed last: it
+    is the commit point.  FlashError propagates."""
+    start, size, end = APP_REGION.start, pkg.block_size, APP_REGION.start + len(staged)
+    changed = {sector.index for index in pkg.changed_blocks()
+               for sector in LAYOUT.sectors_overlapping(start + index * size,
+                                                        min(start + (index + 1) * size, end))}
+    record = LAYOUT.sectors_overlapping(METADATA_OFFSET, METADATA_OFFSET + 1)[0].index
+    ctx.ensure_flash_unlocked()
+    # The record's own refresh: the one erase left uncounted.
+    ctx.device.erase_sectors(record, 1, ctx.now())
+    ctx.sectors_erased += record in changed  # unless its sector holds a changed block too
+    for index in sorted(changed - {record}):
+        _erase(ctx, index, 1)
+    for sector in APP_SECTORS:
+        if (sector.index in changed or sector.index == record) and sector.start < end:
+            lo, hi = sector.start, min(sector.end, end)
+            ctx.device.program(lo, staged[lo - start : hi - start], ctx.now())
+    meta = AppMetadata(len(staged), staged.image_crc, BlockCrcTable(staged.block_crcs))
+    write_app_metadata(ctx.device, meta, ctx.now())
+    return len(changed)
+
+
 def _mem_write(ctx: EcuContext, payload: bytes, region: Region,
                malformed: bytes | None) -> bytes | None:
     """Program a MEM_WRITE payload, its header already checked, into
@@ -290,13 +327,9 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             staged = apply_delta(base, pkg)
         except DeltaError:
             return _nack(code, NACK_DELTA)
-
-        def count(sectors: int) -> None:  # counted even if a program then fails
-            ctx.sectors_erased += sectors
         try:
-            ctx.ensure_flash_unlocked()
-            erased = program_delta(ctx.device, staged, pkg, ctx.now(), count)
-        except (FlashError, ValueError):
+            erased = _commit_delta(ctx, staged, pkg)
+        except FlashError:
             return _nack(code, NACK_FLASH)
         ctx.log("CommandServed", command="delta_apply", blocks=len(pkg.entries), sectors=erased)
         return _ack(code)

@@ -131,7 +131,7 @@ def _cmd_uds_demo(args) -> int:
     world.bus.trace_enabled = True
 
     # The handshake's own deadline ends it well inside the tick budget.
-    task = Task.from_generator("demo", TaskPriority.APP, client_unlock(
+    task = Task("demo", TaskPriority.APP, client_unlock(
         world.bus, master.endpoint, DEFAULT_REQUEST_ID, secret, now=lambda: world.clock_us))
     master.add_task(task)
     world.run_until(lambda w: task.done, max_ticks=20_000)

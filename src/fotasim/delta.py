@@ -1,14 +1,11 @@
-"""Block-granular firmware deltas: build, serialize, apply, and flash.
+"""Block-granular firmware deltas: build, serialize, decode, apply.
 
 A package describes how a new image differs from an old one at two levels:
 which fixed-size blocks changed (detected by per-block CRC), and inside
 each changed block, which byte runs to rewrite.  Applying a package stages
 the full new image in RAM and verifies every patched block CRC plus the
-whole-image CRC before anything touches flash; flashing then erases only
-the sectors that contain changed blocks and reprograms them in full, which
-reconciles the 1 KiB diff granularity with the much coarser erase
-granularity of the device, and commits the metadata record that the
-verification read.
+whole-image CRC; nothing here touches flash.  The target's DELTA_APPLY
+(:mod:`fotasim.bootflow`) commits what the staging verified.
 
 The byte work runs in C builtins.  A changed block is XORed with its old
 contents as one big integer, and ``bytes.translate`` turns the XOR into a
@@ -37,13 +34,10 @@ single walk over entries and tuples.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .flashmodel import APP_REGION, LAYOUT, FlashDevice
 from .integrity import (
     DEFAULT_BLOCK_SIZE,
-    BlockCrcTable,
     EmptyImage,
     block_count,
     crc32,
@@ -51,7 +45,6 @@ from .integrity import (
     reflect,
     reflected_crc32,
 )
-from .nvstore import METADATA_OFFSET, AppMetadata, fits, write_app_metadata
 
 MAGIC = b"FDP1"
 VERSION = 1
@@ -256,18 +249,11 @@ def decode_package(blob: bytes) -> DeltaPackage:
 
 class StagedImage(bytearray):
     """A staged image that passed its package's checks, holding the image
-    CRC and block CRCs those checks read.  It is the buffer the package was
-    applied in, not a copy of it."""
+    CRC and block CRCs those checks read, from which the commit builds its
+    record.  It is the buffer the package was applied in, not a copy of it."""
 
     image_crc: int
     block_crcs: tuple[int, ...]
-
-    @property
-    def meta(self) -> AppMetadata:
-        """The metadata record that describes this image.  Built here, at
-        commit, not in :func:`apply_delta`: a table past 65,535 blocks
-        stages fine and fails only as a record."""
-        return AppMetadata(len(self), self.image_crc, BlockCrcTable(self.block_crcs))
 
 
 def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
@@ -292,49 +278,3 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
         raise ImageCrcMismatch("staged image fails the whole-image CRC")
     staged.image_crc, staged.block_crcs = image_crc, block_crcs
     return staged
-
-
-def program_delta(device: FlashDevice, staged: StagedImage, pkg: DeltaPackage,
-                  now_us: int = 0, erased: Callable[[int], object] = lambda n: None) -> int:
-    """Write the image :func:`apply_delta` staged into the application region.
-
-    Erases the metadata sector first, so an interruption can never leave a
-    stale metadata record pointing at a half-written image, then erases each
-    sector containing a changed block and reprograms those sectors from the
-    staged image.  The refreshed metadata record, :attr:`StagedImage.meta`,
-    is programmed last: it is the commit point.
-
-    Returns the number of sectors erased because they held changed blocks,
-    and hands it to ``erased`` once they are, before a program can fail;
-    the metadata sector's refresh is part of every programming pass and is
-    not counted.  Erase and program time is summed by the device
-    (:attr:`~fotasim.flashmodel.FlashDevice.busy_total_us`).
-    """
-    if len(staged) != pkg.new_image_length:
-        raise ValueError("staged image does not match the package length")
-    if not fits(len(staged), pkg.block_size):
-        raise ValueError("image does not fit the region alongside its metadata")
-    start = APP_REGION.start
-
-    changed = {}
-    for index in pkg.changed_blocks():
-        lo = start + index * pkg.block_size
-        hi = start + min((index + 1) * pkg.block_size, len(staged))
-        for sector in LAYOUT.sectors_overlapping(lo, hi):
-            changed[sector.index] = sector
-    (meta_sector,) = LAYOUT.sectors_overlapping(METADATA_OFFSET, METADATA_OFFSET + 1)
-
-    erase_order = [meta_sector] + [s for _, s in sorted(changed.items()) if s.index != meta_sector.index]
-    for sector in erase_order:
-        device.erase_sectors(sector.index, 1, now_us)
-    erased(len(changed))
-
-    image_end = start + len(staged)
-    for sector in sorted(erase_order, key=lambda s: s.index):
-        lo = max(sector.start, start)
-        hi = min(sector.end, image_end)
-        if lo < hi:
-            device.program(lo, staged[lo - start : hi - start], now_us)
-
-    write_app_metadata(device, staged.meta, now_us)
-    return len(changed)

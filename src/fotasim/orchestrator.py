@@ -248,8 +248,8 @@ def start_campaign(world: World, plan: CampaignPlan) -> Task:
         new_image_length=len(plan.new_image),
     )
     # The campaign reaches its world weakly: the world holds its task.
-    task = Task.from_generator("campaign", TaskPriority.COMM,
-                               _campaign(weakref.proxy(world), plan, report, shipped))
+    task = Task("campaign", TaskPriority.COMM,
+                _campaign(weakref.proxy(world), plan, report, shipped))
     task.result = report
     world.nodes[MASTER_NODE].add_task(task)
     return task

@@ -25,7 +25,8 @@ MEM_WRITE.
 Images come either from disk (``{"path": "old.bin"}``, relative to the
 scenario file) or from a seeded generator, so a scenario can be entirely
 self-contained.  ``new`` may derive from ``old`` by rewriting a given
-number of blocks with seeded random bytes.
+number of blocks with seeded random bytes.  No image may exceed the flash
+device: a larger one is refused before it is generated or read in full.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from random import Random
 
 from .canbus import BusConfig
 from .delta import MAX_BLOCK_SIZE
-from .flashmodel import APP_REGION, DEFAULT_UNLOCK_KEYS, MASS_ERASE_APPLICATION, FlashDevice
+from .flashmodel import (APP_REGION, DEFAULT_UNLOCK_KEYS, LAYOUT, MASS_ERASE_APPLICATION,
+                         FlashDevice)
 from .integrity import DEFAULT_BLOCK_SIZE, block_count
 from .lka import PidGains, pack_image, parse_gains
 from .nvstore import APP_ENTER_REG, AppMetadata, BootFlag, fits, write_app_metadata
@@ -174,6 +176,13 @@ def _count(section: dict, key: str, default: int | None, where: str = "") -> int
     return value
 
 
+def _within_device(length: int) -> int:
+    """``length``, unless an image that long would not fit the flash device."""
+    if length > LAYOUT.size:
+        raise ScenarioError(f"an image is at most the flash device's {LAYOUT.size} bytes")
+    return length
+
+
 def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes],
                    block_size: int, deriving: tuple = ()) -> bytes:
     if name in deriving:
@@ -185,9 +194,11 @@ def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes
         raise ScenarioError(f"images.{name} missing or not an object")
     try:
         if "path" in entry:
-            data = (base_dir / entry["path"]).read_bytes()
+            with open(base_dir / entry["path"], "rb") as file:
+                data = file.read(LAYOUT.size + 1)  # enough to tell it is too large
             if not data:
                 raise ScenarioError("the file is empty")
+            _within_device(len(data))
         elif "base" in entry:
             base = _resolve_image(images, entry["base"], base_dir, resolved, block_size,
                                   deriving + (name,))
@@ -202,7 +213,8 @@ def _resolve_image(images: dict, name, base_dir: Path, resolved: dict[str, bytes
             if gains is not None and not (type(gains) is list and all(
                     type(gain) in (int, float) for gain in gains)):
                 raise ScenarioError(f"gains must be a list of numbers, got {gains!r}")
-            data = generate_image(_count(entry, "size", None), _count(entry, "seed", 0),
+            size = _within_device(_count(entry, "size", None))
+            data = generate_image(size, _count(entry, "seed", 0),
                                   None if gains is None else parse_gains(gains))
         else:
             raise ScenarioError("needs a path, a size or a base")

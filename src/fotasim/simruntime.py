@@ -31,10 +31,10 @@ update master) is an endpoint and the tasks installed on it, nothing more;
 it has nothing to reset.
 
 No reference cycle runs through a world.  An ECU holds its world, and its
-callbacks hold the ECU, through :func:`weakref.proxy`, and a generator
-task's step holds its task the same way, so a dropped world frees at once,
-flash included, without waiting for the cyclic collector.  An ECU used
-after its world is gone raises :class:`ReferenceError`.
+callbacks hold the ECU, through :func:`weakref.proxy`, and a task holds
+only its generator, which its node advances, so a dropped world frees at
+once, flash included, without waiting for the cyclic collector.  An ECU
+used after its world is gone raises :class:`ReferenceError`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable
+from typing import Callable, Generator
 
 from .bootflow import (BootDecision, EcuContext, app_serve, boot_decide, bootloader_serve,
                        updater_serve, updater_silent)
@@ -74,37 +74,21 @@ class TaskPriority(IntEnum):
 
 
 class Task:
-    """One schedulable unit.  ``step`` runs to completion each tick; a
-    generator-backed task is advanced once per tick instead and is done
-    when the generator returns (its return value lands in ``result``).
+    """One schedulable unit: a generator, advanced once per tick by its
+    node, and done when it returns (its return value lands in ``result``).
 
     ``wake_us`` is the clock the task next needs a tick at; None means every
-    tick.  A generator sets it by what it yields: a deadline in us, under
+    tick.  The generator sets it by what it yields: a deadline in us, under
     the promise :func:`~fotasim.canbus.wait_for` states, or a bare
     ``yield`` for the next tick."""
 
-    def __init__(self, name: str, priority: TaskPriority, step: Callable[[], None]):
+    def __init__(self, name: str, priority: TaskPriority, gen: Generator):
         self.name = name
         self.priority = priority
-        self.step = step
+        self.gen = gen
         self.done = False
         self.result = None
         self.wake_us: float | None = None
-
-    @classmethod
-    def from_generator(cls, name: str, priority: TaskPriority, gen) -> "Task":
-        task = cls(name, priority, lambda: None)
-        this = weakref.proxy(task)  # a step that held the task would make a cycle
-
-        def advance() -> None:
-            try:
-                this.wake_us = next(gen)
-            except StopIteration as stop:
-                this.result = stop.value
-                this.done = True
-
-        task.step = advance
-        return task
 
     def cancel(self) -> None:
         self.done = True
@@ -226,7 +210,11 @@ class Node:
         tasks = self.tasks
         for task in tasks:
             if not task.done:
-                task.step()
+                try:
+                    task.wake_us = next(task.gen)
+                except StopIteration as stop:
+                    task.result = stop.value
+                    task.done = True
         for task in tasks:
             if task.done:
                 self.tasks = [t for t in tasks if not t.done]

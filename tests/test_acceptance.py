@@ -147,7 +147,7 @@ def test_criterion_03_security_access_conformance():
                 w.bus, m.endpoint, 0x101, DEFAULT_SECRET, lambda: w.clock_us)
             out.append(result)
 
-        master.add_task(Task.from_generator("unlock", TaskPriority.APP, handshake()))
+        master.add_task(Task("unlock", TaskPriority.APP, handshake()))
         world.run_until(lambda w: bool(results), max_ticks=5000)
         if results and results[0].granted:
             granted += 1

@@ -7,6 +7,7 @@ import pytest
 
 from fotasim.cli import main
 from fotasim.delta import DeltaPackage, encode_package
+from fotasim.flashmodel import LAYOUT
 from fotasim.integrity import crc32
 from fotasim.lka import PidGains, read_gains
 from fotasim.nvstore import APP_CAPACITY
@@ -354,6 +355,27 @@ def test_sim_run_failure_exits_one_with_the_report(tmp_path, capsys):
     report = json.loads(out)
     assert report["outcome"] == "failed"
     assert report["reason"] == "image_too_large"
+
+
+@pytest.mark.parametrize("source", ["size", "path"])
+def test_sim_run_refuses_an_image_past_the_flash_device(tmp_path, capsys, source):
+    """An image one byte past the flash device is refused, naming the limit,
+    before it is generated or read in full; one the device's size runs, and
+    fails as too large for the application region."""
+    def new_image(size):
+        if source == "size":
+            return {"size": size, "seed": 2}
+        (tmp_path / "new.bin").write_bytes(bytes(size))
+        return {"path": "new.bin"}
+
+    old = {"size": 16 * KIB, "seed": 1}
+    path = write_scenario(tmp_path, images={"old": old, "new": new_image(LAYOUT.size + 1)})
+    code, out, _ = run_cli(capsys, "sim", "run", str(path))
+    assert code == 1
+    assert f"{LAYOUT.size} bytes" in json.loads(out)["error"]
+    path = write_scenario(tmp_path, images={"old": old, "new": new_image(LAYOUT.size)})
+    code, out, _ = run_cli(capsys, "sim", "run", str(path))
+    assert (code, json.loads(out)["reason"]) == (1, "image_too_large")
 
 
 def test_sim_run_writes_trace_files(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Delta packages: diffing, wire format, staged apply, flash programming."""
+"""Delta packages: diffing, wire format, staged apply, and DELTA_APPLY's commit."""
 
 import struct
 from random import Random
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fotasim.bootflow import ACK, NACK, NACK_FLASH, BootloaderCommand, EcuContext, bootloader_serve
 from fotasim.delta import (
     HEADER_SIZE,
     MAGIC,
@@ -24,11 +25,10 @@ from fotasim.delta import (
     build_delta,
     decode_package,
     encode_package,
-    program_delta,
 )
 from fotasim.flashmodel import (
-    DEFAULT_UNLOCK_KEYS,
     KIB,
+    LAYOUT,
     REGION_APPLICATION,
     FlashDevice,
 )
@@ -38,8 +38,11 @@ from fotasim.nvstore import (
     METADATA_OFFSET,
     METADATA_SIZE,
     AppMetadata,
+    BackupRegisters,
     read_app_metadata,
 )
+from fotasim.scenario import provision_application
+from fotasim.uds import SecuritySession, SecurityState
 
 
 def make_pair(size=8 * KIB, seed=1):
@@ -522,15 +525,25 @@ def test_build_apply_inverse_property(seed, extra_kib):
     assert apply_delta(old, pkg) == bytes(new)
 
 
-# -- flash programming ---------------------------------------------------------------
+# -- DELTA_APPLY's commit ------------------------------------------------------------
+# What the target's DELTA_APPLY writes once a package stages: driven through
+# bootloader_serve, which commits in bootflow.
 
 
-def provisioned_device(image, block_size=KIB):
-    from fotasim.scenario import provision_application
+def delta_target(image, block_size=KIB):
+    """An ECU context over a device provisioned with ``image``, its security
+    session already unlocked."""
+    ctx = EcuContext(FlashDevice(), BackupRegisters(), SecuritySession(0))
+    provision_application(ctx.device, image, block_size)
+    ctx.session.state = SecurityState.UNLOCKED
+    return ctx
 
-    device = FlashDevice()
-    provision_application(device, image, block_size)
-    return device
+
+def delta_apply(ctx, pkg):
+    return bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + encode_package(pkg))
+
+
+DELTA_ACK = bytes([ACK, BootloaderCommand.DELTA_APPLY])
 
 
 def test_program_delta_touches_only_changed_sectors():
@@ -541,20 +554,19 @@ def test_program_delta_touches_only_changed_sectors():
     new = bytearray(old)
     new[0] ^= 1  # one byte in sector 5
     pkg = build_delta(old, bytes(new), block_size=2 * KIB)
-    staged = apply_delta(old, pkg)
 
-    device = provisioned_device(old, block_size=2 * KIB)
-    device.unlock(*DEFAULT_UNLOCK_KEYS)
+    ctx = delta_target(old, block_size=2 * KIB)
+    device = ctx.device
     app = device.layout.region(REGION_APPLICATION)
     before_s6 = device.read(app.start + 128 * KIB, KIB)[0]
 
-    assert program_delta(device, staged, pkg) == 1  # metadata refresh not counted
+    assert delta_apply(ctx, pkg) == DELTA_ACK
+    assert ctx.sectors_erased == 1  # metadata refresh not counted
     # Sector 6 bytes were never rewritten.
     assert device.read(app.start + 128 * KIB, KIB)[0] == before_s6
     # Whole image readback matches.
     assert device.read(app.start, len(new))[0] == bytes(new)
     # Metadata was refreshed to describe the new image.
-    device.reset()
     meta = read_app_metadata(device)
     assert meta.byte_count == len(new)
     assert meta.image_crc == crc32(bytes(new))
@@ -568,11 +580,11 @@ def test_program_delta_counts_every_changed_sector():
     new[130 * KIB] ^= 1         # sector 6
     new[260 * KIB] ^= 1         # sector 7 (also holds metadata)
     pkg = build_delta(old, bytes(new), block_size=2 * KIB)
-    staged = apply_delta(old, pkg)
-    device = provisioned_device(old, block_size=2 * KIB)
-    device.unlock(*DEFAULT_UNLOCK_KEYS)
-    assert program_delta(device, staged, pkg) == 3
-    assert device.read(device.layout.region(REGION_APPLICATION).start, len(new))[0] == bytes(new)
+    ctx = delta_target(old, block_size=2 * KIB)
+    assert delta_apply(ctx, pkg) == DELTA_ACK
+    assert ctx.sectors_erased == 3
+    assert ctx.device.read(ctx.device.layout.region(REGION_APPLICATION).start,
+                           len(new))[0] == bytes(new)
 
 
 def test_program_delta_duration_accounts_erase_and_program():
@@ -580,16 +592,14 @@ def test_program_delta_duration_accounts_erase_and_program():
     new = bytearray(old)
     new[0] ^= 1
     pkg = build_delta(old, bytes(new))
-    staged = apply_delta(old, pkg)
-    device = provisioned_device(old)
-    device.unlock(*DEFAULT_UNLOCK_KEYS)
-    busy_before = device.busy_total_us
-    program_delta(device, staged, pkg)
+    ctx = delta_target(old)
+    busy_before = ctx.device.busy_total_us
+    assert delta_apply(ctx, pkg) == DELTA_ACK
     # Two 128 KiB erases (data sector 5 + metadata sector 7), 10 KiB image
     # reprogram, and one metadata record.
-    meta_len = len(read_app_metadata(device).encode())
+    meta_len = len(read_app_metadata(ctx.device).encode())
     expected = 2 * 1_000_000 + (10 * KIB // 4) * 16 + -(-meta_len // 4) * 16
-    assert device.busy_total_us - busy_before == expected
+    assert ctx.device.busy_total_us - busy_before == expected
 
 
 def test_program_delta_refuses_a_table_past_the_record_before_it_erases():
@@ -599,13 +609,10 @@ def test_program_delta_refuses_a_table_past_the_record_before_it_erases():
     old, new = make_pair(64 * KIB, seed=41)
     new[0] ^= 1
     pkg = build_delta(old, bytes(new), block_size=128)
-    staged = apply_delta(old, pkg)
-    device = provisioned_device(old)
-    device.unlock(*DEFAULT_UNLOCK_KEYS)
-    cells, busy = bytes(device.cells), device.busy_total_us
-    with pytest.raises(ValueError, match="does not fit"):
-        program_delta(device, staged, pkg)
-    assert (bytes(device.cells), device.busy_total_us) == (cells, busy)
+    ctx = delta_target(old)
+    cells, busy = bytes(ctx.device.cells), ctx.device.busy_total_us
+    assert delta_apply(ctx, pkg) == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_FLASH])
+    assert (bytes(ctx.device.cells), ctx.device.busy_total_us) == (cells, busy)
 
 
 def apply_reference(base, pkg):
@@ -629,10 +636,11 @@ def apply_reference(base, pkg):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_delta_apply_commits_the_record_its_check_read(data):
-    """What DELTA_APPLY runs, ``apply_delta`` then ``program_delta``, over
-    growing and shrinking images with partial last blocks and several block
-    sizes: a good package commits ``AppMetadata.for_image(staged)`` byte for
-    byte, and a tampered one raises what the oracle raises."""
+    """What DELTA_APPLY runs, ``apply_delta`` then its commit, over growing
+    and shrinking images with partial last blocks and several block sizes:
+    a good package commits ``AppMetadata.for_image(staged)`` byte for byte,
+    counting each changed sector but the record's, and a tampered one
+    raises what the oracle raises."""
     block_size = data.draw(st.sampled_from([64, 100, 256, KIB, 2 * KIB]))
     longest = min(12 * KIB, MAX_TABLE_BLOCKS * block_size)
     old_size = data.draw(st.integers(1, longest))
@@ -665,19 +673,14 @@ def test_delta_apply_commits_the_record_its_check_read(data):
     staged = apply_delta(old, pkg)
     assert staged == expected == bytes(new)
     record = AppMetadata.for_image(expected, block_size).encode()
-    device = provisioned_device(old, block_size)
-    device.unlock(*DEFAULT_UNLOCK_KEYS)
-    program_delta(device, staged, pkg)
-    assert device.read(METADATA_OFFSET, METADATA_SIZE)[0] == record.ljust(METADATA_SIZE, b"\xff")
-    start = device.layout.region(REGION_APPLICATION).start
-    assert device.read(start, new_size)[0] == expected
-
-
-def test_program_delta_rejects_mismatched_stage():
-    old, new = make_pair()
-    new[0] ^= 1
-    pkg = build_delta(old, bytes(new))
-    device = provisioned_device(old)
-    device.unlock(*DEFAULT_UNLOCK_KEYS)
-    with pytest.raises(ValueError):
-        program_delta(device, b"short", pkg)
+    ctx = delta_target(old, block_size)
+    assert delta_apply(ctx, pkg) == DELTA_ACK
+    assert ctx.device.read(METADATA_OFFSET, METADATA_SIZE)[0] == record.ljust(METADATA_SIZE,
+                                                                              b"\xff")
+    start = ctx.device.layout.region(REGION_APPLICATION).start
+    assert ctx.device.read(start, new_size)[0] == expected
+    (record_sector,) = LAYOUT.sectors_overlapping(METADATA_OFFSET, METADATA_OFFSET + 1)
+    changed = {sector.index for index in pkg.changed_blocks()
+               for sector in LAYOUT.sectors_overlapping(
+                   start + index * block_size, start + min((index + 1) * block_size, new_size))}
+    assert ctx.sectors_erased == len(changed - {record_sector.index})

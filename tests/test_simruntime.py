@@ -54,12 +54,19 @@ def events_named(world, name):
 # -- tasks ---------------------------------------------------------------
 
 
+def every_tick(fn):
+    """A task body that calls ``fn`` once a tick, forever."""
+    while True:
+        fn()
+        yield
+
+
 def test_tasks_run_in_priority_order_regardless_of_insertion():
     world, node = host_world()
     ran = []
-    node.add_task(Task("app", TaskPriority.APP, lambda: ran.append("app")))
-    node.add_task(Task("nvm", TaskPriority.NVM, lambda: ran.append("nvm")))
-    node.add_task(Task("comm", TaskPriority.COMM, lambda: ran.append("comm")))
+    node.add_task(Task("app", TaskPriority.APP, every_tick(lambda: ran.append("app"))))
+    node.add_task(Task("nvm", TaskPriority.NVM, every_tick(lambda: ran.append("nvm"))))
+    node.add_task(Task("comm", TaskPriority.COMM, every_tick(lambda: ran.append("comm"))))
     world.tick()
     assert ran == ["comm", "nvm", "app"]
 
@@ -72,7 +79,7 @@ def test_generator_task_advances_once_per_tick_and_keeps_result():
         yield
         return 42
 
-    task = Task.from_generator("worker", TaskPriority.APP, worker())
+    task = Task("worker", TaskPriority.APP, worker())
     node.add_task(task)
     world.tick()
     assert not task.done and task.result is None
@@ -86,7 +93,7 @@ def test_generator_task_advances_once_per_tick_and_keeps_result():
 def test_cancelled_task_never_steps_again():
     world, node = host_world()
     hits = []
-    task = Task("mole", TaskPriority.APP, lambda: hits.append(1))
+    task = Task("mole", TaskPriority.APP, every_tick(lambda: hits.append(1)))
     node.add_task(task)
     world.tick()
     task.cancel()
@@ -104,9 +111,9 @@ def test_finished_generator_leaves_the_other_tasks_in_priority_order():
         yield
         ran.append("comm")
 
-    node.add_task(Task("app", TaskPriority.APP, lambda: ran.append("app")))
-    node.add_task(Task("nvm", TaskPriority.NVM, lambda: ran.append("nvm")))
-    node.add_task(Task.from_generator("short", TaskPriority.COMM, short()))
+    node.add_task(Task("app", TaskPriority.APP, every_tick(lambda: ran.append("app"))))
+    node.add_task(Task("nvm", TaskPriority.NVM, every_tick(lambda: ran.append("nvm"))))
+    node.add_task(Task("short", TaskPriority.COMM, short()))
     world.run_ticks(3)
     assert ran == ["comm", "nvm", "app"] * 2 + ["nvm", "app"]
     assert [t.name for t in node.tasks] == ["nvm", "app"]
@@ -117,7 +124,7 @@ def test_node_added_after_ticks_runs_on_the_next_tick():
     world.run_ticks(3)
     late = world.add_node("late", 10, role="host")
     hits = []
-    late.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
+    late.add_task(Task("count", TaskPriority.APP, every_tick(lambda: hits.append(world.clock_us))))
     world.tick()
     assert hits == [3 * DEFAULT_TICK_US]
 
@@ -157,7 +164,7 @@ def test_run_until_checks_before_the_first_tick():
 def test_run_until_reports_the_triggering_ticks_timestamp():
     world, node = host_world()
     hits = []
-    node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(1)))
+    node.add_task(Task("count", TaskPriority.APP, every_tick(lambda: hits.append(1))))
     result = world.run_until(lambda w: len(hits) >= 3, max_ticks=10)
     assert result.met
     assert result.ticks == 3
@@ -492,7 +499,7 @@ def booted_ecu():
 def test_flash_busy_window_gates_every_task():
     world, node = booted_ecu()
     hits = []
-    node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(1)))
+    node.add_task(Task("count", TaskPriority.APP, every_tick(lambda: hits.append(1))))
     node.device.busy_until_us = 3500
     world.run_ticks(3)  # clock samples 1000, 2000, 3000: all inside the window
     assert hits == []
@@ -505,7 +512,7 @@ def test_flash_time_accumulates_and_extends_the_stall():
     device = node.device
     device.unlock(*DEFAULT_UNLOCK_KEYS)
     hits = []
-    node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
+    node.add_task(Task("count", TaskPriority.APP, every_tick(lambda: hits.append(world.clock_us))))
     device.program(0, bytes(1000), world.clock_us)  # 250 words: 4000 us
     device.program(1000, bytes(500), world.clock_us)  # 2000 us, queued behind it
     assert device.busy_total_us == 6000
@@ -678,7 +685,7 @@ def test_same_seed_replays_to_identical_logs():
         config = BusConfig(corruption_probability=0.3, rng_seed=seed)
         world, master, target = build_world(old_image=image, seed=seed, bus=config)
         world.bus.trace_enabled = True
-        master.add_task(Task.from_generator(
+        master.add_task(Task(
             "chatter", TaskPriority.APP, chatter(world, master)))
         world.run_ticks(150)
         return world.events_jsonl(), world.frames_csv()
@@ -799,7 +806,7 @@ def test_stalls_and_landing_frames_replay_tick_by_tick_stepping(
                     yield from wait_for(now, now() + size * 100, drain)
             yield from wait_for(now, now() + 200_000, drain)
 
-        task = Task.from_generator("script", TaskPriority.APP, host_script())
+        task = Task("script", TaskPriority.APP, host_script())
         host.add_task(task)
         result = run_until(world, lambda w: task.done, max_ticks)
         run_ticks(world, tail)
@@ -839,7 +846,7 @@ def steering_world(feeds, host_at, wakes, reset_at, stall_at=None, stall_us=0):
             if k == stall_at:
                 world.nodes["a"].device.busy_until_us = world.clock_us + stall_us
 
-    host.add_task(Task.from_generator("sleep", TaskPriority.APP, sleeper()))
+    host.add_task(Task("sleep", TaskPriority.APP, sleeper()))
     return world, ecus
 
 
@@ -913,7 +920,7 @@ def test_a_target_that_turns_non_finite_mid_run_raises_where_ticks_would(host_fi
             ecu.steering_target = math.inf
             yield from wait_for(lambda: world.clock_us, 10**9, lambda: None)
 
-        host.add_task(Task.from_generator("spoil", TaskPriority.APP, spoil()))
+        host.add_task(Task("spoil", TaskPriority.APP, spoil()))
         with pytest.raises(NonFiniteInput):
             run_ticks(world, 100)
         return world.clock_us, world.last_tick_time, repr(ecu.steering), world.events_jsonl()
@@ -1045,7 +1052,7 @@ def test_a_steering_span_ends_on_its_event_tick_as_a_tick_would():
                 yield 10**9
 
         for node in (target, master):
-            node.add_task(Task.from_generator("watch", TaskPriority.APP, watch(node)))
+            node.add_task(Task("watch", TaskPriority.APP, watch(node)))
         run_ticks(world, 20)
         return observed(world) + (seen,)
 
@@ -1077,7 +1084,7 @@ def test_a_steering_event_tick_runs_the_nodes_after_the_steering_one():
                 yield from wait_for(now, now() + 30_000, lambda: None)
                 woke.append(now())
 
-        host.add_task(Task.from_generator("wait", TaskPriority.APP, waiter()))
+        host.add_task(Task("wait", TaskPriority.APP, waiter()))
         if spanned:
             world.run_ticks(120)
         else:
@@ -1143,7 +1150,7 @@ def test_only_world_tick_runs_node_code(feeds, host_at, wakes, reset_at, stall_a
 def test_run_ticks_lands_on_the_tick_mid_stall():
     world, node = booted_ecu()
     hits = []
-    node.add_task(Task("count", TaskPriority.APP, lambda: hits.append(world.clock_us)))
+    node.add_task(Task("count", TaskPriority.APP, every_tick(lambda: hits.append(world.clock_us))))
     node.device.busy_until_us = 10_500
     world.run_ticks(5)  # clock samples 1000..5000, all stalled
     assert (world.clock_us, world.last_tick_time, hits) == (6000, 5000, [])
@@ -1162,14 +1169,15 @@ def test_every_tick_host_task_keeps_ticking_one_at_a_time():
             resumed.append(world.clock_us)
             yield
 
-    node.add_task(Task("count", TaskPriority.APP, lambda: stepped.append(world.clock_us)))
-    node.add_task(Task.from_generator("poll", TaskPriority.COMM, bare_yields()))
+    node.add_task(Task("count", TaskPriority.APP,
+                       every_tick(lambda: stepped.append(world.clock_us))))
+    node.add_task(Task("poll", TaskPriority.COMM, bare_yields()))
     send_segmented(world.bus, node.endpoint, 0x100, bytes(70))  # 11 frames, nobody hears
     world.run_ticks(15)
-    every_tick = [t * DEFAULT_TICK_US for t in range(15)]
-    assert stepped == resumed == every_tick
+    all_ticks = [t * DEFAULT_TICK_US for t in range(15)]
+    assert stepped == resumed == all_ticks
     sent_at = [int(row.split(",")[0]) for row in world.frames_csv().splitlines()[1:]]
-    assert sent_at == every_tick[:11]
+    assert sent_at == all_ticks[:11]
 
 
 def test_deadline_yield_sleeps_until_its_deadline():
@@ -1182,7 +1190,7 @@ def test_deadline_yield_sleeps_until_its_deadline():
             yield 7000
         resumed.append(world.clock_us)
 
-    task = Task.from_generator("sleep", TaskPriority.COMM, sleeper())
+    task = Task("sleep", TaskPriority.COMM, sleeper())
     node.add_task(task)
     result = world.run_until(lambda w: task.done, max_ticks=50)
     assert resumed == [0, 7000]

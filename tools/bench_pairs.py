@@ -23,11 +23,21 @@ its exit status, wall time and last output line under ``"suite"``.  Per
 workload and seed it also runs each tree once with ``--seconds 0 --trace
 1``, records both runs' metrics under ``"traced"``, and prints every count
 row (units ``count/op``, ``B/op`` and ``us/op``) whose value differs
-between the trees.
+between the trees.  Per workload and seed it also runs each tree once
+under cProfile, ``perfbench/run.py --seconds 0`` through ``runpy`` with
+``src`` and ``perfbench`` first on ``sys.path``, and records under
+``"profiled"`` the calls per operation that touch ``src/fotasim``: all of
+them (within the package, into it, and out of it to the standard library
+and builtins) and those of the package's own functions.  Both are exact
+counts of the whole run, set-up included, divided by its operations; calls
+that do not touch the package are left out, because the benchmark's clock
+loop runs on a timer and its calls vary from run to run.  Each tree's
+``src/**/*.py`` line count is recorded as ``src_lines``, and the
+differences of all three are printed.
 
-Exits 1 when any run (traced ones too) or either suite exits non-zero, or
-a run prints no result or reports ``correct: false``; the file is written
-either way.
+Exits 1 when any run (traced and profiled ones too) or either suite exits
+non-zero, or a run prints no result or reports ``correct: false``; the file
+is written either way.
 Standard library only.
 """
 
@@ -47,12 +57,51 @@ from pathlib import Path
 SIDES = ("parent", "change")
 COUNT_UNITS = ("count/op", "B/op", "us/op")
 
+# Run in a tree's root with the workload and seed as arguments; prints one
+# JSON line of call counts per operation (see the module docstring).
+PROFILE = """
+import contextlib, cProfile, io, json, os, runpy, sys
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+sys.argv = ["perfbench/run.py", "--workload", sys.argv[1], "--seed", sys.argv[2], "--seconds", "0"]
+out, profile = io.StringIO(), cProfile.Profile()
+with contextlib.redirect_stdout(out):
+    try:
+        profile.runcall(runpy.run_path, "perfbench/run.py", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+package = os.path.abspath("src/fotasim") + os.sep
+inside = lambda code: getattr(code, "co_filename", "").startswith(package)
+entries = [e for e in profile.getstats() if inside(e.code)]  # by code object: no merged labels
+own = sum(e.callcount for e in entries)
+out_of = sum(c.callcount for e in entries for c in e.calls or () if not inside(c.code))
+ops = json.loads(out.getvalue().splitlines()[-1])["attempted"]
+print(json.dumps({"calls": (own + out_of) / ops, "fotasim_calls": own / ops}))
+"""
+
 
 def src_sha256(tree: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(p.relative_to(tree).as_posix() for p in (tree / "src").rglob("*.py")):
         digest.update(path.encode() + b"\0" + (tree / path).read_bytes())
     return digest.hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
+
+
+def profiled(tree: Path, workload: str, seed: int) -> dict:
+    """One untimed cProfile run in ``tree``: its exit status and calls per
+    operation, or its stderr tail when it printed none."""
+    proc = subprocess.run([sys.executable, "-c", PROFILE, workload, str(seed)], cwd=tree,
+                          capture_output=True, text=True)
+    run = {"exit": proc.returncode}
+    try:
+        run.update(json.loads(proc.stdout.strip().splitlines()[-1]))
+    except (IndexError, ValueError):  # no line, or not JSON
+        run["stderr_tail"] = proc.stderr[-2000:]
+    return run
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -186,9 +235,20 @@ def main(argv: list[str] | None = None) -> int:
     ok = all(run["exit"] == 0 for run in suite.values())
     print("tier-1 suite: " + ", ".join(f"{side} exit {run['exit']} in {run['wall_s']} s"
                                        for side, run in suite.items()), file=sys.stderr, flush=True)
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    print(f"src lines: parent {lines['parent']} -> change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})", file=sys.stderr, flush=True)
     results = {}
     for workload in args.workload:
         for seed in args.seed:
+            calls = {side: profiled(tree, workload, seed) for side, tree in trees.items()}
+            profiled_ok = all(calls[side]["exit"] == 0 and "calls" in calls[side] for side in SIDES)
+            ok &= profiled_ok
+            print(f"{workload} seed {seed} profiled: " + ("; ".join(
+                f"{key}/op {calls['parent'][key]:.2f} -> {calls['change'][key]:.2f} "
+                f"({calls['change'][key] - calls['parent'][key]:+.2f})"
+                for key in ("calls", "fotasim_calls")) if profiled_ok else "a profiled run failed"),
+                file=sys.stderr, flush=True)
             trace = traced(trees, workload, seed)
             ok &= all(trace[side]["exit"] == 0 and trace[side]["correct"] is True
                       for side in SIDES)
@@ -211,7 +271,8 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr, flush=True)
             summary = summarise(pairs, gates)
             results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed, **summary,
-                                                 "runs": pairs, "traced": trace}
+                                                 "runs": pairs, "traced": trace,
+                                                 "profiled": calls}
             print(f"{workload} seed {seed} peak_rss_setup_mb median [q1, q3]: " + ", ".join(
                 f"{side} {row['median']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}]"
                 for side, row in summary.get("peak_rss_setup_mb", {}).items()),
@@ -224,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0",
         "machine": machine([p for r in results.values() for p in r["runs"]]),
-        "parent": {"src_sha256": src_sha256(trees["parent"])},
-        "change": {"src_sha256": src_sha256(trees["change"])},
+        **{side: {"src_sha256": src_sha256(tree), "src_lines": lines[side]}
+           for side, tree in trees.items()},
         "suite": {"command": "PYTHONPATH=src python -m pytest -q -p no:cacheprovider", **suite},
         "pairs_per_workload": args.pairs,
         "workloads": results,

@@ -149,8 +149,7 @@ def app_integrity(device: FlashDevice) -> bool:
         meta = read_app_metadata(device)
     except MalformedMetadata:
         return False
-    data, _ = device.read(APP_REGION.start, meta.byte_count)
-    return crc32(data) == meta.image_crc
+    return crc32(device.view(APP_REGION.start, meta.byte_count)) == meta.image_crc
 
 
 def _disarm_stages(regs: BackupRegisters) -> None:
@@ -237,10 +236,11 @@ def _commit_delta(ctx: EcuContext, staged: StagedImage, pkg: DeltaPackage) -> in
     ctx.sectors_erased += record in changed  # unless its sector holds a changed block too
     for index in sorted(changed - {record}):
         _erase(ctx, index, 1)
+    image = memoryview(staged)
     for sector in APP_SECTORS:
         if (sector.index in changed or sector.index == record) and sector.start < end:
             lo, hi = sector.start, min(sector.end, end)
-            ctx.device.program(lo, staged[lo - start : hi - start], ctx.now())
+            ctx.device.program(lo, image[lo - start : hi - start], ctx.now())
     meta = AppMetadata(len(staged), staged.image_crc, BlockCrcTable(staged.block_crcs))
     write_app_metadata(ctx.device, meta, ctx.now())
     return len(changed)
@@ -321,7 +321,7 @@ def bootloader_serve(ctx: EcuContext, payload: bytes) -> bytes | None:
             base = b""
             try:
                 meta = read_app_metadata(ctx.device)
-                base, _ = ctx.device.read(APP_REGION.start, meta.byte_count)
+                base = ctx.device.view(APP_REGION.start, meta.byte_count)
             except MalformedMetadata:
                 pass  # no valid base; verification decides
             staged = apply_delta(base, pkg)
@@ -445,8 +445,7 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
         ctx._hook("program")
         ctx.device.program(BOOTLOADER_REGION.start, image, ctx.now())
         ctx._hook("verify")
-        readback, _ = ctx.device.read(BOOTLOADER_REGION.start, len(image))
-        if crc32(readback) != crc32(image):
+        if crc32(ctx.device.view(BOOTLOADER_REGION.start, len(image))) != crc32(image):
             raise _VerifyFailed("read-back CRC mismatch")
     except (FlashError, InjectedFault, _VerifyFailed) as exc:
         if erased:

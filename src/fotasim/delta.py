@@ -11,10 +11,12 @@ The byte work runs in C builtins.  A changed block is XORed with its old
 contents as one big integer, and ``bytes.translate`` turns the XOR into a
 0/1 map of where the bytes differ.  ``bytes.find`` then steps from one run
 of difference to the next gap of ``gap_merge`` equal bytes and on to the
-next run, so equal bytes are skipped in C.  Block and image CRCs are read
-from one bit-reversed copy of the new or staged image
-(:func:`~fotasim.integrity.reflect`), so checking a block is one zlib call
-on a memoryview slice; of the old image only blocks that differ are reversed.
+next run, so equal bytes are skipped in C.  ``build_delta`` reads the new
+image's CRCs from one bit-reversed copy of it
+(:func:`~fotasim.integrity.reflect`), one zlib call on a memoryview slice
+per block, and of the old image reverses only blocks that differ;
+:func:`apply_delta` reads the staged image's with
+:func:`~fotasim.integrity.image_crcs`, which reverses it in pieces.
 
 Wire format, all little-endian:
 

@@ -7,7 +7,10 @@ two-key unlock.  Geometry, key pair and costs are fixed module constants:
 the one flash map is ``LAYOUT``, with ``APP_REGION`` and
 ``BOOTLOADER_REGION`` and their sector tuples ``APP_SECTORS`` and
 ``BOOTLOADER_SECTORS``, and every device's ``layout`` is ``LAYOUT``.
-Erase and program report simulated durations.  The device keeps the only
+Erase and program report simulated durations.  An erase copies from one
+erased constant, and a program's erased check compares against it, one
+``memcmp`` per 128 KiB.  :meth:`FlashDevice.view` reads the cells without a
+copy.  The device keeps the only
 flash-time account: a busy horizon, which reads report as their stall and
 which a node running on the device stalls on, and the running total of
 busy time.
@@ -44,8 +47,8 @@ MASS_ERASE_APPLICATION = 0xFF
 
 ERASED_BYTE = 0xFF
 
-# One erased sector of each size, which every erase copies from.
-_ERASED = {size: bytes([ERASED_BYTE]) * size for size in ERASE_US}
+# One erased sector of the largest size, which erases and programs slice.
+_ERASED = memoryview(bytes([ERASED_BYTE]) * max(ERASE_US))
 
 
 def program_cost(length: int) -> int:
@@ -210,7 +213,7 @@ class FlashDevice:
             sectors = LAYOUT.sectors[start_sector : start_sector + count]
         duration = 0
         for s in sectors:
-            self.cells[s.start : s.end] = _ERASED[s.size]
+            self.cells[s.start : s.end] = _ERASED[: s.size]
             duration += ERASE_US[s.size]
         self._occupy(now_us, duration)
         return duration
@@ -230,11 +233,12 @@ class FlashDevice:
             raise AddressOutOfRange(
                 f"program of {n} bytes at 0x{address:06X} leaves the device"
             )
-        cells = self.cells
-        if cells.count(ERASED_BYTE, address, address + n) != n:
-            for i in range(address, address + n):
-                if cells[i] != ERASED_BYTE:
-                    raise ProgramOnNonErased(i)
+        cells, end = self.cells, address + n
+        for lo in range(address, end, _ERASED.nbytes):  # one memcmp per largest sector
+            if not cells.startswith(_ERASED[: end - lo], lo):
+                for i in range(lo, end):
+                    if cells[i] != ERASED_BYTE:
+                        raise ProgramOnNonErased(i)
         cells[address : address + n] = data
         duration = program_cost(n)
         self._occupy(now_us, duration)
@@ -242,18 +246,19 @@ class FlashDevice:
 
     # -- access ------------------------------------------------------------
 
-    def read(self, address: int, length: int, now_us: int = 0) -> tuple[bytes, int]:
-        """Read ``length`` bytes; returns ``(data, stall_us)``.
-
-        ``stall_us`` is how long the caller waits for the device to leave its
-        busy window, zero when idle.  Reads are never gated by the lock.
-        """
+    def view(self, address: int, length: int) -> memoryview:
+        """A read-only view of ``length`` bytes at ``address``, not a copy:
+        it shows later erases and programs.  Never gated by the lock."""
         if length < 0 or address < 0 or address + length > LAYOUT.size:
             raise AddressOutOfRange(
                 f"read of {length} bytes at 0x{address:06X} leaves the device"
             )
-        stall = max(0, self.busy_until_us - now_us)
-        return bytes(memoryview(self.cells)[address : address + length]), stall
+        return memoryview(self.cells)[address : address + length].toreadonly()
+
+    def read(self, address: int, length: int, now_us: int = 0) -> tuple[bytes, int]:
+        """A copy of :meth:`view` and ``stall_us``, how long the caller waits
+        for the device to leave its busy window (zero when idle)."""
+        return bytes(self.view(address, length)), max(0, self.busy_until_us - now_us)
 
     def _occupy(self, now_us: int, duration: int) -> None:
         self.busy_until_us = max(self.busy_until_us, now_us) + duration

@@ -6,11 +6,11 @@ initial value 0xFFFFFFFF, no input/output reflection and no final XOR
 running zlib's reflected CRC-32 over bit-reversed input and bit-reversing
 the result, which is algebraically the same register and runs at C speed.
 
-Bit-reversing the input is a ``bytes.translate`` pass, the larger part of a
-CRC's cost.  Code that checks many blocks of one image reverses the image
-once with :func:`reflect` and hands memoryview slices of the copy to
-:func:`reflected_crc32`, which then costs one zlib call per block.
-:func:`image_crcs` reads an image's CRC and block table from one copy.
+Bit-reversing the input is a ``bytearray.translate`` pass (:func:`reflect`),
+the larger part of a CRC's cost.  Neither CRC reverses an image in one
+piece: :func:`crc32` folds one zlib register over ``_CHUNK``-byte pieces of
+any buffer, each reversed in cache, and :func:`image_crcs` reverses whole
+blocks about ``_CHUNK`` bytes at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import zlib
 from dataclasses import dataclass
 
 DEFAULT_BLOCK_SIZE = 1024
+
+_CHUNK = 16 * 1024  # bytes bit-reversed at a time; a message is one piece
 
 _U16 = struct.Struct("<H")
 
@@ -53,19 +55,23 @@ def _unreflect(registers: list[int]) -> tuple[int, ...]:
     return struct.unpack(f">{n}I", struct.pack(f"<{n}I", *registers).translate(_BITREV_NOT_BYTES))
 
 
-def crc32(data: bytes) -> int:
-    """CRC-32/MPEG-2 of ``data``.  crc32(b"") == 0xFFFFFFFF (the register
-    is never touched for empty input)."""
-    return reflected_crc32(reflect(data))
+def crc32(data) -> int:
+    """CRC-32/MPEG-2 of ``data``, any buffer.  crc32(b"") == 0xFFFFFFFF (the
+    register is never touched for empty input)."""
+    if len(data) <= _CHUNK:  # one piece: a message costs the fewest calls
+        return reflected_crc32(reflect(data))
+    view = memoryview(data)
+    register = 0
+    for lo in range(0, view.nbytes, _CHUNK):
+        register = zlib.crc32(reflect(view[lo : lo + _CHUNK]), register)
+    return _unreflect([register])[0]
 
 
-def reflect(data: bytes) -> bytes:
-    """``data`` with the bits of every byte reversed, the input form that
-    :func:`reflected_crc32` reads.  Bytes and bytearrays, subclasses too,
-    are read in place; other buffers are copied to bytes first."""
-    if not isinstance(data, (bytes, bytearray)):
-        data = bytes(data)
-    return data.translate(_BITREV_BYTES)
+def reflect(data) -> bytearray:
+    """``data``, any buffer, with the bits of every byte reversed: the input
+    form that :func:`reflected_crc32` reads.  It goes through a bytearray
+    copy, whose ``translate`` runs at twice the speed of ``bytes.translate``."""
+    return bytearray(data).translate(_BITREV_BYTES)
 
 
 def reflected_crc32(reflected: bytes | memoryview) -> int:
@@ -81,17 +87,23 @@ def block_count(image_length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     return -(-image_length // block_size)
 
 
-def image_crcs(image: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, tuple[int, ...]]:
+def image_crcs(image, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, tuple[int, ...]]:
     """``crc32(image)`` and the CRC of each ``block_size`` chunk of it, from
-    one reflected copy of ``image``.  The final block may be shorter than
-    ``block_size``; its CRC covers the bytes present, not a padded block."""
-    if len(image) == 0:
+    pieces of whole blocks bit-reversed about ``_CHUNK`` bytes at a time.
+    The final block may be shorter than ``block_size``; its CRC covers the
+    bytes present, not a padded block."""
+    view = memoryview(image)
+    if view.nbytes == 0:
         raise EmptyImage("cannot build a block CRC table for an empty image")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
-    reflected = memoryview(reflect(image))
-    crcs = _unreflect([zlib.crc32(reflected[i : i + block_size])
-                       for i in range(0, len(reflected), block_size)] + [zlib.crc32(reflected)])
+    step = (_CHUNK // block_size or 1) * block_size
+    pieces = [memoryview(reflect(view[lo : lo + step])) for lo in range(0, view.nbytes, step)]
+    register = 0
+    for piece in pieces:
+        register = zlib.crc32(piece, register)
+    crcs = _unreflect([zlib.crc32(piece[i : i + block_size])
+                       for piece in pieces for i in range(0, piece.nbytes, block_size)] + [register])
     return crcs[-1], crcs[:-1]
 
 

@@ -264,6 +264,32 @@ def test_read_never_gated_by_lock():
     assert data == b"\xff\xff\xff\xff"
 
 
+def test_view_is_read_only():
+    view = FlashDevice().view(0, 4)
+    with pytest.raises(TypeError):
+        view[0] = 0
+
+
+@pytest.mark.parametrize("address, length", [(-1, 4), (0, -1), (LAYOUT.size - 3, 4),
+                                             (LAYOUT.size, 1)])
+def test_view_out_of_range_raises_as_read_does(address, length):
+    d = FlashDevice()
+    with pytest.raises(AddressOutOfRange) as from_read:
+        d.read(address, length)
+    with pytest.raises(AddressOutOfRange) as from_view:
+        d.view(address, length)
+    assert str(from_view.value) == str(from_read.value)
+
+
+def test_view_shows_what_read_returns_after_a_later_program():
+    d = unlocked()
+    view = d.view(100, 8)
+    assert view == d.read(100, 8)[0] == b"\xff" * 8
+    d.program(102, b"\x12\x34")
+    assert view == d.read(100, 8)[0] == b"\xff\xff\x12\x34\xff\xff\xff\xff"
+    assert d.view(LAYOUT.size, 0) == b""
+
+
 # -- random-operation invariant sweep --------------------------------------------
 
 
@@ -291,6 +317,28 @@ def test_random_operation_invariants():
             sector = rng.choice(d.layout.sectors)
             d.erase_sectors(sector.index)
             shadow[sector.start:sector.end] = bytes([ERASED_BYTE]) * sector.size
+        elif op < 0.71:
+            # program past one largest sector, over erased sectors unless one
+            # byte past its first 128 KiB, or its last byte, is not erased
+            length = 128 * KIB + rng.randint(1, 128 * KIB)
+            addr = rng.randrange(d.layout.size - length + 1)
+            for sector in d.layout.sectors_overlapping(addr, addr + length):
+                d.erase_sectors(sector.index)
+                shadow[sector.start:sector.end] = bytes([ERASED_BYTE]) * sector.size
+            stray = rng.choice((None, addr + rng.randrange(128 * KIB, length), addr + length - 1))
+            if stray is not None:
+                d.program(stray, b"\x00")
+                shadow[stray] = 0
+            data = rng.randbytes(length)
+            if stray is None:
+                d.program(addr, data)
+                shadow[addr:addr + length] = data
+            else:
+                busy = d.busy_total_us
+                with pytest.raises(ProgramOnNonErased) as refused:
+                    d.program(addr, data)
+                assert refused.value.offset == stray
+                assert (d.cells, d.busy_total_us) == (shadow, busy)
         elif op < 0.95:
             addr = rng.randrange(d.layout.size - 64)
             length = rng.randint(1, 64)

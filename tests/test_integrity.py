@@ -1,12 +1,15 @@
 """Checksum and block-table behaviour."""
 
 import struct
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fotasim.delta import StagedImage
 from fotasim.integrity import (
+    _CHUNK,
     BlockCrcTable,
     EmptyImage,
     MalformedTable,
@@ -23,6 +26,9 @@ from conftest import crc32_bitwise
 # Known-answer values computed with the bitwise reference implementation.
 CHECK_VALUE = 0x0376E6E7  # crc32(b"123456789") for CRC-32/MPEG-2
 
+# Lengths either side of crc32's piece boundaries, and past three pieces.
+CHUNK_EDGES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
 
 def test_check_value():
     assert crc32(b"123456789") == CHECK_VALUE
@@ -36,6 +42,14 @@ def test_accepts_bytearray_and_memoryview():
     data = b"\x00\x01\x02\xff"
     assert crc32(bytearray(data)) == crc32(data)
     assert crc32(memoryview(data)) == crc32(data)
+    for n in CHUNK_EDGES:
+        data = Random(n).randbytes(n)
+        expected = reflected_crc32(reflect(data))  # the whole buffer in one piece
+        assert crc32(data) == expected
+        assert crc32(bytearray(data)) == expected
+        assert crc32(memoryview(bytearray(data)).toreadonly()) == expected
+        assert crc32(StagedImage(data)) == expected
+        assert crc32(memoryview(data)[1:]) == reflected_crc32(reflect(data[1:]))
 
 
 def test_single_bit_flip_changes_crc():
@@ -52,10 +66,9 @@ def test_matches_bitwise_reference(data):
 
 
 def test_matches_reference_on_larger_buffer():
-    import random
-
-    data = random.Random(42).randbytes(8192)
-    assert crc32(data) == crc32_bitwise(data)
+    for n in (8192, *CHUNK_EDGES):
+        data = Random(42 + n).randbytes(n)
+        assert crc32(data) == crc32_bitwise(data), n
 
 
 def test_block_count_rounds_up():
@@ -79,10 +92,17 @@ def test_block_crcs_partial_final_block():
     assert crcs[1] == crc32(data[1024:])  # only the real 256 bytes, no padding
 
 
-@given(st.binary(min_size=1, max_size=6000), st.integers(1, 2048))
+@given(st.one_of(
+    st.tuples(st.binary(min_size=1, max_size=6000), st.integers(1, 2048)),
+    # Past two of image_crcs's pieces, whose edges need not fall on a block's.
+    st.tuples(st.builds(lambda n, seed: Random(seed).randbytes(n),
+                        st.integers(2 * _CHUNK + 1, 3 * _CHUNK + 5), st.integers(0, 2**32)),
+              st.sampled_from((1000, 3000, 16384, 20000, 65536)))))
 @settings(max_examples=150, deadline=None)
-def test_block_crcs_match_crc32_of_each_chunk(data, block_size):
+def test_block_crcs_match_crc32_of_each_chunk(case):
+    data, block_size = case
     expected = [crc32(data[i : i + block_size]) for i in range(0, len(data), block_size)]
+    assert image_crcs(data, block_size)[0] == reflected_crc32(reflect(data))
     assert list(image_crcs(data, block_size)[1]) == expected
     assert list(image_crcs(bytearray(data), block_size)[1]) == expected
     assert list(image_crcs(memoryview(data), block_size)[1]) == expected

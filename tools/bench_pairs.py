@@ -13,10 +13,14 @@ run prints last ('details' and 'summary'), and per workload and seed each
 side's median, quartiles (``statistics.quantiles``, inclusive), range and
 run count of every gated metric, how many pairs the change won (ties count
 for neither side), the same spread of the ungated ``peak_rss_setup_mb``
-(the peak once set-up is done, from the 'details' line; also printed), the
-digests and fail shares, the machine, and each tree's ``src_sha256``: the
-SHA-256 over each ``src/**/*.py`` file's path relative to the tree
-(``src/fotasim/...``), a NUL byte and its bytes, in sorted path order.  ``--extra FILE`` adds a JSON value under ``"extra"``.
+(the peak once set-up is done, from the 'details' line) and of
+``minflt_per_op`` (the minor page faults of the run's whole process, the
+``RUSAGE_CHILDREN`` ``ru_minflt`` delta around it, divided by its
+``attempted`` operations; both printed), the digests and fail shares, the
+machine, and each tree's ``src_sha256``: the SHA-256 over each
+``src/**/*.py`` file's path relative to the tree (``src/fotasim/...``), a
+NUL byte and its bytes, in sorted path order.  ``--extra FILE`` adds a JSON
+value under ``"extra"``.
 Before the pairs it runs each tree's tier-1 suite once, ``python -m pytest
 -q -p no:cacheprovider`` with ``src`` first on ``PYTHONPATH``, and records
 its exit status, wall time and last output line under ``"suite"``.  Per
@@ -48,6 +52,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -105,16 +110,20 @@ def profiled(tree: Path, workload: str, seed: int) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One benchmark process in ``tree``: its exit status, wall time and
-    last two JSON lines, or its stderr tail when it printed none."""
+    """One benchmark process in ``tree``: its exit status, wall time, minor
+    page faults per attempted operation and last two JSON lines, or its
+    stderr tail when it printed none."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter()
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     run = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 3)}
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     try:
         run["details"], run["summary"] = (json.loads(line) for line in lines[-2:])
+        run["minflt_per_op"] = faults / max(run["summary"]["attempted"], 1)
     except ValueError:  # fewer than two lines, or not JSON
         run["stderr_tail"] = proc.stderr[-2000:]
     return run
@@ -186,6 +195,8 @@ def summarise(pairs: list[dict], gates: dict[str, dict]) -> dict:
         out["peak_rss_setup_mb"] = {
             side: spread([p[side]["details"]["peak_rss_setup_mb"] for p in complete])
             for side in SIDES}
+        out["minflt_per_op"] = {side: spread([p[side]["minflt_per_op"] for p in complete])
+                                for side in SIDES}
     for side in SIDES:
         runs = [p[side] for p in pairs]
         out[side] = {
@@ -273,10 +284,11 @@ def main(argv: list[str] | None = None) -> int:
             results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed, **summary,
                                                  "runs": pairs, "traced": trace,
                                                  "profiled": calls}
-            print(f"{workload} seed {seed} peak_rss_setup_mb median [q1, q3]: " + ", ".join(
-                f"{side} {row['median']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}]"
-                for side, row in summary.get("peak_rss_setup_mb", {}).items()),
-                file=sys.stderr, flush=True)
+            for name in ("peak_rss_setup_mb", "minflt_per_op"):
+                print(f"{workload} seed {seed} {name} median [q1, q3]: " + ", ".join(
+                    f"{side} {row['median']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}]"
+                    for side, row in summary.get(name, {}).items()),
+                    file=sys.stderr, flush=True)
 
     report = {
         "what": "End-to-end rows of perfbench/run.py on two source trees, in alternating pairs "

@@ -19,7 +19,8 @@ happen and by none on a fault-free bus (both probabilities zero); a
 corrupted frame is signalled as an error frame and never reaches a receiver,
 and the sender retries it until its retransmit budget runs out; then the
 node counts a bus-off and skips the frame.  A stream is that step repeated
-for the winner's head entry, one frame per tick.
+for the winner's head entry, one frame per tick, while its frames are its
+message's own and neither complete nor break it; a step sends any other.
 """
 
 from __future__ import annotations
@@ -234,13 +235,14 @@ class Bus:
         already known, and it only skips: the stream carries the winner's
         head entry, which wins every frame to its end since nothing queues
         meanwhile, and stops after ``max_frames``, at the entry's end, and
-        before a frame that would complete or break a message on any
-        receiver (``lands``: a step sends it).  Draws, statistics, trace
+        before any frame it does not carry (``lands``: a step sends it).
+        It carries a message's header when no receiver has an assembly open
+        on the id, and a body frame that every receiver has open and that
+        neither completes nor breaks the message.  Draws, statistics, trace
         rows, retransmits and bus-offs are exactly those of the same steps.
-        A message's clean frames before a fault go as one run, counted at
-        once and reaching each receiver as one payload slice, led by its
-        header when no receiver has an assembly open on the id.  Any other
-        frame, and each frame that draws a fault, lands alone by :meth:`_land`.
+        Clean frames before a fault go as one run, counted at once and
+        reaching each receiver as one payload slice; a frame that draws a
+        fault lands alone by :meth:`_land`.
         """
         sender = self._winner()
         if sender is None:
@@ -254,12 +256,11 @@ class Bus:
         while sent < max_frames and entry.index < entry.count:
             first = index = entry.index
             states = [ep._assembly.get(can_id) for ep in receivers]
-            header = index == 0 and entry.count > 1 and not any(states)  # a message's, opening
-            if index == 0 or None in states:  # a header, a raw frame, or a fresh receiver
-                if not header and not all(_is_quiet(state, _frame(entry, index)) for state in states):
+            if index == 0:  # only a message's header, onto no open assembly, streams
+                if entry.count == 1 or any(states):
                     return sent, True
                 roll = random() if faulty_below else 1.0
-                if not header or roll < faulty_below:  # it lands alone
+                if roll < faulty_below:  # it faults alone
                     self._land(sender, entry, roll, now_us, receivers)
                     now_us += tick_us
                     sent += 1
@@ -268,6 +269,8 @@ class Bus:
                     _take(ep, can_id, entry.head, entry.payload)
                 states = [ep._assembly[can_id] for ep in receivers]
                 index = 1  # the header leads the run
+            elif None in states:  # a body frame streams only into an open assembly
+                return sent, True
             run = want = min(entry.count - index, max_frames - sent - (index - first))
             start = (index - 1) * BODY_CHUNK
             for state in states:
@@ -311,7 +314,7 @@ class Bus:
         lottery by ``roll``, trace it, and retry it, or move the entry past
         it and feed it to each of ``receivers`` (:meth:`_receivers`, which
         the caller holds) with :func:`_take`; returns its data when it
-        lands.  The one path of a frame that lands alone."""
+        lands.  The one path of a step's frame and of a stream's faulted one."""
         sent = entry.payload if entry.index == 0 and entry.count > 1 else None  # its header
         data = _frame(entry, entry.index)
         dlc = len(data)
@@ -387,10 +390,10 @@ def _pass(tx: deque[_TxEntry], entry: _TxEntry, frames: int) -> None:
 
 
 def _quiet_run(state: _Assembly, seq: int, count: int, size: int) -> int:
-    """The reassembly rule for body frames: how many of ``count`` in a row,
-    the first with sequence byte ``seq``, each but the last a full chunk,
-    ``size`` payload bytes in all, the open message ``state`` takes in
-    phase and short of its announced length, so neither breaks nor ends."""
+    """:func:`_take`'s rule for a run of body frames: how many of ``count``
+    in a row, the first with sequence byte ``seq``, each but the last a full
+    chunk, ``size`` payload bytes in all, the open message ``state`` takes
+    in phase and short of its announced length, so neither breaks nor ends."""
     if seq != state.seq & 0xFF:
         return 0
     room = state.expected - len(state.buf)  # the message completes once this many bytes land
@@ -400,38 +403,28 @@ def _quiet_run(state: _Assembly, seq: int, count: int, size: int) -> int:
     return max(0, min(full, count - 1))
 
 
-def _is_quiet(state: _Assembly | None, data: bytes) -> bool:
-    """Whether taking the frame ``data`` into ``state`` (the open assembly
-    on its id, if any) neither completes nor breaks a message: a header
-    where no assembly is open, or a body frame by :func:`_quiet_run`."""
-    if state is None:
-        return len(data) == _HEADER.size and data[0] == HEADER_MARKER
-    return bool(data) and _quiet_run(state, data[0], 1, len(data) - 1) == 1
-
-
 def _take(endpoint: Endpoint, can_id: int, data: bytes, sent: bytes | None) -> None:
     """Feed one landed frame into the endpoint's reassembly on ``can_id``;
     ``sent`` is the queued payload when ``data`` is its header, else None.
-    A frame that completes a message queues it on ``endpoint.rx``, as
-    ``sent`` when it assembled those bytes; one that breaks a message queues
-    the :class:`SequenceGap` (a body frame missing, out of phase or without a
-    header) or :class:`ChecksumMismatch` (a payload that fails its CRC), and
-    the partial payload is discarded."""
+    A header opens a message where none is open, and a body frame in phase
+    and short of the announced length keeps it open.  Any other frame
+    completes the message, queued on ``endpoint.rx`` (as ``sent`` when it
+    assembled those bytes), or breaks it: the :class:`SequenceGap` or
+    :class:`ChecksumMismatch` is queued and the partial payload discarded."""
     state = endpoint._assembly.get(can_id)
-    if _is_quiet(state, data):
-        if state is None:
+    if state is None:
+        if len(data) == _HEADER.size and data[0] == HEADER_MARKER:  # a header opens a message
             _, length, crc, _ = _HEADER.unpack(data)
             endpoint._assembly[can_id] = _Assembly(length, crc, sent)
-        else:
-            state.buf += data[1:]
-            state.seq += 1
-        return
-    if state is None:
+            return
         outcome = SequenceGap(f"body frame on id 0x{can_id:X} without a header")
     elif not data or data[0] != state.seq & 0xFF:
         outcome = SequenceGap(f"expected seq {state.seq & 0xFF}, got {data[0] if data else None}")
     else:
         state.buf += data[1:]
+        if len(state.buf) < state.expected:  # in phase and short of the length: still open
+            state.seq += 1
+            return
         whole = len(state.buf) == state.expected
         if whole and state.buf == state.sent:
             outcome = SegmentedMessage(can_id, state.sent)
@@ -476,14 +469,14 @@ def wait_for(now, deadline_us: int, poll):
 def await_reply(endpoint: Endpoint, now, deadline_us: int, accept):
     """Wait, via :func:`wait_for`, for the first reassembled payload for
     which ``accept(payload)`` holds.  Payloads that ``accept`` refuses are
-    drained as stray traffic; a mangled message is dropped and the deadline
-    decides."""
+    drained as stray traffic, and so is a mangled message: a reply queued
+    behind it is found by the same poll."""
     def poll():
         while endpoint.rx:
             try:
                 msg = recv_segmented(endpoint)
             except CanError:
-                return None
+                continue
             if accept(msg.payload):
                 return msg.payload
         return None

@@ -1,7 +1,7 @@
 """Block-granular firmware deltas: build, serialize, decode, apply.
 
 A package describes how a new image differs from an old one at two levels:
-which fixed-size blocks changed (detected by per-block CRC), and inside
+which fixed-size blocks changed (detected by comparing bytes), and inside
 each changed block, which byte runs to rewrite.  Applying a package stages
 the full new image in RAM and verifies every patched block CRC plus the
 whole-image CRC; nothing here touches flash.  The target's DELTA_APPLY
@@ -14,7 +14,7 @@ of difference to the next gap of ``gap_merge`` equal bytes and on to the
 next run, so equal bytes are skipped in C.  ``build_delta`` reads the new
 image's CRCs from one bit-reversed copy of it
 (:func:`~fotasim.integrity.reflect`), one zlib call on a memoryview slice
-per block, and of the old image reverses only blocks that differ;
+per changed block, and no CRC of the old image;
 :func:`apply_delta` reads the staged image's with
 :func:`~fotasim.integrity.image_crcs`, which reverses it in pieces.
 
@@ -42,7 +42,6 @@ from .integrity import (
     DEFAULT_BLOCK_SIZE,
     EmptyImage,
     block_count,
-    crc32,
     image_crcs,
     reflect,
     reflected_crc32,
@@ -173,9 +172,8 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
     """Diff two images into a package that rewrites ``old`` into ``new``.
 
     The comparison runs over the new image's extent; where the old image is
-    shorter it is treated as erased flash (0xFF).  Blocks whose CRCs match
-    produce no entry, so a CRC collision between genuinely different blocks
-    would go unpatched; with 32-bit CRCs that risk is accepted.
+    shorter it is treated as erased flash (0xFF).  Blocks whose bytes match
+    produce no entry.
     """
     if len(old) == 0 or len(new) == 0:
         raise EmptyImage("delta inputs must be non-empty")
@@ -196,14 +194,11 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         old_block = old[lo:hi]
         if old_block == new_block:
             continue
-        new_crc = reflected_crc32(new_reflected[lo:hi])
-        if crc32(old_block) == new_crc:
-            continue
         runs = _diff_runs(old_block, new_block, gap_merge)
         if block_size > 0xFFFF:  # a whole changed 64 KiB block overflows a u16 length
             runs = [(o, min(o + 0xFFFF, e)) for s, e in runs for o in range(s, e, 0xFFFF)]
         tuples = tuple((s, new_block[s:e]) for s, e in runs)
-        entries.append(DeltaEntry(index, new_crc, tuples))
+        entries.append(DeltaEntry(index, reflected_crc32(new_reflected[lo:hi]), tuples))
     return DeltaPackage(block_size, n, reflected_crc32(new_reflected), tuple(entries))
 
 

@@ -363,10 +363,10 @@ class World:
         but steer; every tick that acts is a :meth:`tick`.  The bus streams
         one sender's frames, or, idle, the clock jumps to the earliest
         wake-up or the one steering node glides (:meth:`Node._glide`).  A
-        stream stopped before a frame that would complete or break a
-        message, or a glide stopped at a new feed line, ends with the
-        :meth:`tick` that sends or reads it.  No span follows a tick that
-        logged an event (a node earlier in tick order has not seen it)."""
+        stream stopped before a frame it does not carry, or a glide stopped
+        at a new feed line, ends with the :meth:`tick` that sends or reads
+        it.  No span follows a tick that logged an event (a node earlier in
+        tick order has not seen it)."""
         now, span = self.clock_us, 0
         if len(self.events) == self._events_before_tick:
             wake, steering = _NEVER, []

@@ -291,6 +291,24 @@ def test_mem_write_on_dirty_flash_is_flash_nack():
         [NACK, BootloaderCommand.MEM_WRITE, NACK_FLASH])
 
 
+@pytest.mark.parametrize("serve, payload", [
+    pytest.param(bootloader_serve, mem_write_request(APP_REGION.start + 4 * KIB, bytes(8)),
+                 id="mem-write"),
+    pytest.param(bootloader_serve, bytes([BootloaderCommand.FLASH_ERASE, 5, 1]), id="flash-erase"),
+    pytest.param(updater_serve,
+                 bytes([UpdaterCommand.MEM_ERASE_BOOTLOADER, BOOTLOADER_SECTORS[0].index, 1]),
+                 id="mem-erase-bootloader"),
+])
+def test_a_latched_flash_draws_a_flash_nack_and_stays_as_it_was(serve, payload):
+    ctx = make_ctx(Random(17).randbytes(2 * KIB))
+    unlock_session(ctx)
+    with pytest.raises(FlashError):
+        ctx.device.unlock(0, 0)  # a wrong key latches the lock until reset
+    before = _flash_state(ctx)
+    assert serve(ctx, payload) == bytes([NACK, payload[0], NACK_FLASH])
+    assert _flash_state(ctx) == before
+
+
 def test_a_mem_write_sent_twice_is_acked_twice_and_programs_once():
     # The master resends a write whose ACK it lost; the bytes already sit there.
     ctx = make_ctx()
@@ -371,6 +389,25 @@ def test_delta_apply_wrong_base_is_delta_nack():
     assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_DELTA])
     # Nothing was erased or programmed: the old image still verifies.
     assert app_integrity(ctx.device)
+
+
+def test_delta_apply_onto_a_target_with_no_record_stages_from_erased_flash():
+    old = Random(18).randbytes(4 * KIB)
+    new = bytearray(old)
+    new[100] ^= 1
+    ctx = make_ctx()  # erased flash: no valid record, so no base to patch
+    unlock_session(ctx)
+    before = _flash_state(ctx)
+    blob = encode_package(build_delta(old, bytes(new)))
+    reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
+    assert reply == bytes([NACK, BootloaderCommand.DELTA_APPLY, NACK_DELTA])
+    assert _flash_state(ctx) == before
+    # A package built against erased flash rewrites every byte, and installs.
+    blob = encode_package(build_delta(b"\xff" * len(new), bytes(new)))
+    reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
+    assert reply == bytes([ACK, BootloaderCommand.DELTA_APPLY])
+    assert app_integrity(ctx.device)
+    assert ctx.device.view(APP_REGION.start, len(new)) == new
 
 
 def test_delta_apply_garbage_is_delta_nack():

@@ -19,7 +19,9 @@ from fotasim.canbus import (
     DuplicateNode,
     MalformedFrame,
     PayloadTooLarge,
+    SegmentedMessage,
     SequenceGap,
+    await_reply,
     recv_segmented,
     send_segmented,
     wait_for,
@@ -48,6 +50,8 @@ def test_frame_validation():
         CanFrame(-1, b"")
     with pytest.raises(MalformedFrame):
         CanFrame(0x100, b"123456789")
+    frame = CanFrame(0x100, bytearray(b"ab"))  # stored as bytes, so the frame is immutable
+    assert type(frame.data) is bytes and frame.data == b"ab"
 
 
 def test_duplicate_node_id_rejected():
@@ -534,6 +538,57 @@ _DRAIN = st.tuples(st.just("drain"), st.integers(1, 60))
 _TICK_US = 1000
 
 
+def _carries(bus):
+    """Whether a stream carries the next frame on ``bus``, by the state before
+    it lands: its message's header on an id no receiver has open, or a body
+    frame every receiver has open."""
+    sender = bus._winner()
+    entry = sender.tx[0]
+    states = [ep._assembly.get(entry.can_id) for ep in bus._receivers(sender, entry.can_id)]
+    if entry.index == 0:
+        return entry.count > 1 and not any(states)
+    return None not in states
+
+
+@settings(max_examples=200, deadline=None)
+@given(filtered=st.lists(st.booleans(), min_size=3, max_size=3),
+       program=st.lists(st.one_of(_QUEUE, _DRAIN), max_size=40))
+def test_a_fault_free_stream_never_lands_a_frame_alone(filtered, program):
+    """Messages and raw frames (some header-like, some on an id with no
+    receiver) on a fault-free bus, drained by ``stream()`` plus the
+    ``step()`` for the frame a stream stops at.  No stream lands a frame
+    through ``_land``: it stops, with ``lands``, before each frame it does
+    not carry, and before a frame that completes or breaks a message."""
+    bus = Bus()
+    # A filtered endpoint hears only 0x100: on 0x200, a filtered sender may have no receiver.
+    endpoints = [bus.attach(i + 1, ((0x7FF, 0x100),) if filtered[i] else ACCEPT_ALL)
+                 for i in range(3)]
+    alone, land = [], bus._land
+    bus._land = lambda *args: alone.append(args) or land(*args)
+    for op in program + [("drain", 10**6)]:
+        if op[0] != "drain":
+            kind, sender, can_id, data = op
+            if kind == "message":
+                send_segmented(bus, endpoints[sender], can_id, data)
+            else:
+                bus.transmit(endpoints[sender], CanFrame(can_id, data))
+            continue
+        ticks = op[1]
+        while ticks and bus.pending():
+            carried = _carries(bus)
+            sent, lands = bus.stream(0, _TICK_US, ticks)
+            assert not alone and (sent or lands)
+            assert carried or (sent, lands) == (0, True)
+            if lands:
+                queued = [len(ep.rx) for ep in endpoints]
+                carried = _carries(bus)
+                bus.step()
+                assert not carried or [len(ep.rx) for ep in endpoints] != queued
+                alone.clear()
+                sent += 1
+            ticks -= sent
+
+
 @settings(max_examples=200, deadline=None)
 @given(senders=st.integers(2, 3),
        listening=st.lists(st.booleans(), min_size=4, max_size=4),
@@ -605,10 +660,13 @@ def test_streams_replay_step_by_step_byte_for_byte(
             assert [len(ep.rx) for ep in streamed.endpoints] == queued
             assert sent or lands
             if lands:
-                # The frame it stopped at completes or breaks a message, unless it faults.
+                # The frame it stopped at completes or breaks a message, unless it faults
+                # or is one a stream does not carry.
                 assert sent < ticks
+                carried = _carries(streamed.bus)
                 landed, _ = streamed.bus.step(now + sent * _TICK_US)
-                assert landed is None or [len(ep.rx) for ep in streamed.endpoints] != queued
+                assert landed is None or not carried or \
+                    [len(ep.rx) for ep in streamed.endpoints] != queued
                 sent += 1
             for _ in range(sent):
                 stepped.bus.step(now)
@@ -768,3 +826,13 @@ def test_wait_for_returns_the_first_poll_result_or_none_at_its_deadline():
     with pytest.raises(StopIteration) as stop:
         next(waiter)
     assert stop.value.value is None
+
+
+def test_a_reply_queued_behind_a_broken_message_is_found_by_the_same_poll():
+    endpoint = Bus().attach(1)
+    endpoint.rx.extend([SequenceGap("expected seq 3, got 5"), SegmentedMessage(0x7E8, b"reply")])
+    waiter = await_reply(endpoint, lambda: 0, 5000, lambda payload: True)
+    with pytest.raises(StopIteration) as stop:
+        next(waiter)
+    assert stop.value.value == b"reply"
+    assert not endpoint.rx

@@ -293,11 +293,26 @@ GOOD_IMAGES = {"old": {"size": 16 * KIB, "seed": 1},
                  "probabilities", id="corruption-a-bool"),
     pytest.param({"images": GOOD_IMAGES, "bus": {"drop_probability": "0"}},
                  "probabilities", id="drop-a-string"),
+    pytest.param({"images": {"old": {"size": 0}, "new": {"size": KIB}}},
+                 "images.old: image size must be positive", id="size-zero"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"],
+                             "new": {"base": "old", "block_range": [6, 2]}}},
+                 "block range", id="block-range-reversed"),
+    pytest.param('{"images": ', "not valid JSON", id="invalid-json"),
+    pytest.param([GOOD_IMAGES], "root must be an object", id="root-a-list"),
+    pytest.param({"images": {"old": GOOD_IMAGES["old"]}}, "images.new missing",
+                 id="new-image-missing"),
+    pytest.param({"images": {"old": {"seed": 1}, "new": {"size": KIB}}},
+                 "needs a path, a size or a base", id="image-of-nothing"),
+    pytest.param({"images": GOOD_IMAGES, "bus": {"corruption_probability": 10**400}},
+                 "sum to at most 1", id="corruption-past-a-float"),
+    pytest.param({"images": GOOD_IMAGES, "campaign": {"mode": "sideways"}},
+                 "campaign.mode", id="mode-unknown"),
 ])
 def test_sim_run_bad_scenario_is_an_operation_error(tmp_path, capsys, spec, needle):
     (tmp_path / "empty.bin").write_bytes(b"")
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if type(spec) is str else json.dumps(spec))  # a str is the file's text
     code, out, _ = run_cli(capsys, "sim", "run", str(path))
     assert code == 1
     assert needle in json.loads(out)["error"]

@@ -27,6 +27,7 @@ from fotasim.delta import (
     encode_package,
 )
 from fotasim.flashmodel import (
+    APP_REGION,
     KIB,
     LAYOUT,
     REGION_APPLICATION,
@@ -41,7 +42,8 @@ from fotasim.nvstore import (
     BackupRegisters,
     read_app_metadata,
 )
-from fotasim.scenario import provision_application
+from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
+from fotasim.scenario import DEFAULT_SECRET, build_world, provision_application
 from fotasim.uds import SecuritySession, SecurityState
 
 
@@ -160,21 +162,39 @@ def test_identical_images_empty_package():
 GENERATOR = bytes.fromhex("0104C11DB7")
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, KIB - len(GENERATOR)),
-       st.integers(0, 8 * KIB - 1))
-@settings(max_examples=60, deadline=None)
-def test_a_block_whose_crc_collides_gets_no_entry(seed, block, offset, bit):
-    # Blocks are compared by CRC: one whose bytes differ but whose CRC matches
-    # produces no entry, while one bit changed anywhere does.
+def colliding_pair(seed, block, offset):
+    """An 8 KiB pair that differs only in ``block``, where the generator is
+    XORed in at ``offset``: that block's CRC, and the image's, stay."""
     old, new = make_pair(seed=seed)
     lo, hi = block * KIB, (block + 1) * KIB
     new[lo + offset : lo + offset + len(GENERATOR)] = \
         bytes(a ^ g for a, g in zip(new[lo + offset :], GENERATOR))
     assert new[lo:hi] != old[lo:hi] and crc32(bytes(new[lo:hi])) == crc32(old[lo:hi])
-    assert build_delta(old, bytes(new)).entries == ()
+    return old, bytes(new)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, KIB - len(GENERATOR)),
+       st.integers(0, 8 * KIB - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_block_whose_crc_collides_gets_an_entry(seed, block, offset, bit):
+    # Blocks are compared by bytes: one whose bytes differ but whose CRC matches
+    # gets an entry, as does one with one bit changed anywhere.
+    old, new = colliding_pair(seed, block, offset)
+    pkg = build_delta(old, new)
+    assert pkg.changed_blocks() == [block]
+    assert apply_delta(old, pkg) == new
     flipped = bytearray(old)
-    flipped[lo + bit // 8] ^= 1 << bit % 8
+    flipped[block * KIB + bit // 8] ^= 1 << bit % 8
     assert build_delta(old, bytes(flipped)).changed_blocks() == [block]
+
+
+def test_a_delta_campaign_over_a_colliding_pair_installs_the_new_image():
+    old, new = colliding_pair(seed=5, block=3, offset=100)
+    world, _, target = build_world(old_image=old, seed=5)
+    report = run_campaign(world, CampaignPlan(mode=CampaignMode.DELTA, old_image=old,
+                                              new_image=new, shared_secret=DEFAULT_SECRET))
+    assert report.success
+    assert target.device.view(APP_REGION.start, len(new)) == new
 
 
 def test_growth_pads_old_with_erased_bytes():

@@ -36,8 +36,9 @@ and builtins) and those of the package's own functions.  Both are exact
 counts of the whole run, set-up included, divided by its operations; calls
 that do not touch the package are left out, because the benchmark's clock
 loop runs on a timer and its calls vary from run to run.  Each tree's
-``src/**/*.py`` line count is recorded as ``src_lines``, and the
-differences of all three are printed.
+``src/**/*.py`` line count is recorded as ``src_lines``, and each file's as
+``src_lines_by_module`` (keyed by its path under ``src``); the differences
+of all three, and each module whose count changed, are printed.
 
 Exits 1 when any run (traced and profiled ones too) or either suite exits
 non-zero, or a run prints no result or reports ``correct: false``; the file
@@ -92,8 +93,9 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
+def src_lines_by_module(tree: Path) -> dict[str, int]:
+    return {p.relative_to(tree / "src").as_posix(): len(p.read_bytes().splitlines())
+            for p in sorted((tree / "src").rglob("*.py"))}
 
 
 def profiled(tree: Path, workload: str, seed: int) -> dict:
@@ -246,9 +248,15 @@ def main(argv: list[str] | None = None) -> int:
     ok = all(run["exit"] == 0 for run in suite.values())
     print("tier-1 suite: " + ", ".join(f"{side} exit {run['exit']} in {run['wall_s']} s"
                                        for side, run in suite.items()), file=sys.stderr, flush=True)
-    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    modules = {side: src_lines_by_module(tree) for side, tree in trees.items()}
+    lines = {side: sum(counts.values()) for side, counts in modules.items()}
+    moved = [(name, *(modules[side].get(name, 0) for side in SIDES))
+             for name in sorted(modules["parent"].keys() | modules["change"].keys())
+             if modules["parent"].get(name) != modules["change"].get(name)]
     print(f"src lines: parent {lines['parent']} -> change {lines['change']} "
-          f"({lines['change'] - lines['parent']:+d})", file=sys.stderr, flush=True)
+          f"({lines['change'] - lines['parent']:+d}); " + ("; ".join(
+              f"{name} {old} -> {new} ({new - old:+d})" for name, old, new in moved)
+              or "no module changed"), file=sys.stderr, flush=True)
     results = {}
     for workload in args.workload:
         for seed in args.seed:
@@ -297,7 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0",
         "machine": machine([p for r in results.values() for p in r["runs"]]),
-        **{side: {"src_sha256": src_sha256(tree), "src_lines": lines[side]}
+        **{side: {"src_sha256": src_sha256(tree), "src_lines": lines[side],
+                  "src_lines_by_module": modules[side]}
            for side, tree in trees.items()},
         "suite": {"command": "PYTHONPATH=src python -m pytest -q -p no:cacheprovider", **suite},
         "pairs_per_workload": args.pairs,

@@ -560,7 +560,7 @@ def test_a_fault_free_stream_never_lands_a_frame_alone(filtered, program):
     through ``_land``: it stops, with ``lands``, before each frame it does
     not carry, and before a frame that completes or breaks a message."""
     bus = Bus()
-    # A filtered endpoint hears only 0x100: on 0x200, a filtered sender may have no receiver.
+    # A filtered endpoint hears only 0x100, so a frame on another id may have no receiver.
     endpoints = [bus.attach(i + 1, ((0x7FF, 0x100),) if filtered[i] else ACCEPT_ALL)
                  for i in range(3)]
     alone, land = [], bus._land

@@ -23,7 +23,9 @@ DELTA_APPLY stages and verifies the new image in RAM
 erases only the sectors that hold changed blocks and reprograms them in
 full, which reconciles the block-granular diff with the much coarser erase
 granularity of the device, and commits the metadata record built from the
-CRCs that verification read.
+CRCs that verification read.  It then vouches for the staged image's CRC
+(:meth:`~fotasim.flashmodel.FlashDevice.vouch`), so the boot into the new
+image compares bytes instead of CRCing them.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .flashmodel import (
     Region,
     Sector,
 )
-from .integrity import BlockCrcTable, crc32
+from .integrity import BlockCrcTable
 from .nvstore import (
     APP_ENTER_REG,
     METADATA_OFFSET,
@@ -144,12 +146,15 @@ class EcuContext:
 
 
 def app_integrity(device: FlashDevice) -> bool:
-    """Whether the stored application's CRC matches its metadata record."""
+    """Whether the stored application's CRC matches its metadata record.
+    The CRC is :meth:`FlashDevice.crc32`'s: one ``memcmp`` while flash holds
+    exactly the image that provisioning or DELTA_APPLY's commit vouched for,
+    a CRC of the flash bytes otherwise."""
     try:
         meta = read_app_metadata(device)
     except MalformedMetadata:
         return False
-    return crc32(device.view(APP_REGION.start, meta.byte_count)) == meta.image_crc
+    return device.crc32(APP_REGION.start, meta.byte_count) == meta.image_crc
 
 
 def _disarm_stages(regs: BackupRegisters) -> None:
@@ -164,8 +169,8 @@ def boot_decide(device: FlashDevice, regs: BackupRegisters) -> BootDecision:
     A verified application with its enter flag armed wins; otherwise an
     armed updater flag wins; otherwise both flags are cleared and the
     bootloader takes over, so a stale flag can never loop the chain.  The
-    flag is read first: only a boot that would enter the application CRCs
-    it, and every such boot does.
+    flag is read first: only a boot that would enter the application checks
+    it, and every such boot does, by :func:`app_integrity`'s rule.
     """
     if regs.read_flag(APP_ENTER_REG) is BootFlag.ENTER and app_integrity(device):
         return BootDecision.JUMP_APPLICATION
@@ -243,6 +248,7 @@ def _commit_delta(ctx: EcuContext, staged: StagedImage, pkg: DeltaPackage) -> in
             ctx.device.program(lo, image[lo - start : hi - start], ctx.now())
     meta = AppMetadata(len(staged), staged.image_crc, BlockCrcTable(staged.block_crcs))
     write_app_metadata(ctx.device, meta, ctx.now())
+    ctx.device.vouch(start, staged, staged.image_crc)  # the device keeps staged: no copy
     return len(changed)
 
 
@@ -417,8 +423,9 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
     """Replace the bootloader with the image embedded in the updater.
 
     The whole old bootloader is copied to RAM first; any failure after the
-    erase restores it in full, so the region is never left part old, part
-    new.  Success and rollback both clear the stage flags and software-reset.
+    erase, a read-back whose bytes differ from the image included, restores
+    it in full, so the region is never left part old, part new.  Success
+    and rollback both clear the stage flags and software-reset.
     """
     image = ctx.updater_image
 
@@ -445,8 +452,8 @@ def updater_silent(ctx: EcuContext) -> UpdaterResult:
         ctx._hook("program")
         ctx.device.program(BOOTLOADER_REGION.start, image, ctx.now())
         ctx._hook("verify")
-        if crc32(ctx.device.view(BOOTLOADER_REGION.start, len(image))) != crc32(image):
-            raise _VerifyFailed("read-back CRC mismatch")
+        if not ctx.device.cells.startswith(image, BOOTLOADER_REGION.start):
+            raise _VerifyFailed("read-back mismatch")
     except (FlashError, InjectedFault, _VerifyFailed) as exc:
         if erased:
             _restore_backup(ctx, backup)

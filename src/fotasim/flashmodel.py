@@ -9,8 +9,10 @@ the one flash map is ``LAYOUT``, with ``APP_REGION`` and
 ``BOOTLOADER_SECTORS``, and every device's ``layout`` is ``LAYOUT``.
 Erase and program report simulated durations.  An erase copies from one
 erased constant, and a program's erased check compares against it, one
-``memcmp`` per 128 KiB.  :meth:`FlashDevice.view` reads the cells without a
-copy.  The device keeps the only
+``memcmp`` per 128 KiB; both write through a memoryview, so the bytes move
+once.  :meth:`FlashDevice.view` reads the cells without a copy, and
+:meth:`FlashDevice.crc32` returns a vouched CRC after one ``memcmp``.  The
+device keeps the only
 flash-time account: a busy horizon, which reads report as their stall and
 which a node running on the device stalls on, and the running total of
 busy time.
@@ -21,6 +23,8 @@ Nothing here touches real hardware.  Durations are bookkeeping, not sleeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .integrity import crc32
 
 KIB = 1024
 
@@ -173,6 +177,7 @@ class FlashDevice:
         self.latched = False
         self.busy_until_us = 0
         self.busy_total_us = 0
+        self._vouched: tuple[int, bytes, int] | None = None  # address, data, its CRC
 
     # -- lock handling -----------------------------------------------------
 
@@ -213,7 +218,7 @@ class FlashDevice:
             sectors = LAYOUT.sectors[start_sector : start_sector + count]
         duration = 0
         for s in sectors:
-            self.cells[s.start : s.end] = _ERASED[: s.size]
+            memoryview(self.cells)[s.start : s.end] = _ERASED[: s.size]
             duration += ERASE_US[s.size]
         self._occupy(now_us, duration)
         return duration
@@ -239,7 +244,7 @@ class FlashDevice:
                 for i in range(lo, end):
                     if cells[i] != ERASED_BYTE:
                         raise ProgramOnNonErased(i)
-        cells[address : address + n] = data
+        memoryview(cells)[address:end] = data  # a bytearray slice copies data to a temporary first
         duration = program_cost(n)
         self._occupy(now_us, duration)
         return duration
@@ -254,6 +259,26 @@ class FlashDevice:
                 f"read of {length} bytes at 0x{address:06X} leaves the device"
             )
         return memoryview(self.cells)[address : address + length].toreadonly()
+
+    def vouch(self, address: int, data: bytes, crc: int) -> None:
+        """Record that ``crc`` is the CRC of ``data``, which the caller has
+        just programmed at ``address``.  The device keeps ``data`` itself,
+        so the caller hands it over and changes it no more; a vouch replaces
+        the one before."""
+        self._vouched = address, data, crc
+
+    def crc32(self, address: int, length: int) -> int:
+        """``integrity.crc32`` of :meth:`view`.  A request for the vouched
+        address and length, whose cells still hold the vouched bytes (one
+        ``memcmp``), returns the vouched CRC.  A poke, erase or program that
+        changed those cells makes it compute the CRC; a reset or power cycle
+        changes no cell."""
+        view = self.view(address, length)
+        if self._vouched is not None:
+            at, data, crc = self._vouched
+            if at == address and len(data) == length and self.cells.startswith(data, address):
+                return crc
+        return crc32(view)
 
     def read(self, address: int, length: int, now_us: int = 0) -> tuple[bytes, int]:
         """A copy of :meth:`view` and ``stall_us``, how long the caller waits

@@ -26,6 +26,17 @@ def crc32_bitwise(data: bytes, init: int = 0xFFFFFFFF) -> int:
     return crc
 
 
+# CRC-32/MPEG-2's generator, x^32 + x^26 + ... + 1, as bytes.  XORed into a
+# buffer at any offset it adds a multiple of the generator, so the CRC stays.
+GENERATOR = bytes.fromhex("0104C11DB7")
+
+
+def xor_generator(buffer, at: int) -> None:
+    """XOR :data:`GENERATOR` into ``buffer`` (a bytearray) at ``at``: the
+    bytes change and their CRC-32/MPEG-2 does not."""
+    buffer[at : at + len(GENERATOR)] = bytes(a ^ g for a, g in zip(buffer[at:], GENERATOR))
+
+
 @pytest.fixture
 def device():
     return FlashDevice()

@@ -24,6 +24,7 @@ from fotasim.bootflow import (
     EcuContext,
     InjectedFault,
     UpdaterCommand,
+    UpdaterResult,
     UpdaterStatus,
     app_integrity,
     app_serve,
@@ -36,6 +37,7 @@ from fotasim.bootflow import (
 from fotasim.delta import MAGIC, build_delta, encode_package
 from fotasim.flashmodel import (
     APP_REGION,
+    APP_SECTORS,
     BOOTLOADER_REGION,
     BOOTLOADER_SECTORS,
     DEFAULT_UNLOCK_KEYS,
@@ -61,6 +63,8 @@ from fotasim.nvstore import (
 )
 from fotasim.scenario import provision_application
 from fotasim.uds import KEY_LENGTH, SecuritySession, derive_key
+
+from conftest import xor_generator
 
 SECRET = 0x5EC10ACE
 
@@ -340,17 +344,28 @@ def test_delta_apply_end_to_end():
     assert meta.image_crc == crc32(bytes(new))
 
 
-def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(monkeypatch):
-    # Every bit-reversal runs through integrity.reflect, bound in integrity
-    # and delta.  Each pass reverses the image once, in pieces of at most
-    # integrity._CHUNK bytes, so none copies the whole image.
-    reversed_sizes = []
+@pytest.fixture
+def reversed_sizes(monkeypatch):
+    """The length of every buffer bit-reversed from here on.  Every
+    bit-reversal runs through integrity.reflect, bound in integrity and
+    delta; a CRC of an image reverses it in pieces of at most
+    integrity._CHUNK bytes."""
+    sizes = []
     reflect = integrity.reflect
 
     def counted(data):
-        reversed_sizes.append(len(data))
+        sizes.append(len(data))
         return reflect(data)
 
+    for module in (integrity, delta):
+        monkeypatch.setattr(module, "reflect", counted)
+    return sizes
+
+
+def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(reversed_sizes):
+    # DELTA_APPLY reverses the staged image once, in pieces, so none copies
+    # the whole image; it vouches for the CRC it read, so the boot into the
+    # new application reverses nothing.
     old = Random(11).randbytes(20 * KIB)
     new = bytearray(old + Random(12).randbytes(3000))
     new[9000] ^= 0x40
@@ -358,8 +373,7 @@ def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(mon
     blob = encode_package(build_delta(old, new))
     ctx = make_ctx(old)
     unlock_session(ctx)
-    for module in (integrity, delta):
-        monkeypatch.setattr(module, "reflect", counted)
+    reversed_sizes.clear()
 
     reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
     assert reply == bytes([ACK, BootloaderCommand.DELTA_APPLY])
@@ -373,8 +387,56 @@ def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(mon
     assert reversed_sizes == []
     ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
     assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_APPLICATION
-    assert sum(reversed_sizes) == len(new)
-    assert max(reversed_sizes) <= integrity._CHUNK
+    assert reversed_sizes == []
+
+
+def test_the_first_boot_after_provisioning_reverses_nothing(reversed_sizes):
+    image = Random(13).randbytes(40 * KIB)
+    ctx = make_ctx()
+    ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+    reversed_sizes.clear()
+    provision_application(ctx.device, image)
+    assert sum(reversed_sizes) == len(image)  # the record's CRCs, once
+    reversed_sizes.clear()
+    assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_APPLICATION
+    assert reversed_sizes == []
+
+
+def _flip_a_cell(device, image):
+    device.cells[APP_REGION.start + len(image) // 2] ^= 0x01
+
+
+def _erase_the_image(device, image):
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
+    device.erase_sectors(APP_SECTORS[0].index)
+
+
+def _program_its_erased_tail(device, image):
+    device.unlock(*DEFAULT_UNLOCK_KEYS)
+    device.program(APP_REGION.start + len(image) - 1, b"\x00")
+
+
+def _xor_the_generator_in(device, image):
+    xor_generator(device.cells, APP_REGION.start + 100)
+
+
+@pytest.mark.parametrize("disturb, decision", [
+    (_flip_a_cell, BootDecision.JUMP_BOOTLOADER),
+    (_erase_the_image, BootDecision.JUMP_BOOTLOADER),
+    (_program_its_erased_tail, BootDecision.JUMP_BOOTLOADER),
+    # Other bytes with the same CRC: the real bytes' CRC still verifies.
+    (_xor_the_generator_in, BootDecision.JUMP_APPLICATION),
+])
+def test_a_boot_after_flash_changed_under_the_vouched_image_crcs_the_real_bytes(
+        disturb, decision, reversed_sizes):
+    image = Random(14).randbytes(12 * KIB) + b"\xff" * 4  # its last bytes read erased
+    ctx = make_ctx(image)
+    ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
+    disturb(ctx.device, image)
+    assert ctx.device.view(APP_REGION.start, len(image)) != image
+    reversed_sizes.clear()
+    assert boot_decide(ctx.device, ctx.regs) is decision
+    assert sum(reversed_sizes) == len(image)
 
 
 def test_delta_apply_wrong_base_is_delta_nack():
@@ -791,5 +853,22 @@ def test_updater_genuine_verify_failure_rolls_back():
     seed_bootloader(ctx, old_bl)
     result = updater_silent(ctx)
     assert result.status is UpdaterStatus.ROLLED_BACK
-    assert "CRC" in result.cause
+    assert result.cause == "read-back mismatch"
+    assert old_bootloader_bytes(ctx)[: 2 * KIB] == old_bl
+
+
+def test_an_updater_read_back_with_the_same_crc_but_other_bytes_rolls_back():
+    # The generator XORed into the fresh bootloader leaves its CRC as it was:
+    # only a byte comparison sees the wrong bytes.
+    new_bl = Random(22).randbytes(4 * KIB)
+
+    def hook(step):
+        if step == "verify":
+            xor_generator(ctx.device.cells, BOOTLOADER_REGION.start + 1000)
+
+    ctx = make_ctx(updater_image=new_bl, fault_hook=hook)
+    old_bl = b"\xa5" * (2 * KIB)
+    seed_bootloader(ctx, old_bl)
+    result = updater_silent(ctx)
+    assert result == UpdaterResult(UpdaterStatus.ROLLED_BACK, "read-back mismatch")
     assert old_bootloader_bytes(ctx)[: 2 * KIB] == old_bl

@@ -46,6 +46,8 @@ from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
 from fotasim.scenario import DEFAULT_SECRET, build_world, provision_application
 from fotasim.uds import SecuritySession, SecurityState
 
+from conftest import GENERATOR, xor_generator
+
 
 def make_pair(size=8 * KIB, seed=1):
     old = Random(seed).randbytes(size)
@@ -157,18 +159,12 @@ def test_identical_images_empty_package():
     assert len(encode_package(pkg)) == HEADER_SIZE  # 19 bytes, header only
 
 
-# CRC-32/MPEG-2's generator, x^32 + x^26 + ... + 1, as bytes.  XORed into a
-# block at any offset it adds a multiple of the generator, so the CRC stays.
-GENERATOR = bytes.fromhex("0104C11DB7")
-
-
 def colliding_pair(seed, block, offset):
     """An 8 KiB pair that differs only in ``block``, where the generator is
     XORed in at ``offset``: that block's CRC, and the image's, stay."""
     old, new = make_pair(seed=seed)
     lo, hi = block * KIB, (block + 1) * KIB
-    new[lo + offset : lo + offset + len(GENERATOR)] = \
-        bytes(a ^ g for a, g in zip(new[lo + offset :], GENERATOR))
+    xor_generator(new, lo + offset)
     assert new[lo:hi] != old[lo:hi] and crc32(bytes(new[lo:hi])) == crc32(old[lo:hi])
     return old, bytes(new)
 

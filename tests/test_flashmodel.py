@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fotasim.flashmodel import (
     APP_REGION,
@@ -26,6 +28,7 @@ from fotasim.flashmodel import (
     SectorOutOfRange,
     program_cost,
 )
+from fotasim.integrity import crc32
 
 
 def unlocked():
@@ -288,6 +291,76 @@ def test_view_shows_what_read_returns_after_a_later_program():
     d.program(102, b"\x12\x34")
     assert view == d.read(100, 8)[0] == b"\xff\xff\x12\x34\xff\xff\xff\xff"
     assert d.view(LAYOUT.size, 0) == b""
+
+
+# -- the vouched CRC ---------------------------------------------------------------
+
+
+def test_crc32_returns_the_vouched_crc_only_while_the_cells_hold_the_vouched_bytes():
+    # A deliberately false CRC shows when the memo answers.
+    d = unlocked()
+    data = Random(5).randbytes(300)
+    d.program(APP_REGION.start, data)
+    d.vouch(APP_REGION.start, data, 0x12345678)
+    assert d.crc32(APP_REGION.start, len(data)) == 0x12345678
+    assert d.crc32(APP_REGION.start, len(data) - 1) == crc32(data[:-1])
+    assert d.crc32(APP_REGION.start + 1, len(data) - 1) == crc32(data[1:])
+    d.cells[APP_REGION.start + 7] ^= 0x80
+    assert d.crc32(APP_REGION.start, len(data)) == crc32(d.view(APP_REGION.start, len(data)))
+    d.cells[APP_REGION.start + 7] ^= 0x80
+    assert d.crc32(APP_REGION.start, len(data)) == 0x12345678
+    with pytest.raises(AddressOutOfRange):
+        d.crc32(LAYOUT.size - 3, 4)
+
+
+_WINDOW = 96  # a few vouched runs overlap at the application region's start
+
+_ops = st.one_of(
+    st.tuples(st.just("vouch"), st.integers(0, _WINDOW - 1), st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("program"), st.integers(0, _WINDOW - 1), st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("erase")),
+    st.tuples(st.just("poke"), st.integers(0, _WINDOW - 1), st.integers(0, 255)),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("power_cycle")),
+)
+
+
+@given(st.lists(_ops, max_size=30), st.integers(0, _WINDOW - 1), st.integers(0, _WINDOW))
+@settings(max_examples=150, deadline=None)
+def test_crc32_is_the_crc_of_the_cells_after_any_operations(ops, at, length):
+    d = FlashDevice()
+    base = APP_REGION.start
+    vouched = []  # the last vouch's address and length
+
+    def check(address, n):
+        assert d.crc32(address, n) == crc32(d.view(address, n))
+
+    for op in ops:
+        if op[0] in ("vouch", "program"):
+            _, offset, data = op
+            if d.locked:
+                d.unlock(*DEFAULT_UNLOCK_KEYS)
+            try:
+                d.program(base + offset, data)
+            except ProgramOnNonErased:
+                pass  # a vouch for bytes that did not land is a miss, not a lie
+            if op[0] == "vouch":
+                d.vouch(base + offset, data, crc32(data))
+                vouched[:] = base + offset, len(data)
+        elif op[0] == "erase":
+            if d.locked:
+                d.unlock(*DEFAULT_UNLOCK_KEYS)
+            d.erase_sectors(APP_SECTORS[0].index)
+        elif op[0] == "poke":
+            d.cells[base + op[1]] = op[2]
+        elif op[0] == "reset":
+            d.reset()
+        else:  # a power cycle, as World.power_cycle does it to the device
+            d.busy_until_us = 0
+            d.reset()
+        if vouched:
+            check(*vouched)
+        check(base + at, length)
 
 
 # -- random-operation invariant sweep --------------------------------------------

@@ -38,11 +38,16 @@ that do not touch the package are left out, because the benchmark's clock
 loop runs on a timer and its calls vary from run to run.  Each tree's
 ``src/**/*.py`` line count is recorded as ``src_lines``, and each file's as
 ``src_lines_by_module`` (keyed by its path under ``src``); the differences
-of all three, and each module whose count changed, are printed.
+of all three, and each module whose count changed, are printed.  Per
+workload and seed one more ``--seconds 0`` run per tree wraps every binding
+of ``integrity.reflect`` in the package's modules and records under
+``"reflected"`` the bytes bit-reversed per operation inside the workload's
+``execute``: the exact byte cost of the CRCs an operation pays, printed
+beside the call counts.
 
-Exits 1 when any run (traced and profiled ones too) or either suite exits
-non-zero, or a run prints no result or reports ``correct: false``; the file
-is written either way.
+Exits 1 when any run (traced, profiled and reflected ones too) or either
+suite exits non-zero, or a run prints no result or reports ``correct:
+false``; the file is written either way.
 Standard library only.
 """
 
@@ -85,6 +90,45 @@ ops = json.loads(out.getvalue().splitlines()[-1])["attempted"]
 print(json.dumps({"calls": (own + out_of) / ops, "fotasim_calls": own / ops}))
 """
 
+# Run like PROFILE; prints one JSON line: the bytes that every binding of
+# integrity.reflect in the package's modules reverses inside the workload's
+# execute, per operation.
+REFLECTED = """
+import contextlib, importlib, io, json, os, pkgutil, runpy, sys
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+sys.argv = ["perfbench/run.py", "--workload", sys.argv[1], "--seed", sys.argv[2], "--seconds", "0"]
+import fotasim, workloads
+modules = [importlib.import_module("fotasim." + m.name) for m in pkgutil.iter_modules(fotasim.__path__)]
+reflect, inside, reversed_bytes = fotasim.integrity.reflect, [False], [0]
+def counted(data):
+    if inside[0]:
+        reversed_bytes[0] += len(data)
+    return reflect(data)
+for module in [fotasim, *modules]:
+    for name, value in list(vars(module).items()):
+        if value is reflect:
+            setattr(module, name, counted)
+def timed(execute):
+    def wrapper(self, state):
+        inside[0] = True
+        try:
+            return execute(self, state)
+        finally:
+            inside[0] = False
+    return wrapper
+for workload in workloads.WORKLOADS.values():
+    workload.execute = timed(workload.execute)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_path("perfbench/run.py", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+ops = json.loads(out.getvalue().splitlines()[-1])["attempted"]
+print(json.dumps({"reflected_bytes": reversed_bytes[0] / ops}))
+"""
+
 
 def src_sha256(tree: Path) -> str:
     digest = hashlib.sha256()
@@ -98,10 +142,11 @@ def src_lines_by_module(tree: Path) -> dict[str, int]:
             for p in sorted((tree / "src").rglob("*.py"))}
 
 
-def profiled(tree: Path, workload: str, seed: int) -> dict:
-    """One untimed cProfile run in ``tree``: its exit status and calls per
-    operation, or its stderr tail when it printed none."""
-    proc = subprocess.run([sys.executable, "-c", PROFILE, workload, str(seed)], cwd=tree,
+def probe(tree: Path, script: str, workload: str, seed: int) -> dict:
+    """One untimed run of ``script`` (PROFILE or REFLECTED) in ``tree``: its
+    exit status and the counts it printed, or its stderr tail when it
+    printed none."""
+    proc = subprocess.run([sys.executable, "-c", script, workload, str(seed)], cwd=tree,
                           capture_output=True, text=True)
     run = {"exit": proc.returncode}
     try:
@@ -260,13 +305,17 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     for workload in args.workload:
         for seed in args.seed:
-            calls = {side: profiled(tree, workload, seed) for side, tree in trees.items()}
-            profiled_ok = all(calls[side]["exit"] == 0 and "calls" in calls[side] for side in SIDES)
-            ok &= profiled_ok
+            calls = {side: probe(tree, PROFILE, workload, seed) for side, tree in trees.items()}
+            reflected = {side: probe(tree, REFLECTED, workload, seed)
+                         for side, tree in trees.items()}
+            rows = {"calls": calls, "fotasim_calls": calls, "reflected_bytes": reflected}
+            probed_ok = all(run["exit"] == 0 and key in run
+                            for key, runs in rows.items() for run in runs.values())
+            ok &= probed_ok
             print(f"{workload} seed {seed} profiled: " + ("; ".join(
-                f"{key}/op {calls['parent'][key]:.2f} -> {calls['change'][key]:.2f} "
-                f"({calls['change'][key] - calls['parent'][key]:+.2f})"
-                for key in ("calls", "fotasim_calls")) if profiled_ok else "a profiled run failed"),
+                f"{key}/op {runs['parent'][key]:.2f} -> {runs['change'][key]:.2f} "
+                f"({runs['change'][key] - runs['parent'][key]:+.2f})"
+                for key, runs in rows.items()) if probed_ok else "a profiled or reflected run failed"),
                 file=sys.stderr, flush=True)
             trace = traced(trees, workload, seed)
             ok &= all(trace[side]["exit"] == 0 and trace[side]["correct"] is True
@@ -291,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = summarise(pairs, gates)
             results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed, **summary,
                                                  "runs": pairs, "traced": trace,
-                                                 "profiled": calls}
+                                                 "profiled": calls, "reflected": reflected}
             for name in ("peak_rss_setup_mb", "minflt_per_op"):
                 print(f"{workload} seed {seed} {name} median [q1, q3]: " + ", ".join(
                     f"{side} {row['median']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}]"

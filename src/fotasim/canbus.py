@@ -7,13 +7,14 @@ Transport wire format (all frames dlc <= 8, payload <= 65535 bytes):
 
 The CRC in the header is CRC-32/MPEG-2 over the whole payload; a receiver
 checks it after reassembly, unless it assembled the very payload whose own
-header opened the assembly, which it then queues with no copy and no second
-CRC.  A queued message is one entry, and its frames are cut as they land
-(:func:`_frame`).  One bus step transmits one frame: of the queue heads, the
-entry with the lowest id wins arbitration, then the oldest entry, for every
-frame of that entry.  A frame that lands goes straight into each accepting
-receiver's reassembly (:func:`_take`), which queues what completes or breaks
-a message.  Fault injection corrupts or drops the frame under transmission,
+header opened the assembly, which it queues with no copy and no CRC.  A
+queued message is one entry, cut into frames as they land (:func:`_frame`),
+its header's bytes only when a step, a fault or a trace row needs them.
+One bus step transmits one frame: of the queue heads, the entry with the
+lowest id wins arbitration, then the oldest entry, for every frame of that
+entry.  A frame that lands goes straight into each accepting receiver's
+reassembly (:func:`_take`), which queues what completes or breaks a
+message.  Fault injection corrupts or drops the frame under transmission,
 settled by one draw of the bus's seeded RNG per frame when a fault can
 happen and by none on a fault-free bus (both probabilities zero); a
 corrupted frame is signalled as an error frame and never reaches a receiver,
@@ -26,6 +27,7 @@ message's own and neither complete nor break it; a step sends any other.
 from __future__ import annotations
 
 import struct
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -119,7 +121,7 @@ class _TxEntry:
     ``order`` numbers entries as they queue: one arbitration slot each."""
     can_id: int
     order: int
-    head: bytes  # frame 0: a message's header, or a raw frame's data
+    head: bytes | None  # frame 0: a raw frame's data, or a message's header once built
     payload: bytes  # cut into the body frames
     count: int
     index: int = 0
@@ -129,7 +131,7 @@ class _TxEntry:
 @dataclass(slots=True, eq=False)
 class _Assembly:
     expected: int
-    crc: int
+    crc: int | None  # the header's CRC, None when ``sent`` stands behind the header
     sent: bytes | None  # the payload of the queued message whose own header opened it
     buf: bytearray = field(default_factory=bytearray)
     seq: int = 0
@@ -141,8 +143,9 @@ class Endpoint:
     :class:`SequenceGap` or :class:`ChecksumMismatch` that broke one, in
     landing order), its transmit queue and its link statistics."""
 
-    def __init__(self, node_id: int, filters: tuple[tuple[int, int], ...]):
+    def __init__(self, node_id: int, filters: tuple[tuple[int, int], ...], bus: Bus):
         self.node_id = node_id
+        self._bus = weakref.ref(bus)  # no reference cycle through the bus
         self.filters = filters
         self.rx: deque[SegmentedMessage | CanError] = deque()
         self.tx: deque[_TxEntry] = deque()
@@ -150,11 +153,18 @@ class Endpoint:
         self.bus_off_count = 0
         self._assembly: dict[int, _Assembly] = {}
 
+    @property
+    def filters(self) -> tuple[tuple[int, int], ...]:
+        return self._filters
+
+    @filters.setter
+    def filters(self, filters: tuple[tuple[int, int], ...]) -> None:
+        self._filters = filters
+        if bus := self._bus():  # a new filter list makes the bus forget who hears what
+            bus._heard.clear()
+
     def accepts(self, can_id: int) -> bool:
-        for mask, match in self.filters:
-            if can_id & mask == match:
-                return True
-        return False
+        return any(can_id & mask == match for mask, match in self._filters)
 
     def clear(self) -> None:
         """Controller reset: drops both queues and any half-assembled payloads."""
@@ -180,6 +190,7 @@ class Bus:
         self.config = config or BusConfig()
         self.rng = Random(self.config.rng_seed)
         self._endpoints: tuple[Endpoint, ...] = ()  # in attach order
+        self._heard: dict[tuple[Endpoint, int], tuple[Endpoint, ...]] = {}  # see _receivers
         self.stats = BusStats()
         self.trace: list[dict] = []
         self.trace_enabled = False
@@ -188,14 +199,14 @@ class Bus:
     def attach(self, node_id: int, filters: tuple[tuple[int, int], ...] = ACCEPT_ALL) -> Endpoint:
         if any(ep.node_id == node_id for ep in self._endpoints):
             raise DuplicateNode(f"node id {node_id} already attached")
-        endpoint = Endpoint(node_id, filters)
+        endpoint = Endpoint(node_id, filters, self)
         self._endpoints += (endpoint,)
         return endpoint
 
     def transmit(self, endpoint: Endpoint, frame: CanFrame) -> None:
         self._enqueue(endpoint, frame.can_id, frame.data, b"", 1)
 
-    def _enqueue(self, endpoint: Endpoint, can_id: int, head: bytes, payload: bytes,
+    def _enqueue(self, endpoint: Endpoint, can_id: int, head: bytes | None, payload: bytes,
                  count: int) -> None:
         self._order += 1
         endpoint.tx.append(_TxEntry(can_id, self._order, head, payload, count))
@@ -213,12 +224,13 @@ class Bus:
                     sender, best = ep, head
         return sender
 
-    def step(self, now_us: int = 0) -> tuple[bytes | None, int]:
+    def step(self, now_us: int = 0, sender: Endpoint | None = None) -> tuple[bytes | None, int]:
         """A tick's bus step: the arbitration winner's frame goes through
         :meth:`_land`; returns ``(landed, elapsed_us)``.  ``landed`` is the
         frame's data when it reached the receivers, None when it faulted or
-        the bus was idle; ``elapsed`` is the frame time, zero when idle."""
-        sender = self._winner()
+        the bus was idle; ``elapsed`` is the frame time, zero when idle.
+        ``sender`` is the :meth:`_winner`, if the caller holds it; None arbitrates."""
+        sender = sender or self._winner()
         if sender is None:
             return None, 0
         entry = sender.tx[0]
@@ -227,7 +239,8 @@ class Bus:
         landed = self._land(sender, entry, roll, now_us, self._receivers(sender, entry.can_id))
         return landed, config.frame_time_us
 
-    def stream(self, now_us: int, tick_us: int, max_frames: int) -> tuple[int, bool]:
+    def stream(self, now_us: int, tick_us: int, max_frames: int,
+               sender: Endpoint | None = None) -> tuple[int, bool]:
         """Transmit the frames of the winner's head entry back to back, one
         per tick of ``tick_us`` from ``now_us``; returns ``(sent, lands)``.
 
@@ -237,14 +250,16 @@ class Bus:
         meanwhile, and stops after ``max_frames``, at the entry's end, and
         before any frame it does not carry (``lands``: a step sends it).
         It carries a message's header when no receiver has an assembly open
-        on the id, and a body frame that every receiver has open and that
+        on the id (it opens one on each from the payload, with no header
+        bytes), and a body frame that every receiver has open and that
         neither completes nor breaks the message.  Draws, statistics, trace
         rows, retransmits and bus-offs are exactly those of the same steps.
         Clean frames before a fault go as one run, counted at once and
         reaching each receiver as one payload slice; a frame that draws a
-        fault lands alone by :meth:`_land`.
+        fault lands alone by :meth:`_land`.  ``sender`` is as for
+        :meth:`step`, and still the winner after ``lands``.
         """
-        sender = self._winner()
+        sender = sender or self._winner()
         if sender is None:
             return 0, False
         entry = sender.tx[0]
@@ -265,8 +280,8 @@ class Bus:
                     now_us += tick_us
                     sent += 1
                     continue
-                for ep in receivers:
-                    _take(ep, can_id, entry.head, entry.payload)
+                for ep in receivers:  # as _take opens them on the header
+                    ep._assembly[can_id] = _Assembly(len(entry.payload), None, entry.payload)
                 states = [ep._assembly[can_id] for ep in receivers]
                 index = 1  # the header leads the run
             elif None in states:  # a body frame streams only into an open assembly
@@ -303,13 +318,18 @@ class Bus:
                 return sent, True
         return sent, False
 
-    def _receivers(self, sender: Endpoint, can_id: int) -> list[Endpoint]:
+    def _receivers(self, sender: Endpoint, can_id: int) -> tuple[Endpoint, ...]:
         """The endpoints other than ``sender`` that accept ``can_id``, in
-        attach order."""
-        return [ep for ep in self._endpoints if ep is not sender and ep.accepts(can_id)]
+        attach order; kept per ``(sender, can_id)`` until an endpoint's
+        filters are assigned, as they are when it attaches."""
+        heard = self._heard.get((sender, can_id))
+        if heard is None:
+            heard = self._heard[sender, can_id] = tuple(
+                ep for ep in self._endpoints if ep is not sender and ep.accepts(can_id))
+        return heard
 
     def _land(self, sender: Endpoint, entry: _TxEntry, roll: float, now_us: int,
-              receivers: list[Endpoint]) -> bytes | None:
+              receivers: tuple[Endpoint, ...]) -> bytes | None:
         """Put the sender's head frame on the bus: count it, settle the fault
         lottery by ``roll``, trace it, and retry it, or move the entry past
         it and feed it to each of ``receivers`` (:meth:`_receivers`, which
@@ -358,7 +378,7 @@ class Bus:
 
 def send_segmented(bus: Bus, endpoint: Endpoint, can_id: int, payload: bytes) -> int:
     """Queue one payload as one entry, a header frame plus 7-byte body
-    frames that are cut as they land; returns the number of frames."""
+    frames, all cut as they land (:func:`_frame`); returns the number of frames."""
     if len(payload) == 0:
         raise ValueError("refusing to send an empty payload")
     if len(payload) > MAX_SEGMENTED_PAYLOAD:
@@ -367,15 +387,17 @@ def send_segmented(bus: Bus, endpoint: Endpoint, can_id: int, payload: bytes) ->
         raise MalformedFrame(f"id 0x{can_id:X} exceeds the 11-bit range")
     payload = bytes(payload)
     count = 2 + (len(payload) - 1) // BODY_CHUNK  # the header plus the body frames
-    bus._enqueue(endpoint, can_id, _HEADER.pack(HEADER_MARKER, len(payload), crc32(payload), 0),
-                 payload, count)
+    bus._enqueue(endpoint, can_id, None, payload, count)
     return count
 
 
 def _frame(entry: _TxEntry, index: int) -> bytes:
-    """Frame ``index`` of a queued entry: its head (a header or a raw frame),
-    or body frame ``index - 1``: the sequence byte and a 7-byte chunk."""
+    """Frame ``index`` of a queued entry: its head (a raw frame, or a
+    message's header, built when first asked for and kept), or body frame
+    ``index - 1``: the sequence byte and a 7-byte chunk."""
     if index == 0:
+        if entry.head is None:
+            entry.head = _HEADER.pack(HEADER_MARKER, len(entry.payload), crc32(entry.payload), 0)
         return entry.head
     start = (index - 1) * BODY_CHUNK
     return _SEQ_BYTES[(index - 1) & 0xFF] + entry.payload[start : start + BODY_CHUNK]
@@ -415,7 +437,7 @@ def _take(endpoint: Endpoint, can_id: int, data: bytes, sent: bytes | None) -> N
     if state is None:
         if len(data) == _HEADER.size and data[0] == HEADER_MARKER:  # a header opens a message
             _, length, crc, _ = _HEADER.unpack(data)
-            endpoint._assembly[can_id] = _Assembly(length, crc, sent)
+            endpoint._assembly[can_id] = _Assembly(length, crc if sent is None else None, sent)
             return
         outcome = SequenceGap(f"body frame on id 0x{can_id:X} without a header")
     elif not data or data[0] != state.seq & 0xFF:
@@ -428,7 +450,8 @@ def _take(endpoint: Endpoint, can_id: int, data: bytes, sent: bytes | None) -> N
         whole = len(state.buf) == state.expected
         if whole and state.buf == state.sent:
             outcome = SegmentedMessage(can_id, state.sent)
-        elif whole and crc32(payload := bytes(state.buf)) == state.crc:
+        elif whole and crc32(payload := bytes(state.buf)) == (
+                state.crc if state.sent is None else crc32(state.sent)):  # the header's CRC
             outcome = SegmentedMessage(can_id, payload)
         else:
             outcome = ChecksumMismatch(f"payload on id 0x{can_id:X} failed its checksum")

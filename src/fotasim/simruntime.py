@@ -330,6 +330,7 @@ class World:
         self.events: list[dict] = []
         self.last_tick_time = 0
         self._events_before_tick = 0  # len(events) when the last tick began
+        self._sender = None  # the bus's arbitration winner, if _advance holds it
 
     # -- construction --------------------------------------------------------
 
@@ -349,9 +350,10 @@ class World:
 
     def tick(self) -> None:
         """One tick: a bus step, then every node's ``run_tick``."""
+        sender, self._sender = self._sender, None
         self._events_before_tick = len(self.events)
         self.last_tick_time = self.clock_us
-        _, elapsed = self.bus.step(self.clock_us)
+        _, elapsed = self.bus.step(self.clock_us, sender)
         for node in self.nodes.values():
             node.run_tick()
         self.clock_us += max(elapsed, DEFAULT_TICK_US)
@@ -366,8 +368,10 @@ class World:
         stream stopped before a frame it does not carry, or a glide stopped
         at a new feed line, ends with the :meth:`tick` that sends or reads
         it.  No span follows a tick that logged an event (a node earlier in
-        tick order has not seen it)."""
-        now, span = self.clock_us, 0
+        tick order has not seen it).  The stream and the tick after it take
+        one arbitration's winner: no node runs in between, and a stream that
+        stops short leaves its entry at the head."""
+        now, span, sender = self.clock_us, 0, None
         if len(self.events) == self._events_before_tick:
             wake, steering = _NEVER, []
             for node in self.nodes.values():
@@ -379,26 +383,27 @@ class World:
                     steering.append(node)
             else:
                 bus = self.bus
-                busy = bus.pending()
+                sender = bus._winner()  # None when the bus is idle
                 tick_us = DEFAULT_TICK_US
-                if busy:
+                if sender:
                     tick_us = max(bus.config.frame_time_us, DEFAULT_TICK_US)
                 span, lands = budget, False
                 if wake != _NEVER:  # the ticks that sample the clock before the wake-up
                     span = min(span, -int((now - wake) // tick_us))
-                if steering and (busy or len(steering) > 1):
+                if steering and (sender or len(steering) > 1):
                     span = 0  # a glide passes no tick at which another node acts
                 elif steering:
                     self.last_tick_time = now  # where a tick whose steering raises leaves it
                     ran = steering[0]._glide(span)
                     span, lands = ran, ran < span
-                elif busy:
-                    span, lands = bus.stream(now, tick_us, span)
+                elif sender:
+                    span, lands = bus.stream(now, tick_us, span, sender)
                 if span:
                     self.last_tick_time = now + (span - 1) * tick_us
                     self.clock_us = now + span * tick_us
                     if not lands:
                         return span
+        self._sender = sender
         self.tick()
         return span + 1
 

@@ -26,7 +26,7 @@ from fotasim.canbus import (
     send_segmented,
     wait_for,
 )
-from conftest import crc32_bitwise
+from conftest import crc32_bitwise, xor_generator
 from fotasim.integrity import crc32
 from fotasim.orchestrator import CampaignMode, CampaignPlan, run_campaign
 from fotasim.scenario import DEFAULT_SECRET, build_world, generate_image, mutate_blocks
@@ -171,11 +171,35 @@ _FILTERS = st.lists(st.tuples(st.integers(0, 0x7FF), st.integers(0, 0x7FF)), max
 @given(_FILTERS, _FILTERS, st.lists(st.integers(0, 0x7FF), min_size=1, max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_memoised_acceptance_matches_the_filter_list(filters, refilters, ids):
-    ep = Bus().attach(1, filters=tuple(filters))
+    """An endpoint's answers, and the receivers the bus finds for a sender
+    and an id, follow a new filter list and a later attach: a streamed and
+    a stepped message each reach exactly the endpoints that accept the id."""
+    bus = Bus()
+    sender = bus.attach(1)
+    ep = bus.attach(2, filters=tuple(filters))
+    endpoints = [sender, ep]
+
+    def hear(can_id, streamed):
+        send_segmented(bus, sender, can_id, b"x")
+        if streamed and bus.stream(0, 500, 10)[1]:
+            bus.step()
+        while bus.pending():
+            bus.step()
+        for other in endpoints[1:]:
+            accepts = any((can_id & mask) == match for mask, match in other.filters)
+            assert [(m.can_id, m.payload) for m in other.rx] == [(can_id, b"x")] * accepts
+            other.rx.clear()
+
     for current in (filters, refilters):
         ep.filters = current  # a new filter list forgets every earlier answer
         for can_id in ids + ids:
             assert ep.accepts(can_id) == any((can_id & mask) == match for mask, match in current)
+            hear(can_id, streamed=True)
+            hear(can_id, streamed=False)
+    endpoints.append(bus.attach(3, filters=tuple(filters)))  # heard from its attach on
+    for can_id in ids:
+        hear(can_id, streamed=True)
+        hear(can_id, streamed=False)
 
 
 def test_idle_bus_step_is_free():
@@ -448,6 +472,86 @@ def test_wrong_crc_is_checksum_mismatch():
         bus.step()
     with pytest.raises(ChecksumMismatch):
         recv_segmented(b)
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("colliding", [False, True])
+def test_a_message_its_sender_did_not_finish_is_checked_against_the_sent_payloads_crc(
+        streamed, colliding):
+    """The sender's own header opens the receiver's assembly, by a step or by
+    a stream, then the sender resets mid-message and another endpoint's raw
+    body frame completes it.  Bytes that are not the queued payload are
+    checked against the payload's CRC: a foreign chunk breaks the message,
+    and one whose bytes keep the CRC (the generator XORed in) completes it
+    with the bytes assembled."""
+    bus = Bus()
+    a, c = bus.attach(1, filters=()), bus.attach(3, filters=())
+    b = bus.attach(2)
+    payload = bytes(range(1, 15))  # the header and two body frames
+    send_segmented(bus, a, 0x101, payload)
+    if streamed:
+        assert bus.stream(0, 500, 10) == (2, True)  # it stops before the completing frame
+    else:
+        bus.step()
+        bus.step()
+    a.clear()
+    substitute = bytearray(payload)
+    if colliding:
+        xor_generator(substitute, 7)
+        assert crc32(substitute) == crc32(payload)
+    else:
+        substitute[7:] = bytes(7)
+    bus.transmit(c, CanFrame(0x101, b"\x01" + substitute[7:]))
+    bus.step()
+    if colliding:
+        msg = recv_segmented(b)
+        assert (msg.can_id, msg.payload) == (0x101, bytes(substitute)) and msg.payload != payload
+    else:
+        with pytest.raises(ChecksumMismatch):
+            recv_segmented(b)
+    assert recv_segmented(b) is None
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_header_is_built_once_and_only_when_a_frame_needs_it(
+        monkeypatch, faulty, streamed, trace):
+    """A message's header, and so its CRC, is built the first time a step
+    lands it, it faults or it is traced, and kept for its retries; a clean
+    untraced stream never builds one.  Every traced header is the one the
+    wire format states, computed here from the payload."""
+    built = []
+    monkeypatch.setattr("fotasim.canbus.crc32", lambda data: built.append(1) or crc32(data))
+    bus, a, b = two_node_bus(BusConfig(corruption_probability=0.3 if faulty else 0.0,
+                                       rng_seed=2, max_auto_retransmit=None))
+    bus.trace_enabled = trace
+    alone, land = [], bus._land  # the entry of each header that goes through _land
+
+    def counted(sender, entry, *rest):
+        if entry.index == 0:
+            alone.append(entry.order)
+        return land(sender, entry, *rest)
+
+    bus._land = counted
+    payloads = [bytes(range(n)) for n in (1, 7, 8, 30)]
+    expected = []
+    for payload in payloads:
+        send_segmented(bus, a, 0x100, payload)
+        expected.append(struct.pack("<BHIB", HEADER_MARKER, len(payload), crc32(payload), 0))
+        expected += [bytes((k,)) + payload[7 * k : 7 * k + 7] for k in range(-(-len(payload) // 7))]
+    while bus.pending():
+        if not streamed or bus.stream(0, 500, 1000)[1]:
+            bus.step()
+    assert [(o.can_id, o.payload) for o in b.rx] == [(0x100, p) for p in payloads]
+    assert len(built) == (len(payloads) if trace else len(set(alone)))
+    if faulty and not streamed:
+        assert len(alone) > len(payloads)  # a header was retried and not built again
+    if not (faulty or streamed):
+        assert len(alone) == len(payloads)
+    if trace:
+        rows = [bytes.fromhex(row["data"]) for row in bus.trace if row["kind"] == "data"]
+        assert rows == expected
 
 
 def test_lower_id_sender_preempts_between_frames():

@@ -20,8 +20,9 @@ happen and by none on a fault-free bus (both probabilities zero); a
 corrupted frame is signalled as an error frame and never reaches a receiver,
 and the sender retries it until its retransmit budget runs out; then the
 node counts a bus-off and skips the frame.  A stream is that step repeated
-for the winner's head entry, one frame per tick, while its frames are its
-message's own and neither complete nor break it; a step sends any other.
+for the winner's head entry, one frame per tick: a run of its message's
+header and body frames, each into the assembly that header opened, up to
+the message's last frame; a step sends that frame and any other.
 """
 
 from __future__ import annotations
@@ -249,72 +250,66 @@ class Bus:
         head entry, which wins every frame to its end since nothing queues
         meanwhile, and stops after ``max_frames``, at the entry's end, and
         before any frame it does not carry (``lands``: a step sends it).
-        It carries a message's header when no receiver has an assembly open
-        on the id (it opens one on each from the payload, with no header
-        bytes), and a body frame that every receiver has open and that
-        neither completes nor breaks the message.  Draws, statistics, trace
-        rows, retransmits and bus-offs are exactly those of the same steps.
-        Clean frames before a fault go as one run, counted at once and
-        reaching each receiver as one payload slice; a frame that draws a
-        fault lands alone by :meth:`_land`.  ``sender`` is as for
-        :meth:`step`, and still the winner after ``lands``.
+        Each pass is one run of the entry's own message: its header onto
+        no open assembly (opening one on each receiver from the payload,
+        with no header bytes), then body frames while every receiver's
+        assembly is the one that header opened, in phase, up to the
+        message's last frame; raw frames, that last frame and any other go
+        by step.  Draws, statistics, trace rows, retransmits and bus-offs
+        are exactly those of the same steps.  Clean frames before a fault
+        are counted at once and reach each receiver as one payload slice; a
+        frame that draws a fault lands alone by :meth:`_land`.  ``sender``
+        is as for :meth:`step`, and still the winner after ``lands``.
         """
         sender = sender or self._winner()
         if sender is None:
             return 0, False
         entry = sender.tx[0]
-        can_id = entry.can_id
+        can_id, payload = entry.can_id, entry.payload
         receivers = self._receivers(sender, can_id)
         stats, random, trace = self.stats, self.rng.random, self.trace_enabled
         faulty_below = self.config.corruption_probability + self.config.drop_probability
         sent = 0
         while sent < max_frames and entry.index < entry.count:
-            first = index = entry.index
+            index = entry.index
             states = [ep._assembly.get(can_id) for ep in receivers]
-            if index == 0:  # only a message's header, onto no open assembly, streams
-                if entry.count == 1 or any(states):
-                    return sent, True
-                roll = random() if faulty_below else 1.0
-                if roll < faulty_below:  # it faults alone
-                    self._land(sender, entry, roll, now_us, receivers)
-                    now_us += tick_us
-                    sent += 1
-                    continue
-                for ep in receivers:  # as _take opens them on the header
-                    ep._assembly[can_id] = _Assembly(len(entry.payload), None, entry.payload)
-                states = [ep._assembly[can_id] for ep in receivers]
-                index = 1  # the header leads the run
-            elif None in states:  # a body frame streams only into an open assembly
+            # A resend may share an older message's payload object: onto that one's
+            # open assembly its header lands by a step, and an in-phase assembly of
+            # this length, at most 7 bytes a frame, cannot complete before the last.
+            if any(states) if index == 0 else not all(
+                    s and s.sent is payload and s.seq == index - 1 for s in states):
                 return sent, True
-            run = want = min(entry.count - index, max_frames - sent - (index - first))
-            start = (index - 1) * BODY_CHUNK
-            for state in states:
-                size = min(start + run * BODY_CHUNK, len(entry.payload)) - start
-                run = _quiet_run(state, (index - 1) & 0xFF, run, size)
+            want = min(entry.count - index, max_frames - sent)
+            run = min(want, entry.count - 1 - index)  # the last frame completes the message
             # Frames before the first fault: one draw each, none on a fault-free bus.
             clean = 0 if faulty_below else run
             while clean < run and (roll := random()) >= faulty_below:
                 clean += 1
-            if landed := index - first + clean:
-                end = min(start + clean * BODY_CHUNK, len(entry.payload))
-                stats.payload_bytes += (index - first) * _HEADER.size + clean + end - start
+            if clean:
+                if headed := index == 0:  # as _take opens them on the header
+                    states = [_Assembly(len(payload), None, payload) for _ in receivers]
+                    for ep, state in zip(receivers, states):
+                        ep._assembly[can_id] = state
+                start = (index - 1 + headed) * BODY_CHUNK
+                end = min(start + (clean - headed) * BODY_CHUNK, len(payload))
+                stats.payload_bytes += headed * _HEADER.size + clean - headed + end - start
                 for state in states:
-                    state.buf += entry.payload[start:end]
-                    state.seq += clean
-                stats.frames_sent += landed
-                stats.busy_time_us += landed * self.config.frame_time_us
-                stats.deliveries += landed * len(receivers)
+                    state.buf += payload[start:end]
+                    state.seq += clean - headed
+                stats.frames_sent += clean
+                stats.busy_time_us += clean * self.config.frame_time_us
+                stats.deliveries += clean * len(receivers)
                 if trace:
-                    for k in range(landed):
-                        self._trace(now_us + k * tick_us, can_id, _frame(entry, first + k), "data")
-                _pass(sender.tx, entry, landed)
-                now_us += landed * tick_us
-                sent += landed
+                    for k in range(clean):
+                        self._trace(now_us + k * tick_us, can_id, _frame(entry, index + k), "data")
+                _pass(sender.tx, entry, clean)
+                now_us += clean * tick_us
+                sent += clean
             if clean < run:  # the next frame drew a fault
                 self._land(sender, entry, roll, now_us, receivers)
                 now_us += tick_us
                 sent += 1
-            elif run < want:  # the next frame completes or breaks a message
+            elif run < want:  # the next frame is the message's last
                 return sent, True
         return sent, False
 
@@ -411,28 +406,15 @@ def _pass(tx: deque[_TxEntry], entry: _TxEntry, frames: int) -> None:
         tx.popleft()
 
 
-def _quiet_run(state: _Assembly, seq: int, count: int, size: int) -> int:
-    """:func:`_take`'s rule for a run of body frames: how many of ``count``
-    in a row, the first with sequence byte ``seq``, each but the last a full
-    chunk, ``size`` payload bytes in all, the open message ``state`` takes
-    in phase and short of its announced length, so neither breaks nor ends."""
-    if seq != state.seq & 0xFF:
-        return 0
-    room = state.expected - len(state.buf)  # the message completes once this many bytes land
-    full = (room - 1) // BODY_CHUNK  # full chunks that leave it open
-    if full >= count - 1 and size < room:
-        return count
-    return max(0, min(full, count - 1))
-
-
 def _take(endpoint: Endpoint, can_id: int, data: bytes, sent: bytes | None) -> None:
     """Feed one landed frame into the endpoint's reassembly on ``can_id``;
     ``sent`` is the queued payload when ``data`` is its header, else None.
-    A header opens a message where none is open, and a body frame in phase
-    and short of the announced length keeps it open.  Any other frame
-    completes the message, queued on ``endpoint.rx`` (as ``sent`` when it
-    assembled those bytes), or breaks it: the :class:`SequenceGap` or
-    :class:`ChecksumMismatch` is queued and the partial payload discarded."""
+    The one statement of the reassembly rule: a header opens a message where
+    none is open, and a body frame in phase and short of the announced
+    length keeps it open.  Any other frame completes the message, queued on
+    ``endpoint.rx`` (as ``sent`` when it assembled those bytes), or breaks
+    it: the :class:`SequenceGap` or :class:`ChecksumMismatch` is queued and
+    the partial payload discarded."""
     state = endpoint._assembly.get(can_id)
     if state is None:
         if len(data) == _HEADER.size and data[0] == HEADER_MARKER:  # a header opens a message

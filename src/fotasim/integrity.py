@@ -9,8 +9,8 @@ the result, which is algebraically the same register and runs at C speed.
 Bit-reversing the input is a ``bytearray.translate`` pass (:func:`reflect`),
 the larger part of a CRC's cost.  Neither CRC reverses an image in one
 piece: :func:`crc32` folds one zlib register over ``_CHUNK``-byte pieces of
-any buffer, each reversed in cache, and :func:`image_crcs` reverses whole
-blocks about ``_CHUNK`` bytes at a time.
+any buffer, a message's one piece too, each reversed in cache, and
+:func:`image_crcs` reverses whole blocks about ``_CHUNK`` bytes at a time.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def _unreflect(registers: list[int]) -> tuple[int, ...]:
 
 
 def crc32(data) -> int:
-    """CRC-32/MPEG-2 of ``data``, any buffer.  crc32(b"") == 0xFFFFFFFF (the
-    register is never touched for empty input)."""
-    if len(data) <= _CHUNK:  # one piece: a message costs the fewest calls
-        return reflected_crc32(reflect(data))
+    """CRC-32/MPEG-2 of ``data``, any buffer, by one zlib register folded over
+    its ``_CHUNK``-byte pieces.  crc32(b"") == 0xFFFFFFFF (the register is
+    never touched for empty input)."""
     view = memoryview(data)
     register = 0
     for lo in range(0, view.nbytes, _CHUNK):

@@ -512,6 +512,38 @@ def test_a_message_its_sender_did_not_finish_is_checked_against_the_sent_payload
     assert recv_segmented(b) is None
 
 
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("foreign", [False, True])
+def test_a_stream_carries_body_frames_only_into_its_own_message(foreign, streamed):
+    """On a bus with no retransmit budget a message's header, or its second
+    body frame, is given up.  The receiver's assembly is then one a third
+    endpoint's raw header opened, with the message's CRC, or out of phase;
+    a stream carries no body frame into it, and stream plus steps queue
+    what steps alone queue: the message accepted by the foreign header's
+    CRC, or three sequence gaps."""
+    clean = BusConfig(max_auto_retransmit=0)
+    bus = Bus(clean)
+    a, c = bus.attach(1, filters=()), bus.attach(3, filters=())
+    b = bus.attach(2)
+    payload = bytes(range(20 if foreign else 29))
+    if foreign:
+        bus.transmit(c, CanFrame(0x101, struct.pack("<BHIB", HEADER_MARKER, 20, crc32(payload), 0)))
+        bus.step()
+    send_segmented(bus, a, 0x101, payload)
+    for _ in range(0 if foreign else 2):
+        bus.step()
+    bus.config = BusConfig(drop_probability=1.0, max_auto_retransmit=0)
+    bus.step()  # the frame draws a drop and its sender gives it up
+    bus.config = clean
+    if streamed:
+        assert bus.stream(0, 1000, 10) == (0, True)
+    while bus.pending():
+        if not streamed or bus.stream(0, 1000, 10)[1]:
+            bus.step()
+    queued = [type(o).__name__ if isinstance(o, CanError) else (o.can_id, o.payload) for o in b.rx]
+    assert queued == ([(0x101, payload)] if foreign else ["SequenceGap"] * 3)
+
+
 @pytest.mark.parametrize("faulty", [False, True])
 @pytest.mark.parametrize("streamed", [False, True])
 @pytest.mark.parametrize("trace", [False, True])
@@ -645,13 +677,15 @@ _TICK_US = 1000
 def _carries(bus):
     """Whether a stream carries the next frame on ``bus``, by the state before
     it lands: its message's header on an id no receiver has open, or a body
-    frame every receiver has open."""
+    frame into each receiver's assembly that this message's header opened,
+    in phase (its last frame only when it has a receiver, whose queue it fills)."""
     sender = bus._winner()
     entry = sender.tx[0]
     states = [ep._assembly.get(entry.can_id) for ep in bus._receivers(sender, entry.can_id)]
     if entry.index == 0:
         return entry.count > 1 and not any(states)
-    return None not in states
+    return all(s and s.sent is entry.payload and s.seq == entry.index - 1 for s in states) and (
+        entry.index < entry.count - 1 or bool(states))
 
 
 @settings(max_examples=200, deadline=None)
@@ -662,7 +696,9 @@ def test_a_fault_free_stream_never_lands_a_frame_alone(filtered, program):
     receiver) on a fault-free bus, drained by ``stream()`` plus the
     ``step()`` for the frame a stream stops at.  No stream lands a frame
     through ``_land``: it stops, with ``lands``, before each frame it does
-    not carry, and before a frame that completes or breaks a message."""
+    not carry (a body frame into an assembly its message's header did not
+    open, or out of phase), and before its message's last frame, which
+    completes or breaks a message on each receiver."""
     bus = Bus()
     # A filtered endpoint hears only 0x100, so a frame on another id may have no receiver.
     endpoints = [bus.attach(i + 1, ((0x7FF, 0x100),) if filtered[i] else ACCEPT_ALL)

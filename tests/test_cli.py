@@ -12,7 +12,13 @@ from fotasim.integrity import crc32
 from fotasim.lka import PidGains, read_gains
 from fotasim.nvstore import APP_CAPACITY
 from fotasim.orchestrator import CampaignMode, run_campaign
-from fotasim.scenario import ScenarioError, generate_image, mutate_blocks, world_from_scenario
+from fotasim.scenario import (
+    ScenarioError,
+    generate_image,
+    load_scenario,
+    mutate_blocks,
+    world_from_scenario,
+)
 
 KIB = 1024
 
@@ -154,6 +160,33 @@ def test_delta_build_refuses_blocks_past_the_16_bit_offsets(tmp_path, capsys):
     assert code == 1
     assert "16-bit" in json.loads(out)["error"]
     assert not (tmp_path / "patch.fdp").exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    pytest.param(["delta", "build", "image.bin", "image.bin", "-o", "patch.fdp",
+                  "--block-size", "0"], "block_size", id="delta-build-block-size-zero"),
+    pytest.param(["delta", "build", "image.bin", "image.bin", "-o", "patch.fdp",
+                  "--gap-merge", "-1"], "gap_merge", id="delta-build-gap-merge-negative"),
+    pytest.param(["image", "pack", "image.bin", "-o", "."], "directory",
+                 id="image-pack-onto-a-directory"),
+    pytest.param(["sim", "run", "scenario.json", "--trace", "image.bin"], "cannot write trace",
+                 id="sim-run-trace-onto-a-file"),
+])
+def test_a_command_that_cannot_do_its_work_exits_one_with_a_json_error(
+        tmp_path, capsys, monkeypatch, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "image.bin").write_bytes(bytes(4 * KIB))
+    write_scenario(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert needle in json.loads(out)["error"]
+    assert not (tmp_path / "patch.fdp").exists()
+    assert (tmp_path / "image.bin").read_bytes() == bytes(4 * KIB)
+
+
+def test_a_scenario_path_that_is_a_directory_is_a_scenario_error(tmp_path):
+    with pytest.raises(ScenarioError, match="cannot read scenario"):
+        load_scenario(tmp_path)
 
 
 def test_uds_demo_reports_a_granted_handshake(capsys):

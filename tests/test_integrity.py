@@ -84,6 +84,16 @@ def test_block_count_rejects_bad_block_size():
     assert block_count(0, 1024) == 0
 
 
+def test_image_crcs_rejects_a_block_size_below_one():
+    with pytest.raises(ValueError):
+        image_crcs(b"x", 0)
+
+
+def test_table_refuses_an_entry_past_32_bits():
+    with pytest.raises(MalformedTable):
+        BlockCrcTable((2**32,))
+
+
 def test_block_crcs_partial_final_block():
     data = bytes(range(256)) * 5  # 1280 bytes -> blocks of 1024 and 256
     crcs = list(image_crcs(data, 1024)[1])

@@ -46,6 +46,12 @@ def test_motor_order_rejects_non_finite():
             motor_order(bad)
 
 
+@pytest.mark.parametrize("convert", [format_deviation, deviation_to_target])
+def test_a_non_finite_deviation_is_neither_formatted_nor_steered_to(convert):
+    with pytest.raises(NonFiniteInput):
+        convert(math.nan)
+
+
 # -- deviation wire format ---------------------------------------------------------
 
 

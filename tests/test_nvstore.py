@@ -122,6 +122,12 @@ def test_metadata_decode_rejects_truncation():
         AppMetadata.decode(b"100".ljust(16, b"\x00") + b"\x00\x00")
 
 
+def test_metadata_decode_rejects_a_table_count_past_the_record():
+    # The table's u16 count claims 65,535 entries; the record holds none of them.
+    with pytest.raises(MalformedMetadata):
+        AppMetadata.decode(b"100".ljust(16, b"\x00") + bytes(4) + b"\xff\xff")
+
+
 def test_metadata_slot_is_last_kib_of_app_region():
     assert METADATA_OFFSET == 512 * KIB - 1024
     assert APP_CAPACITY == 384 * KIB - 1024

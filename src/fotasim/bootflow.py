@@ -23,9 +23,9 @@ DELTA_APPLY stages and verifies the new image in RAM
 erases only the sectors that hold changed blocks and reprograms them in
 full, which reconciles the block-granular diff with the much coarser erase
 granularity of the device, and commits the metadata record built from the
-CRCs that verification read.  It then vouches for the staged image's CRC
-(:meth:`~fotasim.flashmodel.FlashDevice.vouch`), so the boot into the new
-image compares bytes instead of CRCing them.
+staged image's CRCs.  Verification left them in
+:func:`~fotasim.integrity.image_crcs`'s memo, so the record and the boot
+into the new image each compare bytes instead of CRCing them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable
 
-from .delta import DeltaError, DeltaPackage, StagedImage, apply_delta, decode_package
+from .delta import DeltaError, DeltaPackage, apply_delta, decode_package
 from .flashmodel import (
     APP_REGION,
     APP_SECTORS,
@@ -50,7 +50,7 @@ from .flashmodel import (
     Region,
     Sector,
 )
-from .integrity import BlockCrcTable
+from .integrity import crc32
 from .nvstore import (
     APP_ENTER_REG,
     METADATA_OFFSET,
@@ -147,14 +147,14 @@ class EcuContext:
 
 def app_integrity(device: FlashDevice) -> bool:
     """Whether the stored application's CRC matches its metadata record.
-    The CRC is :meth:`FlashDevice.crc32`'s: one ``memcmp`` while flash holds
-    exactly the image that provisioning or DELTA_APPLY's commit vouched for,
-    a CRC of the flash bytes otherwise."""
+    The CRC is :func:`~fotasim.integrity.crc32`'s of the flash bytes: one
+    ``memcmp`` while they equal an image whose CRCs are remembered, such as
+    the one provisioning or DELTA_APPLY's commit built its record from."""
     try:
         meta = read_app_metadata(device)
     except MalformedMetadata:
         return False
-    return device.crc32(APP_REGION.start, meta.byte_count) == meta.image_crc
+    return crc32(device.view(APP_REGION.start, meta.byte_count)) == meta.image_crc
 
 
 def _disarm_stages(regs: BackupRegisters) -> None:
@@ -224,11 +224,11 @@ def _erase(ctx: EcuContext, start: int, count: int) -> int:
     return erased
 
 
-def _commit_delta(ctx: EcuContext, staged: StagedImage, pkg: DeltaPackage) -> int:
+def _commit_delta(ctx: EcuContext, staged: bytearray, pkg: DeltaPackage) -> int:
     """Commit what :func:`~fotasim.delta.apply_delta` staged from ``pkg``
     (see the module docstring); returns how many sectors held changed
     blocks.  The record's sector is erased first, so no stale record can
-    vouch for a half-written image, and the record is programmed last: it
+    pass a half-written image, and the record is programmed last: it
     is the commit point.  FlashError propagates."""
     start, size, end = APP_REGION.start, pkg.block_size, APP_REGION.start + len(staged)
     changed = {sector.index for index in pkg.changed_blocks()
@@ -246,9 +246,7 @@ def _commit_delta(ctx: EcuContext, staged: StagedImage, pkg: DeltaPackage) -> in
         if (sector.index in changed or sector.index == record) and sector.start < end:
             lo, hi = sector.start, min(sector.end, end)
             ctx.device.program(lo, image[lo - start : hi - start], ctx.now())
-    meta = AppMetadata(len(staged), staged.image_crc, BlockCrcTable(staged.block_crcs))
-    write_app_metadata(ctx.device, meta, ctx.now())
-    ctx.device.vouch(start, staged, staged.image_crc)  # the device keeps staged: no copy
+    write_app_metadata(ctx.device, AppMetadata.for_image(staged, size), ctx.now())
     return len(changed)
 
 

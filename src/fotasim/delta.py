@@ -12,11 +12,10 @@ contents as one big integer, and ``bytes.translate`` turns the XOR into a
 0/1 map of where the bytes differ.  ``bytes.find`` then steps from one run
 of difference to the next gap of ``gap_merge`` equal bytes and on to the
 next run, so equal bytes are skipped in C.  ``build_delta`` reads the new
-image's CRCs from one bit-reversed copy of it
-(:func:`~fotasim.integrity.reflect`), one zlib call on a memoryview slice
-per changed block, and no CRC of the old image;
-:func:`apply_delta` reads the staged image's with
-:func:`~fotasim.integrity.image_crcs`, which reverses it in pieces.
+image's CRCs with :func:`~fotasim.integrity.image_crcs`, one pass that
+reverses it in pieces, and no CRC of the old image; :func:`apply_delta`
+reads the staged image's the same way, so in the process that built the
+package, whose staged image equals the new one, they are remembered.
 
 Wire format, all little-endian:
 
@@ -43,8 +42,6 @@ from .integrity import (
     EmptyImage,
     block_count,
     image_crcs,
-    reflect,
-    reflected_crc32,
 )
 
 MAGIC = b"FDP1"
@@ -185,7 +182,7 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         raise ValueError("gap_merge cannot be negative")
     n = len(new)
     old = bytes(old[:n]).ljust(n, b"\xff")
-    new_reflected = memoryview(reflect(new))
+    image_crc, block_crcs = image_crcs(new, block_size)
     entries = []
     for index in range(block_count(n, block_size)):
         lo = index * block_size
@@ -198,8 +195,8 @@ def build_delta(old: bytes, new: bytes, block_size: int = DEFAULT_BLOCK_SIZE,
         if block_size > 0xFFFF:  # a whole changed 64 KiB block overflows a u16 length
             runs = [(o, min(o + 0xFFFF, e)) for s, e in runs for o in range(s, e, 0xFFFF)]
         tuples = tuple((s, new_block[s:e]) for s, e in runs)
-        entries.append(DeltaEntry(index, reflected_crc32(new_reflected[lo:hi]), tuples))
-    return DeltaPackage(block_size, n, reflected_crc32(new_reflected), tuple(entries))
+        entries.append(DeltaEntry(index, block_crcs[index], tuples))
+    return DeltaPackage(block_size, n, image_crc, tuple(entries))
 
 
 def encode_package(pkg: DeltaPackage) -> bytes:
@@ -244,24 +241,15 @@ def decode_package(blob: bytes) -> DeltaPackage:
     return DeltaPackage(block_size, new_length, new_crc, tuple(entries))
 
 
-class StagedImage(bytearray):
-    """A staged image that passed its package's checks, holding the image
-    CRC and block CRCs those checks read, from which the commit builds its
-    record.  It is the buffer the package was applied in, not a copy of it."""
-
-    image_crc: int
-    block_crcs: tuple[int, ...]
-
-
-def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
+def apply_delta(base: bytes, pkg: DeltaPackage) -> bytearray:
     """Stage the new image in RAM: pad or truncate ``base`` to the new
     length and apply every tuple.  Then read the staged image's CRC and
     block CRCs in one pass and check the patched blocks' CRCs in entry
     order, so the lowest bad block is the one reported, and last the
-    whole-image CRC.  The staged image keeps the CRCs it passed with."""
+    whole-image CRC."""
     n = pkg.new_image_length
     size = pkg.block_size
-    staged = StagedImage(memoryview(base)[:n])
+    staged = bytearray(memoryview(base)[:n])
     staged += b"\xff" * (n - len(staged))  # empty unless base is short
     for entry in pkg.entries:
         lo = entry.block_index * size
@@ -273,5 +261,4 @@ def apply_delta(base: bytes, pkg: DeltaPackage) -> StagedImage:
             raise BlockCrcMismatch(entry.block_index)
     if image_crc != pkg.new_image_crc:
         raise ImageCrcMismatch("staged image fails the whole-image CRC")
-    staged.image_crc, staged.block_crcs = image_crc, block_crcs
     return staged

@@ -10,12 +10,11 @@ the one flash map is ``LAYOUT``, with ``APP_REGION`` and
 Erase and program report simulated durations.  An erase copies from one
 erased constant, and a program's erased check compares against it, one
 ``memcmp`` per 128 KiB; both write through a memoryview, so the bytes move
-once.  :meth:`FlashDevice.view` reads the cells without a copy, and
-:meth:`FlashDevice.crc32` returns a vouched CRC after one ``memcmp``.  The
-device keeps the only
-flash-time account: a busy horizon, which reads report as their stall and
-which a node running on the device stalls on, and the running total of
-busy time.
+once.  :meth:`FlashDevice.view` reads the cells without a copy; a CRC of
+them is :func:`~fotasim.integrity.crc32`'s, whose memo answers for cells
+that equal a remembered image.  The device keeps the only flash-time
+account: a busy horizon, which reads report as their stall and which a
+node running on the device stalls on, and the running total of busy time.
 
 Nothing here touches real hardware.  Durations are bookkeeping, not sleeps.
 """
@@ -23,8 +22,6 @@ Nothing here touches real hardware.  Durations are bookkeeping, not sleeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .integrity import crc32
 
 KIB = 1024
 
@@ -177,7 +174,6 @@ class FlashDevice:
         self.latched = False
         self.busy_until_us = 0
         self.busy_total_us = 0
-        self._vouched: tuple[int, bytes, int] | None = None  # address, data, its CRC
 
     # -- lock handling -----------------------------------------------------
 
@@ -259,26 +255,6 @@ class FlashDevice:
                 f"read of {length} bytes at 0x{address:06X} leaves the device"
             )
         return memoryview(self.cells)[address : address + length].toreadonly()
-
-    def vouch(self, address: int, data: bytes, crc: int) -> None:
-        """Record that ``crc`` is the CRC of ``data``, which the caller has
-        just programmed at ``address``.  The device keeps ``data`` itself,
-        so the caller hands it over and changes it no more; a vouch replaces
-        the one before."""
-        self._vouched = address, data, crc
-
-    def crc32(self, address: int, length: int) -> int:
-        """``integrity.crc32`` of :meth:`view`.  A request for the vouched
-        address and length, whose cells still hold the vouched bytes (one
-        ``memcmp``), returns the vouched CRC.  A poke, erase or program that
-        changed those cells makes it compute the CRC; a reset or power cycle
-        changes no cell."""
-        view = self.view(address, length)
-        if self._vouched is not None:
-            at, data, crc = self._vouched
-            if at == address and len(data) == length and self.cells.startswith(data, address):
-                return crc
-        return crc32(view)
 
     def read(self, address: int, length: int, now_us: int = 0) -> tuple[bytes, int]:
         """A copy of :meth:`view` and ``stall_us``, how long the caller waits

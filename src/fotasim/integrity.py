@@ -11,17 +11,33 @@ the larger part of a CRC's cost.  Neither CRC reverses an image in one
 piece: :func:`crc32` folds one zlib register over ``_CHUNK``-byte pieces of
 any buffer, a message's one piece too, each reversed in cache, and
 :func:`image_crcs` reverses whole blocks about ``_CHUNK`` bytes at a time.
+
+One process CRCs the same image more than once: the host's package or
+record, the report, the target's staged image and the boot's check all
+read the new image's bytes.  So :func:`image_crcs` remembers its last
+``_MEMO_ENTRIES`` results, each keyed on the image's bytes (the caller's
+``bytes``, or a ``bytes`` copy of a buffer that can change) and block size.
+A later :func:`image_crcs` of equal bytes and block size, or :func:`crc32`
+of equal bytes, returns the remembered result after one ``memcmp``; any
+other input is CRC'd.  Equal bytes have equal CRCs, so no caller can tell
+a remembered result from a computed one but by its cost.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections import deque
 from dataclasses import dataclass
 
 DEFAULT_BLOCK_SIZE = 1024
 
 _CHUNK = 16 * 1024  # bytes bit-reversed at a time; a message is one piece
+
+_MEMO_ENTRIES = 2  # an update's old image and its new one
+
+# The last image_crcs results, oldest first: (image bytes, block size, result).
+_memo: deque[tuple[bytes, int, tuple[int, tuple[int, ...]]]] = deque(maxlen=_MEMO_ENTRIES)
 
 _U16 = struct.Struct("<H")
 
@@ -55,11 +71,24 @@ def _unreflect(registers: list[int]) -> tuple[int, ...]:
     return struct.unpack(f">{n}I", struct.pack(f"<{n}I", *registers).translate(_BITREV_NOT_BYTES))
 
 
+def _recall(view: memoryview, block_size: int | None = None):
+    """The remembered :func:`image_crcs` result of bytes equal to ``view``'s,
+    for ``block_size`` unless it is None; None when there is none, and for
+    a view that is not contiguous, which ``startswith`` cannot read."""
+    if view.c_contiguous:
+        for kept, size, result in _memo:
+            if len(kept) == view.nbytes and block_size in (None, size) and kept.startswith(view):
+                return result
+    return None
+
+
 def crc32(data) -> int:
-    """CRC-32/MPEG-2 of ``data``, any buffer, by one zlib register folded over
-    its ``_CHUNK``-byte pieces.  crc32(b"") == 0xFFFFFFFF (the register is
-    never touched for empty input)."""
+    """CRC-32/MPEG-2 of ``data``, any buffer: a remembered image's, or one
+    zlib register folded over its ``_CHUNK``-byte pieces.  crc32(b"") ==
+    0xFFFFFFFF (the register is never touched for empty input)."""
     view = memoryview(data)
+    if (remembered := _recall(view)) is not None:
+        return remembered[0]
     register = 0
     for lo in range(0, view.nbytes, _CHUNK):
         register = zlib.crc32(reflect(view[lo : lo + _CHUNK]), register)
@@ -68,16 +97,9 @@ def crc32(data) -> int:
 
 def reflect(data) -> bytearray:
     """``data``, any buffer, with the bits of every byte reversed: the input
-    form that :func:`reflected_crc32` reads.  It goes through a bytearray
+    form that zlib's reflected CRC-32 reads.  It goes through a bytearray
     copy, whose ``translate`` runs at twice the speed of ``bytes.translate``."""
     return bytearray(data).translate(_BITREV_BYTES)
-
-
-def reflected_crc32(reflected: bytes | memoryview) -> int:
-    """CRC-32/MPEG-2 of the bytes whose :func:`reflect` copy is
-    ``reflected``: ``reflected_crc32(reflect(d)[i:j]) == crc32(d[i:j])``."""
-    register = zlib.crc32(reflected).to_bytes(4, "little")  # _unreflect for one register
-    return int.from_bytes(register.translate(_BITREV_NOT_BYTES), "big")
 
 
 def block_count(image_length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
@@ -87,15 +109,18 @@ def block_count(image_length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
 
 
 def image_crcs(image, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, tuple[int, ...]]:
-    """``crc32(image)`` and the CRC of each ``block_size`` chunk of it, from
-    pieces of whole blocks bit-reversed about ``_CHUNK`` bytes at a time.
-    The final block may be shorter than ``block_size``; its CRC covers the
-    bytes present, not a padded block."""
+    """``crc32(image)`` and the CRC of each ``block_size`` chunk of it: the
+    remembered result for equal bytes and block size, or one computed from
+    pieces of whole blocks bit-reversed about ``_CHUNK`` bytes at a time,
+    which is then remembered.  The final block may be shorter than
+    ``block_size``; its CRC covers the bytes present, not a padded block."""
     view = memoryview(image)
     if view.nbytes == 0:
         raise EmptyImage("cannot build a block CRC table for an empty image")
     if block_size <= 0:
         raise ValueError("block_size must be positive")
+    if (remembered := _recall(view, block_size)) is not None:
+        return remembered
     step = (_CHUNK // block_size or 1) * block_size
     pieces = [memoryview(reflect(view[lo : lo + step])) for lo in range(0, view.nbytes, step)]
     register = 0
@@ -103,7 +128,9 @@ def image_crcs(image, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, tuple[
         register = zlib.crc32(piece, register)
     crcs = _unreflect([zlib.crc32(piece[i : i + block_size])
                        for piece in pieces for i in range(0, piece.nbytes, block_size)] + [register])
-    return crcs[-1], crcs[:-1]
+    result = crcs[-1], crcs[:-1]
+    _memo.append((image if type(image) is bytes else bytes(view), block_size, result))
+    return result
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def read_app_metadata(device: FlashDevice) -> AppMetadata:
     Raises :class:`MalformedMetadata` for anything undecodable, including a
     byte count that could not fit the application region, and one of zero:
     no application is empty (:meth:`AppMetadata.for_image` refuses one),
-    and crc32(b"") would vouch for erased flash.
+    and a zero-byte record whose CRC is crc32(b"") would pass any flash.
     """
     blob, _ = device.read(METADATA_OFFSET, METADATA_SIZE)
     meta = AppMetadata.decode(blob)

@@ -85,8 +85,9 @@ def mutate_blocks(image: bytes, count: int, seed: int,
 
 def provision_application(device: FlashDevice, image: bytes,
                           block_size: int = DEFAULT_BLOCK_SIZE) -> None:
-    """Factory-flash an application plus matching metadata, vouch for the
-    image's CRC (:meth:`FlashDevice.vouch`), then relock.
+    """Factory-flash an application plus matching metadata, then relock.
+    The record's CRCs stay in :func:`~fotasim.integrity.image_crcs`'s memo,
+    so the first boot's check of the image is one ``memcmp``.
 
     Setup helper: erases the application region first and clears the busy
     horizon afterwards, so provisioning never bleeds into simulated time.
@@ -99,9 +100,7 @@ def provision_application(device: FlashDevice, image: bytes,
         device.unlock(*DEFAULT_UNLOCK_KEYS)
     device.erase_sectors(MASS_ERASE_APPLICATION)
     device.program(APP_REGION.start, image)
-    meta = AppMetadata.for_image(image, block_size)
-    write_app_metadata(device, meta)
-    device.vouch(APP_REGION.start, bytes(image), meta.image_crc)
+    write_app_metadata(device, AppMetadata.for_image(image, block_size))
     if was_locked:
         device.reset()
     device.busy_until_us = 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fotasim import bootflow, delta, integrity
+from fotasim import bootflow, integrity
 from fotasim.bootflow import (
     ACK,
     APP_ENTER_BOOTLOADER,
@@ -346,10 +346,10 @@ def test_delta_apply_end_to_end():
 
 @pytest.fixture
 def reversed_sizes(monkeypatch):
-    """The length of every buffer bit-reversed from here on.  Every
-    bit-reversal runs through integrity.reflect, bound in integrity and
-    delta; a CRC of an image reverses it in pieces of at most
-    integrity._CHUNK bytes."""
+    """The length of every buffer bit-reversed from here on, from an empty
+    CRC memo, so no earlier test's images decide a count.  Every
+    bit-reversal runs through integrity.reflect; a CRC of an image reverses
+    it in pieces of at most integrity._CHUNK bytes."""
     sizes = []
     reflect = integrity.reflect
 
@@ -357,15 +357,16 @@ def reversed_sizes(monkeypatch):
         sizes.append(len(data))
         return reflect(data)
 
-    for module in (integrity, delta):
-        monkeypatch.setattr(module, "reflect", counted)
+    monkeypatch.setattr(integrity, "reflect", counted)
+    integrity._memo.clear()
     return sizes
 
 
-def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(reversed_sizes):
-    # DELTA_APPLY reverses the staged image once, in pieces, so none copies
-    # the whole image; it vouches for the CRC it read, so the boot into the
-    # new application reverses nothing.
+def _delta_apply_then_boot(reversed_sizes, forget):
+    """DELTA_APPLY of a 20 KiB + 3000 byte image onto a provisioned target,
+    then two boots that must reverse nothing; returns the sizes DELTA_APPLY
+    reversed.  ``forget`` clears the CRC memo after the host's build_delta,
+    as a target in its own process would start."""
     old = Random(11).randbytes(20 * KIB)
     new = bytearray(old + Random(12).randbytes(3000))
     new[9000] ^= 0x40
@@ -373,12 +374,13 @@ def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(rev
     blob = encode_package(build_delta(old, new))
     ctx = make_ctx(old)
     unlock_session(ctx)
+    if forget:
+        integrity._memo.clear()
     reversed_sizes.clear()
 
     reply = bootloader_serve(ctx, bytes([BootloaderCommand.DELTA_APPLY]) + blob)
     assert reply == bytes([ACK, BootloaderCommand.DELTA_APPLY])
-    assert sum(reversed_sizes) == len(new)  # the staged image, once
-    assert max(reversed_sizes) <= integrity._CHUNK
+    applied = list(reversed_sizes)
     assert ctx.device.read(METADATA_OFFSET, METADATA_SIZE)[0] == \
         AppMetadata.for_image(new).encode().ljust(METADATA_SIZE, b"\xff")
 
@@ -388,6 +390,23 @@ def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(rev
     ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)
     assert boot_decide(ctx.device, ctx.regs) is BootDecision.JUMP_APPLICATION
     assert reversed_sizes == []
+    return applied
+
+
+def test_a_delta_apply_and_a_bootloader_boot_bit_reverse_only_what_they_must(reversed_sizes):
+    # From a memo without the new image, DELTA_APPLY reverses the staged
+    # image once, in pieces, so none copies the whole image; its CRCs stay
+    # remembered, so the record and the boot into the new application
+    # reverse nothing.
+    applied = _delta_apply_then_boot(reversed_sizes, forget=True)
+    assert sum(applied) == 20 * KIB + 3000  # the staged image, once
+    assert max(applied) <= integrity._CHUNK
+
+
+def test_a_delta_apply_in_the_process_that_built_its_package_reverses_nothing(reversed_sizes):
+    # build_delta left the new image's CRCs in the memo, and the staged
+    # image equals the new one byte for byte.
+    assert _delta_apply_then_boot(reversed_sizes, forget=False) == []
 
 
 def test_the_first_boot_after_provisioning_reverses_nothing(reversed_sizes):
@@ -429,6 +448,7 @@ def _xor_the_generator_in(device, image):
 ])
 def test_a_boot_after_flash_changed_under_the_vouched_image_crcs_the_real_bytes(
         disturb, decision, reversed_sizes):
+    # The record vouches for ``image``, whose CRCs provisioning left in the memo.
     image = Random(14).randbytes(12 * KIB) + b"\xff" * 4  # its last bytes read erased
     ctx = make_ctx(image)
     ctx.regs.write_flag(APP_ENTER_REG, BootFlag.ENTER)

@@ -661,17 +661,60 @@ def test_stats_accumulate():
 # -- streams against steps ---------------------------------------------------------
 
 _IDS = (0x100, 0x101, 0x200)
+_RAW_HEADER = st.builds(lambda length, crc: struct.pack("<BHIB", HEADER_MARKER, length, crc, 0),
+                        st.integers(0, 20), st.integers(0, 2**32 - 1))  # perhaps a lying one
 _RAW = st.one_of(
     st.binary(max_size=8),
-    st.builds(lambda length, crc: struct.pack("<BHIB", HEADER_MARKER, length, crc, 0),
-              st.integers(0, 20), st.integers(0, 2**32 - 1)),  # a header, perhaps a lying one
+    _RAW_HEADER,
     st.builds(lambda seq, body: bytes([seq]) + body, st.integers(0, 3), st.binary(max_size=7)))
 _QUEUE = st.one_of(
     st.tuples(st.just("message"), st.integers(0, 2), st.sampled_from(_IDS),
               st.binary(min_size=1, max_size=40)),
-    st.tuples(st.just("frame"), st.integers(0, 2), st.sampled_from(_IDS), _RAW))
+    st.tuples(st.just("frame"), st.integers(0, 2), st.sampled_from(_IDS), _RAW),
+    # The last message again, the same payload object, as a resend after a reset queues it.
+    st.tuples(st.just("resend"), st.integers(0, 2)),
+    # A message, behind a raw frame (often a header) that its sender queues on its id, or
+    # behind nothing; then steps of ``frames`` frames, and the next frame drawn as a drop
+    # and given up, as with no retransmit budget, or the sender reset mid-message.  The
+    # receivers keep an assembly that another frame opened, or one out of phase, and the
+    # same id's own body frames may follow.
+    st.tuples(st.just("interrupt"), st.integers(0, 2), st.sampled_from(_IDS),
+              st.binary(min_size=15, max_size=40), st.none() | _RAW_HEADER | _RAW,
+              st.integers(0, 3), st.booleans()))
 _DRAIN = st.tuples(st.just("drain"), st.integers(1, 60))
 _TICK_US = 1000
+_FOREIGN_HEADER = struct.pack("<BHIB", HEADER_MARKER, 20, 0, 0)  # opens 20 bytes, CRC 0
+
+
+def _queue(bus, endpoints, op, last, now_us=0):
+    """Apply ``op``, one of :data:`_QUEUE`, to ``bus``, whose sender ``i``
+    is ``endpoints[i % len(endpoints)]``; ``last`` holds the last message's
+    id and payload, for a resend.  Returns how many frames it stepped."""
+    sender = endpoints[op[1] % len(endpoints)]
+    if op[0] == "message":
+        last[:] = op[2:]
+        send_segmented(bus, sender, *last)
+    elif op[0] == "frame":
+        bus.transmit(sender, CanFrame(op[2], op[3]))
+    elif op[0] == "resend" and last:
+        send_segmented(bus, sender, *last)
+    elif op[0] == "interrupt":
+        _, _, can_id, data, opener, frames, reset = op
+        if opener is not None:
+            bus.transmit(sender, CanFrame(can_id, opener))
+        last[:] = can_id, data
+        send_segmented(bus, sender, can_id, data)
+        for _ in range(frames):
+            bus.step(now_us)
+        if reset:
+            sender.clear()
+            return frames
+        config = bus.config
+        bus.config = BusConfig(drop_probability=1.0, max_auto_retransmit=0)
+        bus.step(now_us)
+        bus.config = config
+        return frames + 1
+    return 0
 
 
 def _carries(bus):
@@ -688,30 +731,37 @@ def _carries(bus):
         entry.index < entry.count - 1 or bool(states))
 
 
+# A message's header, then its second body frame, given up: the receivers' assembly is one
+# a raw header opened, or out of phase, when the message's own body frames follow.
+_INTERRUPTED = [[("interrupt", 0, 0x101, bytes(range(30)), _FOREIGN_HEADER, 1, False),
+                 ("drain", 60)],
+                [("interrupt", 0, 0x101, bytes(range(30)), None, 2, False), ("drain", 60)]]
+
+
 @settings(max_examples=200, deadline=None)
+@example(filtered=[False] * 3, program=_INTERRUPTED[0])
+@example(filtered=[False] * 3, program=_INTERRUPTED[1])
 @given(filtered=st.lists(st.booleans(), min_size=3, max_size=3),
        program=st.lists(st.one_of(_QUEUE, _DRAIN), max_size=40))
 def test_a_fault_free_stream_never_lands_a_frame_alone(filtered, program):
     """Messages and raw frames (some header-like, some on an id with no
-    receiver) on a fault-free bus, drained by ``stream()`` plus the
-    ``step()`` for the frame a stream stops at.  No stream lands a frame
-    through ``_land``: it stops, with ``lands``, before each frame it does
-    not carry (a body frame into an assembly its message's header did not
+    receiver, some messages interrupted between drains by a frame given up
+    or their sender's reset) on a fault-free bus, drained by ``stream()``
+    plus the ``step()`` for the frame a stream stops at.  No stream lands a
+    frame through ``_land``: it stops, with ``lands``, before each frame it
+    does not carry (a body frame into an assembly its message's header did not
     open, or out of phase), and before its message's last frame, which
     completes or breaks a message on each receiver."""
     bus = Bus()
     # A filtered endpoint hears only 0x100, so a frame on another id may have no receiver.
     endpoints = [bus.attach(i + 1, ((0x7FF, 0x100),) if filtered[i] else ACCEPT_ALL)
                  for i in range(3)]
-    alone, land = [], bus._land
+    alone, land, last = [], bus._land, []
     bus._land = lambda *args: alone.append(args) or land(*args)
     for op in program + [("drain", 10**6)]:
         if op[0] != "drain":
-            kind, sender, can_id, data = op
-            if kind == "message":
-                send_segmented(bus, endpoints[sender], can_id, data)
-            else:
-                bus.transmit(endpoints[sender], CanFrame(can_id, data))
+            _queue(bus, endpoints, op, last)
+            alone.clear()  # what an interruption stepped went through _land
             continue
         ticks = op[1]
         while ticks and bus.pending():
@@ -729,7 +779,13 @@ def test_a_fault_free_stream_never_lands_a_frame_alone(filtered, program):
             ticks -= sent
 
 
+_CLEAN_REPLAY = dict(senders=2, listening=[False] * 4, filtered=[False] * 4, corruption=0.0,
+                     drop=0.0, budget=None, trace=False, seed=0)
+
+
 @settings(max_examples=200, deadline=None)
+@example(**_CLEAN_REPLAY, program=_INTERRUPTED[0])
+@example(**_CLEAN_REPLAY, program=_INTERRUPTED[1])
 @given(senders=st.integers(2, 3),
        listening=st.lists(st.booleans(), min_size=4, max_size=4),
        filtered=st.lists(st.booleans(), min_size=4, max_size=4),
@@ -783,15 +839,12 @@ def test_streams_replay_step_by_step_byte_for_byte(
                     self.queues(), self.log)
 
     stepped, streamed = Side(), Side()
-    now = 0
+    now, last = 0, []
     for op in program + [("drain", 10**6)]:
         if op[0] != "drain":
-            kind, sender, can_id, data = op
             for side in (stepped, streamed):
-                if kind == "message":
-                    send_segmented(side.bus, side.endpoints[sender % senders], can_id, data)
-                else:
-                    side.bus.transmit(side.endpoints[sender % senders], CanFrame(can_id, data))
+                frames = _queue(side.bus, side.endpoints[:senders], op, last, now)
+            now += frames * _TICK_US
             continue
         ticks = op[1]
         while ticks and streamed.bus.pending():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fotasim import integrity
 from fotasim.flashmodel import (
     APP_REGION,
     APP_SECTORS,
@@ -28,7 +29,9 @@ from fotasim.flashmodel import (
     SectorOutOfRange,
     program_cost,
 )
-from fotasim.integrity import crc32
+from fotasim.integrity import crc32, image_crcs
+
+from conftest import crc32_bitwise
 
 
 def unlocked():
@@ -293,30 +296,33 @@ def test_view_shows_what_read_returns_after_a_later_program():
     assert d.view(LAYOUT.size, 0) == b""
 
 
-# -- the vouched CRC ---------------------------------------------------------------
+# -- CRCs of the cells ------------------------------------------------------------
 
 
-def test_crc32_returns_the_vouched_crc_only_while_the_cells_hold_the_vouched_bytes():
-    # A deliberately false CRC shows when the memo answers.
+def test_crc32_of_the_cells_is_remembered_only_while_they_hold_those_bytes():
+    # A deliberately false CRC planted in the memo shows when it answers.
     d = unlocked()
     data = Random(5).randbytes(300)
     d.program(APP_REGION.start, data)
-    d.vouch(APP_REGION.start, data, 0x12345678)
-    assert d.crc32(APP_REGION.start, len(data)) == 0x12345678
-    assert d.crc32(APP_REGION.start, len(data) - 1) == crc32(data[:-1])
-    assert d.crc32(APP_REGION.start + 1, len(data) - 1) == crc32(data[1:])
-    d.cells[APP_REGION.start + 7] ^= 0x80
-    assert d.crc32(APP_REGION.start, len(data)) == crc32(d.view(APP_REGION.start, len(data)))
-    d.cells[APP_REGION.start + 7] ^= 0x80
-    assert d.crc32(APP_REGION.start, len(data)) == 0x12345678
-    with pytest.raises(AddressOutOfRange):
-        d.crc32(LAYOUT.size - 3, 4)
+    view = d.view(APP_REGION.start, len(data))
+    integrity._memo.clear()
+    integrity._memo.append((data, len(data), (0x12345678, (0x12345678,))))
+    try:
+        assert crc32(view) == 0x12345678
+        assert crc32(d.view(APP_REGION.start, len(data) - 1)) == crc32_bitwise(data[:-1])
+        assert crc32(d.view(APP_REGION.start + 1, len(data) - 1)) == crc32_bitwise(data[1:])
+        d.cells[APP_REGION.start + 7] ^= 0x80
+        assert crc32(view) == crc32_bitwise(view)
+        d.cells[APP_REGION.start + 7] ^= 0x80
+        assert crc32(view) == 0x12345678
+    finally:
+        integrity._memo.clear()
 
 
-_WINDOW = 96  # a few vouched runs overlap at the application region's start
+_WINDOW = 96  # a few remembered runs overlap at the application region's start
 
 _ops = st.one_of(
-    st.tuples(st.just("vouch"), st.integers(0, _WINDOW - 1), st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("remember"), st.integers(0, _WINDOW - 1), st.binary(min_size=1, max_size=32)),
     st.tuples(st.just("program"), st.integers(0, _WINDOW - 1), st.binary(min_size=1, max_size=32)),
     st.tuples(st.just("erase")),
     st.tuples(st.just("poke"), st.integers(0, _WINDOW - 1), st.integers(0, 255)),
@@ -328,25 +334,29 @@ _ops = st.one_of(
 @given(st.lists(_ops, max_size=30), st.integers(0, _WINDOW - 1), st.integers(0, _WINDOW))
 @settings(max_examples=150, deadline=None)
 def test_crc32_is_the_crc_of_the_cells_after_any_operations(ops, at, length):
+    # "remember" programs bytes and CRCs them as provisioning does, so the
+    # memo holds them; every later CRC of the cells must still be theirs.
+    integrity._memo.clear()
     d = FlashDevice()
     base = APP_REGION.start
-    vouched = []  # the last vouch's address and length
+    remembered = []  # the last remembered bytes' address and length
 
     def check(address, n):
-        assert d.crc32(address, n) == crc32(d.view(address, n))
+        view = d.view(address, n)
+        assert crc32(view) == crc32_bitwise(view)
 
     for op in ops:
-        if op[0] in ("vouch", "program"):
+        if op[0] in ("remember", "program"):
             _, offset, data = op
             if d.locked:
                 d.unlock(*DEFAULT_UNLOCK_KEYS)
             try:
                 d.program(base + offset, data)
             except ProgramOnNonErased:
-                pass  # a vouch for bytes that did not land is a miss, not a lie
-            if op[0] == "vouch":
-                d.vouch(base + offset, data, crc32(data))
-                vouched[:] = base + offset, len(data)
+                pass  # remembered bytes that did not land are a miss, not a lie
+            if op[0] == "remember":
+                image_crcs(data, 8)
+                remembered[:] = base + offset, len(data)
         elif op[0] == "erase":
             if d.locked:
                 d.unlock(*DEFAULT_UNLOCK_KEYS)
@@ -358,8 +368,8 @@ def test_crc32_is_the_crc_of_the_cells_after_any_operations(ops, at, length):
         else:  # a power cycle, as World.power_cycle does it to the device
             d.busy_until_us = 0
             d.reset()
-        if vouched:
-            check(*vouched)
+        if remembered:
+            check(*remembered)
         check(base + at, length)
 
 

@@ -1,13 +1,14 @@
 """Checksum and block-table behaviour."""
 
 import struct
+import zlib
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fotasim.delta import StagedImage
+from fotasim import integrity
 from fotasim.integrity import (
     _CHUNK,
     BlockCrcTable,
@@ -17,7 +18,6 @@ from fotasim.integrity import (
     crc32,
     image_crcs,
     reflect,
-    reflected_crc32,
 )
 
 from conftest import crc32_bitwise
@@ -28,6 +28,12 @@ CHECK_VALUE = 0x0376E6E7  # crc32(b"123456789") for CRC-32/MPEG-2
 
 # Lengths either side of crc32's piece boundaries, and past three pieces.
 CHUNK_EDGES = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+
+def whole_buffer_crc(data) -> int:
+    """CRC-32/MPEG-2 from one zlib call over the whole buffer bit-reversed
+    in one piece: zlib's register, inverted and bit-reversed."""
+    return int(f"{zlib.crc32(reflect(data)) ^ 0xFFFFFFFF:032b}"[::-1], 2)
 
 
 def test_check_value():
@@ -44,12 +50,19 @@ def test_accepts_bytearray_and_memoryview():
     assert crc32(memoryview(data)) == crc32(data)
     for n in CHUNK_EDGES:
         data = Random(n).randbytes(n)
-        expected = reflected_crc32(reflect(data))  # the whole buffer in one piece
+        expected = whole_buffer_crc(data)
         assert crc32(data) == expected
         assert crc32(bytearray(data)) == expected
         assert crc32(memoryview(bytearray(data)).toreadonly()) == expected
-        assert crc32(StagedImage(data)) == expected
-        assert crc32(memoryview(data)[1:]) == reflected_crc32(reflect(data[1:]))
+        assert crc32(memoryview(data)[1:]) == whole_buffer_crc(data[1:])
+
+
+def test_a_strided_view_is_crcd_beside_a_remembered_image_of_its_bytes():
+    integrity._memo.clear()
+    image_crcs(b"ac", 1)
+    assert crc32(memoryview(b"abcd")[::2]) == crc32_bitwise(b"ac")
+    assert image_crcs(memoryview(b"abcd")[::2], 1) == (crc32_bitwise(b"ac"),
+                                                        (crc32_bitwise(b"a"), crc32_bitwise(b"c")))
 
 
 def test_single_bit_flip_changes_crc():
@@ -112,17 +125,48 @@ def test_block_crcs_partial_final_block():
 def test_block_crcs_match_crc32_of_each_chunk(case):
     data, block_size = case
     expected = [crc32(data[i : i + block_size]) for i in range(0, len(data), block_size)]
-    assert image_crcs(data, block_size)[0] == reflected_crc32(reflect(data))
-    assert list(image_crcs(data, block_size)[1]) == expected
-    assert list(image_crcs(bytearray(data), block_size)[1]) == expected
-    assert list(image_crcs(memoryview(data), block_size)[1]) == expected
+    for form in (bytes, bytearray, memoryview):
+        integrity._memo.clear()  # each form's CRCs computed, not remembered
+        assert image_crcs(form(data), block_size) == (whole_buffer_crc(data), tuple(expected))
+
+
+# A memo call: which function, which of three buffers, in which form, and
+# the block size image_crcs is asked for.
+_memo_calls = st.tuples(st.sampled_from(("crc32", "image_crcs")), st.integers(0, 2),
+                        st.sampled_from((bytes, bytearray, memoryview)), st.sampled_from((1, 5, 64)))
+# A flip: XOR ``mask`` into one byte of one buffer, in place.
+_flips = st.tuples(st.just("flip"), st.integers(0, 2), st.integers(0, 199), st.integers(1, 255))
+
+
+@given(st.binary(min_size=1, max_size=200), st.lists(st.one_of(_memo_calls, _flips), max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_the_memo_answers_only_for_equal_bytes(data, ops):
+    # Three equal-length bytearrays that start equal, flipped in place
+    # between calls, so the memo sees mutated buffers and buffers that
+    # differ from a remembered one in one byte.
+    integrity._memo.clear()
+    buffers = [bytearray(data) for _ in range(3)]
+    for op in ops:
+        if op[0] == "flip":
+            _, which, at, mask = op
+            buffers[which][at % len(data)] ^= mask
+            continue
+        name, which, form, block_size = op
+        buffer = buffers[which]
+        snapshot = bytes(buffer)
+        arg = {bytes: snapshot, bytearray: buffer, memoryview: memoryview(buffer)}[form]
+        if name == "crc32":
+            assert crc32(arg) == crc32_bitwise(snapshot)
+        else:
+            blocks = tuple(crc32_bitwise(snapshot[i : i + block_size])
+                           for i in range(0, len(snapshot), block_size))
+            assert image_crcs(arg, block_size) == (crc32_bitwise(snapshot), blocks)
 
 
 @given(st.binary(max_size=2048), st.integers(0, 2048), st.integers(0, 2048))
 @settings(max_examples=150, deadline=None)
-def test_reflected_crc_of_a_slice_matches_crc32(data, i, j):
-    view = memoryview(reflect(data))
-    assert reflected_crc32(view[i:j]) == crc32(data[i:j]) == crc32_bitwise(data[i:j])
+def test_crc_of_a_slice_matches_the_bitwise_oracle(data, i, j):
+    assert crc32(memoryview(data)[i:j]) == crc32(data[i:j]) == crc32_bitwise(data[i:j])
 
 
 def test_block_crcs_empty_image_rejected():

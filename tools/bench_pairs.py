@@ -43,7 +43,12 @@ workload and seed one more ``--seconds 0`` run per tree wraps every binding
 of ``integrity.reflect`` in the package's modules and records under
 ``"reflected"`` the bytes bit-reversed per operation inside the workload's
 ``execute``: the exact byte cost of the CRCs an operation pays, printed
-beside the call counts.
+beside the call counts.  The same run wraps every binding of
+``integrity.crc32`` and ``integrity.image_crcs`` and records under
+``"crc_memo"`` the calls per operation inside ``execute`` that hit the
+CRC memo, those that bit-reverse no byte of a non-empty buffer, and those
+that miss it, every other call; both are printed when they differ between
+the trees.
 
 Exits 1 when any run (traced, profiled and reflected ones too) or either
 suite exits non-zero, or a run prints no result or reports ``correct:
@@ -92,22 +97,35 @@ print(json.dumps({"calls": (own + out_of) / ops, "fotasim_calls": own / ops}))
 
 # Run like PROFILE; prints one JSON line: the bytes that every binding of
 # integrity.reflect in the package's modules reverses inside the workload's
-# execute, per operation.
+# execute, and the CRC memo's hits and misses there, per operation.
 REFLECTED = """
 import contextlib, importlib, io, json, os, pkgutil, runpy, sys
 sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
 sys.argv = ["perfbench/run.py", "--workload", sys.argv[1], "--seed", sys.argv[2], "--seconds", "0"]
 import fotasim, workloads
 modules = [importlib.import_module("fotasim." + m.name) for m in pkgutil.iter_modules(fotasim.__path__)]
-reflect, inside, reversed_bytes = fotasim.integrity.reflect, [False], [0]
+integrity, inside, reversed_bytes, memo = fotasim.integrity, [False], [0], {"hits": 0, "misses": 0}
+reflect = integrity.reflect
 def counted(data):
     if inside[0]:
         reversed_bytes[0] += len(data)
     return reflect(data)
+def looked_up(crc):
+    def wrapper(data, *args):
+        before = reversed_bytes[0]
+        result = crc(data, *args)
+        if inside[0]:
+            hit = reversed_bytes[0] == before and memoryview(data).nbytes > 0
+            memo["hits" if hit else "misses"] += 1
+        return result
+    return wrapper
+wrappers = {reflect: counted, integrity.crc32: looked_up(integrity.crc32),
+            integrity.image_crcs: looked_up(integrity.image_crcs)}
 for module in [fotasim, *modules]:
     for name, value in list(vars(module).items()):
-        if value is reflect:
-            setattr(module, name, counted)
+        for original, wrapper in wrappers.items():
+            if value is original:
+                setattr(module, name, wrapper)
 def timed(execute):
     def wrapper(self, state):
         inside[0] = True
@@ -126,7 +144,8 @@ with contextlib.redirect_stdout(out):
         if exc.code:
             raise
 ops = json.loads(out.getvalue().splitlines()[-1])["attempted"]
-print(json.dumps({"reflected_bytes": reversed_bytes[0] / ops}))
+print(json.dumps({"reflected_bytes": reversed_bytes[0] / ops,
+                  "crc_memo": {key: count / ops for key, count in memo.items()}}))
 """
 
 
@@ -308,6 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             calls = {side: probe(tree, PROFILE, workload, seed) for side, tree in trees.items()}
             reflected = {side: probe(tree, REFLECTED, workload, seed)
                          for side, tree in trees.items()}
+            memo = {side: run.pop("crc_memo", None) for side, run in reflected.items()}
             rows = {"calls": calls, "fotasim_calls": calls, "reflected_bytes": reflected}
             probed_ok = all(run["exit"] == 0 and key in run
                             for key, runs in rows.items() for run in runs.values())
@@ -317,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"({runs['change'][key] - runs['parent'][key]:+.2f})"
                 for key, runs in rows.items()) if probed_ok else "a profiled or reflected run failed"),
                 file=sys.stderr, flush=True)
+            if probed_ok and memo["parent"] != memo["change"]:
+                print(f"{workload} seed {seed} crc memo per op: " + "; ".join(
+                    f"{key} {memo['parent'][key]:.2f} -> {memo['change'][key]:.2f}"
+                    for key in ("hits", "misses")), file=sys.stderr, flush=True)
             trace = traced(trees, workload, seed)
             ok &= all(trace[side]["exit"] == 0 and trace[side]["correct"] is True
                       for side in SIDES)
@@ -340,7 +364,8 @@ def main(argv: list[str] | None = None) -> int:
             summary = summarise(pairs, gates)
             results[f"{workload} seed {seed}"] = {"workload": workload, "seed": seed, **summary,
                                                  "runs": pairs, "traced": trace,
-                                                 "profiled": calls, "reflected": reflected}
+                                                 "profiled": calls, "reflected": reflected,
+                                                 "crc_memo": memo}
             for name in ("peak_rss_setup_mb", "minflt_per_op"):
                 print(f"{workload} seed {seed} {name} median [q1, q3]: " + ", ".join(
                     f"{side} {row['median']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}]"

@@ -12,15 +12,16 @@ piece: :func:`crc32` folds one zlib register over ``_CHUNK``-byte pieces of
 any buffer, a message's one piece too, each reversed in cache, and
 :func:`image_crcs` reverses whole blocks about ``_CHUNK`` bytes at a time.
 
-One process CRCs the same image more than once: the host's package or
-record, the report, the target's staged image and the boot's check all
-read the new image's bytes.  So :func:`image_crcs` remembers its last
-``_MEMO_ENTRIES`` results, each keyed on the image's bytes (the caller's
-``bytes``, or a ``bytes`` copy of a buffer that can change) and block size.
-A later :func:`image_crcs` of equal bytes and block size, or :func:`crc32`
-of equal bytes, returns the remembered result after one ``memcmp``; any
-other input is CRC'd.  Equal bytes have equal CRCs, so no caller can tell
-a remembered result from a computed one but by its cost.
+One process CRCs the same image more than once: provisioning and the
+report read the old image, and the host's package or record, the
+target's staged image, its record and the boot's check the new one.  So
+:func:`image_crcs` remembers its last ``_MEMO_ENTRIES`` results, each
+keyed on the image's bytes (the caller's ``bytes``, or a ``bytes`` copy
+of a buffer that can change) and block size.  A later :func:`image_crcs`
+of equal bytes and block size, or :func:`crc32` of equal bytes, returns
+the remembered result after one ``memcmp``; any other input is CRC'd.
+Equal bytes have equal CRCs, so no caller can tell a remembered result
+from a computed one but by its cost.
 """
 
 from __future__ import annotations
